@@ -71,45 +71,30 @@ variantConfigJson(const Variant &variant)
 
 void
 runJson(std::ostringstream &os, const RunUnit &unit,
-        const RunResult &r, const CampaignSpec &spec,
-        ReportSchema schema)
+        const RunResult &r, const CampaignSpec &spec)
 {
     const Variant &variant = spec.variants[unit.variantIndex];
     os << "    {\"benchmark\": " << jsonString(r.benchmark)
        << ", \"variant\": " << jsonString(variant.label)
        << ", \"variantIndex\": " << unit.variantIndex
-       << ", \"layoutSeed\": " << u64(unit.config.layoutSeed);
-    if (schema == ReportSchema::V2)
-        os << ", \"levels\": " << unit.config.machine.mem.levels;
-    os << ",\n     \"cycles\": " << u64(r.cycles)
+       << ", \"layoutSeed\": " << u64(unit.config.layoutSeed)
+       << ", \"levels\": " << unit.config.machine.mem.levels
+       << ",\n     \"cycles\": " << u64(r.cycles)
        << ", \"instructions\": " << u64(r.instructions)
        << ", \"ipc\": "
        << jsonNumber(r.cycles ? static_cast<double>(r.instructions) /
                                     static_cast<double>(r.cycles)
-                              : 0.0)
-       << ",\n     \"mem\": {";
-    bool first = true;
-    const StatSchema stat_schema = schema == ReportSchema::V1
-                                       ? StatSchema::V1
-                                       : StatSchema::V2;
-    for (const StatEntry &e : memStatEntries(r.mem, stat_schema)) {
-        os << (first ? "" : ", ") << jsonString(e.name) << ": "
-           << jsonNumber(e.value);
-        first = false;
-    }
-    os << "}";
-    // Multi-core runs carry the shared-side coherence counters and a
-    // per-core private breakdown; r.cores is empty on single-core
-    // runs, so every historical report stays byte-identical.
-    if (schema == ReportSchema::V2 && !r.cores.empty()) {
-        os << ",\n     \"coherence\": {";
-        first = true;
-        for (const StatEntry &e : coherenceStatEntries(r.mem)) {
-            os << (first ? "" : ", ") << jsonString(e.name) << ": "
-               << jsonNumber(e.value);
-            first = false;
-        }
-        os << "},\n     \"cores\": [";
+                              : 0.0);
+    for (const StatBlock block : kStatBlocks) {
+        const std::string json =
+            statBlockJson(r.mem, unit.config.machine, block);
+        if (!json.empty())
+            os << ",\n     " << json;
+        // Multi-core runs follow the coherence block with a per-core
+        // private breakdown (r.cores is empty on single-core runs).
+        if (block != StatBlock::Coherence || r.cores.empty())
+            continue;
+        os << ",\n     \"cores\": [";
         for (std::size_t c = 0; c < r.cores.size(); ++c) {
             const CoreRunStats &core = r.cores[c];
             os << (c ? ",\n               " : "") << "{\"core\": " << c
@@ -125,39 +110,10 @@ runJson(std::ostringstream &os, const RunUnit &unit,
         }
         os << "]";
     }
-    // Runs whose resolved config enables the non-blocking timing
-    // model carry the mshr.*/dram row-buffer counters; flat-latency
-    // runs omit the block, so every historical report stays
-    // byte-identical.
-    const MemSysParams &unit_mem = unit.config.machine.mem;
-    if (schema == ReportSchema::V2 &&
-        (unit_mem.mshrEntries > 0 || unit_mem.dramBanks > 0)) {
-        os << ",\n     \"memlp\": {";
-        first = true;
-        for (const StatEntry &e : memlpStatEntries(r.mem, unit_mem)) {
-            os << (first ? "" : ", ") << jsonString(e.name) << ": "
-               << jsonNumber(e.value);
-            first = false;
-        }
-        os << "}";
-    }
-    // Runs with a non-default replacement policy on some level carry
-    // the per-level califormed-victim counters; default-LRU runs omit
-    // the block under the same byte-identity convention.
-    if (schema == ReportSchema::V2 && replPolicyActive(unit_mem)) {
-        os << ",\n     \"repl\": {";
-        first = true;
-        for (const StatEntry &e : replStatEntries(r.mem, unit_mem)) {
-            os << (first ? "" : ", ") << jsonString(e.name) << ": "
-               << jsonNumber(e.value);
-            first = false;
-        }
-        os << "}";
-    }
     // Attack replay runs carry the scenario rollup; every other
     // benchmark leaves trials at 0 and omits the block under the same
     // byte-identity convention.
-    if (schema == ReportSchema::V2 && r.security.trials > 0) {
+    if (r.security.trials > 0) {
         os << ",\n     \"security\": {\"scenario\": "
            << jsonString(r.security.scenario)
            << ", \"trials\": " << u64(r.security.trials)
@@ -186,31 +142,27 @@ runJson(std::ostringstream &os, const RunUnit &unit,
 } // namespace
 
 std::string
-campaignJson(const CampaignResult &result, const ReportTiming &timing,
-             ReportSchema schema)
+campaignJson(const CampaignResult &result, const ReportTiming &timing)
 {
     const CampaignSpec &spec = result.spec;
     std::ostringstream os;
     os << "{\n";
-    os << "  \"schema\": \"califorms-campaign/"
-       << (schema == ReportSchema::V1 ? "v1" : "v2") << "\",\n";
+    os << "  \"schema\": \"califorms-campaign/v2\",\n";
     os << "  \"campaign\": " << jsonString(spec.name) << ",\n";
     os << "  \"scale\": " << jsonNumber(spec.base.scale) << ",\n";
-    if (schema == ReportSchema::V2) {
-        const MemSysParams &mem = spec.base.machine.mem;
-        os << "  \"hierarchy\": {\"levels\": " << mem.levels
-           << ", \"l1KB\": " << mem.l1Size / 1024
-           << ", \"l2KB\": " << mem.l2Size / 1024
-           << ", \"llcKB\": " << mem.l3Size / 1024
-           << ",\n                \"l1Latency\": " << mem.l1Latency
-           << ", \"l2Latency\": " << mem.l2Latency
-           << ", \"llcLatency\": " << mem.l3Latency
-           << ", \"dramLatency\": " << mem.dramLatency
-           << ",\n                \"fillConvLatency\": "
-           << mem.fillConvLatency
-           << ", \"spillConvLatency\": " << mem.spillConvLatency
-           << ", \"wbQueueEntries\": " << mem.wbQueueEntries << "},\n";
-    }
+    const MemSysParams &mem = spec.base.machine.mem;
+    os << "  \"hierarchy\": {\"levels\": " << mem.levels
+       << ", \"l1KB\": " << mem.l1Size / 1024
+       << ", \"l2KB\": " << mem.l2Size / 1024
+       << ", \"llcKB\": " << mem.l3Size / 1024
+       << ",\n                \"l1Latency\": " << mem.l1Latency
+       << ", \"l2Latency\": " << mem.l2Latency
+       << ", \"llcLatency\": " << mem.l3Latency
+       << ", \"dramLatency\": " << mem.dramLatency
+       << ",\n                \"fillConvLatency\": "
+       << mem.fillConvLatency
+       << ", \"spillConvLatency\": " << mem.spillConvLatency
+       << ", \"wbQueueEntries\": " << mem.wbQueueEntries << "},\n";
     os << "  \"layoutSeeds\": [";
     for (std::size_t i = 0; i < spec.layoutSeeds.size(); ++i)
         os << (i ? ", " : "") << u64(spec.layoutSeeds[i]);
@@ -227,26 +179,24 @@ campaignJson(const CampaignResult &result, const ReportTiming &timing,
            << ", \"maxSpan\": " << v.maxSpan
            << ", \"fixedSpan\": " << v.fixedSpan << ", \"cform\": "
            << (v.cform ? (*v.cform ? "true" : "false") : "null")
-           << ", \"randomized\": " << (v.randomized ? "true" : "false");
-        if (schema == ReportSchema::V2) {
-            os << ", \"levels\": ";
-            if (v.levels)
-                os << v.levels;
-            else
-                os << "null";
-            os << ", \"l2KB\": ";
-            if (v.l2Kb)
-                os << *v.l2Kb;
-            else
-                os << "null";
-            os << ", \"llcKB\": ";
-            if (v.llcKb)
-                os << *v.llcKb;
-            else
-                os << "null";
-            if (!v.sets.empty())
-                os << ", \"config\": " << variantConfigJson(v);
-        }
+           << ", \"randomized\": " << (v.randomized ? "true" : "false")
+           << ", \"levels\": ";
+        if (v.levels)
+            os << v.levels;
+        else
+            os << "null";
+        os << ", \"l2KB\": ";
+        if (v.l2Kb)
+            os << *v.l2Kb;
+        else
+            os << "null";
+        os << ", \"llcKB\": ";
+        if (v.llcKb)
+            os << *v.llcKb;
+        else
+            os << "null";
+        if (!v.sets.empty())
+            os << ", \"config\": " << variantConfigJson(v);
         os << "}" << (i + 1 < spec.variants.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
@@ -257,7 +207,7 @@ campaignJson(const CampaignResult &result, const ReportTiming &timing,
     }
     os << "  \"runs\": [\n";
     for (std::size_t i = 0; i < result.units.size(); ++i) {
-        runJson(os, result.units[i], result.results[i], spec, schema);
+        runJson(os, result.units[i], result.results[i], spec);
         os << (i + 1 < result.units.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";

@@ -1,10 +1,12 @@
 /**
  * @file report.hh
  * Machine-readable campaign reports: JSON (schema
- * "califorms-campaign/v1") and CSV, one record per run. Stat names in
- * the per-run "mem" object are the canonical sim/stats_dump names
- * (l1d.hits, califorms.cformOps, ...), so a JSON trajectory diffs
- * against a text stats dump key for key. Numeric output is
+ * "califorms-campaign/v2") and CSV, one record per run. The per-run
+ * "mem", "coherence", "memlp" and "repl" objects are rendered from the
+ * sim/stats_dump counter table (statBlockJson) under the canonical
+ * dump names (l1d.hits, califorms.cformOps, ...), so a JSON trajectory
+ * diffs against a text stats dump key for key, and a block appears
+ * only when the run's machine configuration emits it. Numeric output is
  * deterministic: the simulator's counters are integers and every ratio
  * is formatted with a fixed shortest-round-trip rule, so two runs of
  * the same campaign produce byte-identical reports regardless of
@@ -30,24 +32,9 @@ struct ReportTiming
     double elapsedMs = 0;
 };
 
-/**
- * Report generation. V2 ("califorms-campaign/v2") adds the hierarchy
- * configuration object, the per-variant hierarchy axis fields and the
- * conversion / write-back-queue counters. V1 emits the exact
- * "califorms-campaign/v1" byte stream older consumers parse — for a
- * campaign that leaves the hierarchy axis untouched it is identical to
- * what the pre-hierarchy code produced.
- */
-enum class ReportSchema
-{
-    V1,
-    V2,
-};
-
 /** Render the whole campaign as JSON. */
 std::string campaignJson(const CampaignResult &result,
-                         const ReportTiming &timing = {},
-                         ReportSchema schema = ReportSchema::V2);
+                         const ReportTiming &timing = {});
 
 /** Render the runs as CSV (header + one row per run). */
 std::string campaignCsv(const CampaignResult &result);

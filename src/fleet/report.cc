@@ -33,7 +33,7 @@ hex64(std::uint64_t v)
 
 void
 tenantJson(std::ostringstream &os, const TenantResult &t,
-           std::uint64_t layout_seed)
+           const MachineParams &machine, std::uint64_t layout_seed)
 {
     const BatchReplayStats &replay = t.replay;
     os << "    {\"benchmark\": " << jsonString(t.source)
@@ -52,15 +52,13 @@ tenantJson(std::ostringstream &os, const TenantResult &t,
        << ", \"ipc\": "
        << jsonNumber(t.cycles ? static_cast<double>(t.instructions) /
                                     static_cast<double>(t.cycles)
-                              : 0.0)
-       << ",\n     \"mem\": {";
-    bool first = true;
-    for (const StatEntry &e : memStatEntries(t.mem, StatSchema::V2)) {
-        os << (first ? "" : ", ") << jsonString(e.name) << ": "
-           << jsonNumber(e.value);
-        first = false;
+                              : 0.0);
+    for (const StatBlock block : kStatBlocks) {
+        const std::string json = statBlockJson(t.mem, machine, block);
+        if (!json.empty())
+            os << ",\n     " << json;
     }
-    os << "},\n     \"exceptions\": {\"delivered\": "
+    os << ",\n     \"exceptions\": {\"delivered\": "
        << u64(t.exceptionsDelivered)
        << ", \"suppressed\": " << u64(t.exceptionsSuppressed) << "}}";
 }
@@ -97,7 +95,9 @@ fleetJson(const FleetSpec &spec, const FleetResult &result,
     }
     os << "  \"runs\": [\n";
     for (std::size_t i = 0; i < result.tenants.size(); ++i) {
-        tenantJson(os, result.tenants[i], spec.base.layoutSeed);
+        tenantJson(os, result.tenants[i],
+                   resolveTenantConfig(spec, i).machine,
+                   spec.base.layoutSeed);
         os << (i + 1 < result.tenants.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
@@ -120,7 +120,10 @@ printFleetSummary(std::ostream &os, const FleetResult &result)
                              ? static_cast<double>(t.instructions) /
                                    static_cast<double>(t.cycles)
                              : 0.0)
-           << " faults=" << t.mem.securityFaults << "\n";
+           << " faults="
+           << static_cast<std::uint64_t>(
+                  statValue(t.mem, "califorms.securityFaults"))
+           << "\n";
     }
 }
 

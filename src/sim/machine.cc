@@ -17,12 +17,10 @@ Machine::Machine(const MachineParams &params, ExceptionUnit::Policy policy)
         throw std::invalid_argument("Machine: core.count must be 1..32");
     mems_.reserve(params.core.count);
     cores_.reserve(params.core.count);
-    lsqs_.reserve(params.core.count);
     for (unsigned c = 0; c < params.core.count; ++c) {
         mems_.push_back(std::make_unique<MemorySystem>(
             params.mem, exceptions_, shared_));
         cores_.emplace_back(params.core, params.mem.l1Latency);
-        lsqs_.emplace_back();
     }
 }
 
@@ -166,33 +164,9 @@ MemSysStats
 Machine::memStats() const
 {
     MemSysStats out;
-    for (const auto &mem : mems_) {
-        const MemSysStats p = mem->privateStats();
-        out.l1.hits += p.l1.hits;
-        out.l1.misses += p.l1.misses;
-        out.l1.evictions += p.l1.evictions;
-        out.l1.dirtyEvictions += p.l1.dirtyEvictions;
-        out.l1.cformEvictions += p.l1.cformEvictions;
-        out.spills += p.spills;
-        out.fills += p.fills;
-        out.cformOps += p.cformOps;
-        out.securityFaults += p.securityFaults;
-        out.fillConvCycles += p.fillConvCycles;
-        out.spillConvCycles += p.spillConvCycles;
-        out.wbHits += p.wbHits;
-        out.wbEnqueued += p.wbEnqueued;
-        out.wbForcedDrains += p.wbForcedDrains;
-        out.wbPeakOccupancy =
-            std::max(out.wbPeakOccupancy, p.wbPeakOccupancy);
-        out.mshrAllocations += p.mshrAllocations;
-        out.mshrCoalesced += p.mshrCoalesced;
-        out.mshrStallCycles += p.mshrStallCycles;
-        // Per-core tables: the machine-level high-water mark is the
-        // fullest any one table got, not a sum across cores.
-        out.mshrPeakOccupancy =
-            std::max(out.mshrPeakOccupancy, p.mshrPeakOccupancy);
-    }
-    shared_.mergeStatsInto(out);
+    for (const auto &mem : mems_)
+        mergeStats(out, mem->privateStats());
+    mergeStats(out, shared_.stats());
     return out;
 }
 

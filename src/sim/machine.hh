@@ -23,7 +23,6 @@
 #include "core/cform.hh"
 #include "os/exception_unit.hh"
 #include "sim/core_model.hh"
-#include "sim/lsq.hh"
 #include "sim/memsys.hh"
 #include "sim/params.hh"
 #include "sim/shared_mem.hh"
@@ -112,8 +111,6 @@ class Machine
     }
     SharedMemory &sharedMemory() { return shared_; }
     const SharedMemory &sharedMemory() const { return shared_; }
-    /** Per-core load/store queue (Section 5.3 CFORM semantics model). */
-    LoadStoreQueue &lsq(unsigned core = 0) { return lsqs_.at(core); }
     const MachineParams &params() const { return params_; }
 
     /** Write everything dirty back to DRAM and drop all cache contents
@@ -129,7 +126,6 @@ class Machine
     SharedMemory shared_; //!< must outlive the attached private sides
     std::vector<std::unique_ptr<MemorySystem>> mems_;
     std::vector<CoreModel> cores_;
-    std::vector<LoadStoreQueue> lsqs_;
 };
 
 } // namespace califorms

@@ -672,7 +672,7 @@ MemSysStats
 MemorySystem::stats() const
 {
     MemSysStats out = privateStats();
-    shared_->mergeStatsInto(out);
+    mergeStats(out, shared_->stats());
     return out;
 }
 

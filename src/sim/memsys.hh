@@ -62,55 +62,10 @@
 #include "sim/mshr.hh"
 #include "sim/params.hh"
 #include "sim/shared_mem.hh"
+#include "sim/stats_dump.hh"
 
 namespace califorms
 {
-
-/** Aggregate statistics for the hierarchy. */
-struct MemSysStats
-{
-    CacheStats l1;
-    CacheStats l2; //!< all zero when the L2 is disabled
-    CacheStats l3; //!< all zero when the LLC is disabled
-    std::uint64_t dramAccesses = 0;
-    std::uint64_t spills = 0;          //!< califormed L1 evictions encoded
-    std::uint64_t fills = 0;           //!< califormed L1 fills decoded
-    std::uint64_t cformOps = 0;
-    std::uint64_t securityFaults = 0;  //!< raised (delivered or suppressed)
-
-    // Conversion latency actually charged at the L1 boundary (cycles).
-    std::uint64_t fillConvCycles = 0;
-    std::uint64_t spillConvCycles = 0;
-
-    // Dirty write-back queue (miss-queue) behaviour; all zero when
-    // wbQueueEntries == 0.
-    std::uint64_t wbHits = 0;          //!< L1 misses served from the queue
-    std::uint64_t wbEnqueued = 0;      //!< dirty evictions queued
-    std::uint64_t wbForcedDrains = 0;  //!< pushes that found the queue full
-    std::uint64_t wbPeakOccupancy = 0; //!< high-water mark of the queue
-
-    // Coherence traffic (MSI machines with more than one core; all
-    // zero otherwise). Shared-side counters, like dramAccesses.
-    std::uint64_t invalidationsSent = 0; //!< invalidation probes delivered
-    std::uint64_t dirtyRecalls = 0;      //!< modified lines recalled
-    std::uint64_t convUnderInval = 0;    //!< recalls that forced an encode
-    std::uint64_t coherenceConvCycles = 0; //!< latency charged for those
-
-    // MSHR behaviour (all zero when mem.mshr_entries == 0). Private-
-    // side counters; Machine merges peakOccupancy with max, the rest
-    // with sums.
-    std::uint64_t mshrAllocations = 0;   //!< primary misses
-    std::uint64_t mshrCoalesced = 0;     //!< secondary misses merged
-    std::uint64_t mshrStallCycles = 0;   //!< waited with the table full
-    std::uint64_t mshrPeakOccupancy = 0; //!< high-water mark
-
-    // Banked DRAM row-buffer behaviour (all zero when mem.dram_banks
-    // == 0). Shared-side counters, like dramAccesses.
-    std::uint64_t dramRowHits = 0;
-    std::uint64_t dramRowMisses = 0;
-    std::uint64_t dramRowConflicts = 0;
-    std::uint64_t dramBankConflictCycles = 0;
-};
 
 class MemorySystem : public CoherencePeer
 {
@@ -227,9 +182,10 @@ class MemorySystem : public CoherencePeer
      *  untouched (Machine flushes them once after all cores). */
     void flushPrivate();
 
-    /** Private + shared counters merged (historical single-requester
-     *  view; on a multi-core machine the shared side is included
-     *  whole, so prefer Machine::memStats for aggregation). */
+    /** Private + shared counters folded through mergeStats
+     *  (historical single-requester view; on a multi-core machine the
+     *  shared side is included whole, so prefer Machine::memStats for
+     *  aggregation). */
     MemSysStats stats() const;
 
     /** This core's private counters only: L1, conversions, write-back
@@ -237,13 +193,6 @@ class MemorySystem : public CoherencePeer
     MemSysStats privateStats() const;
 
     void clearStats();
-
-    /** Lines moved to or from DRAM (reads + write-backs): the quantity
-     *  the bandwidth roofline in Machine::cycles() prices. */
-    std::uint64_t dramLineTraffic() const
-    {
-        return shared_->dramAccesses();
-    }
 
     MainMemory &memory() { return shared_->memory(); }
     const MemSysParams &params() const { return params_; }

@@ -53,15 +53,15 @@ SharedMemory::probeHolders(Addr line_addr, unsigned core, bool for_write,
     bool have = false;
 
     auto recall = [&](const CoherencePeer::Surrender &s) {
-        ++dirtyRecalls_;
+        ++stats_.dirtyRecalls;
         // The remote L1 must be probed for its data: one L1 access.
         latency += params_.l1Latency;
         if (s.converted) {
             // Conversion under invalidation: the victim had to encode
             // a live califormed line during the coherence action, and
             // the requester waits for it.
-            ++convUnderInval_;
-            coherenceConvCycles_ += params_.spillConvLatency;
+            ++stats_.convUnderInval;
+            stats_.coherenceConvCycles += params_.spillConvLatency;
             latency += params_.spillConvLatency;
         }
         recalled = s.line;
@@ -74,7 +74,7 @@ SharedMemory::probeHolders(Addr line_addr, unsigned core, bool for_write,
         for (unsigned c = 0; c < peers_.size(); ++c) {
             if (!(others & (1u << c)))
                 continue;
-            ++invalidationsSent_;
+            ++stats_.invalidationsSent;
             const auto s = peers_[c]->surrenderLine(line_addr, true);
             d.sharers &= ~(1u << c);
             if (d.owner == static_cast<int>(c))
@@ -148,7 +148,7 @@ SharedMemory::fetchLine(Addr line_addr, Cycles &latency, unsigned core,
         } else {
             latency += params_.dramLatency;
         }
-        ++dramAccesses_;
+        ++stats_.dramAccesses;
         out.line = memory_.readLine(line_addr);
         // The long DRAM service is the requester's write-back drain
         // window: one queued write-back rides the otherwise idle bus.
@@ -203,7 +203,7 @@ void
 SharedMemory::writeBack(Addr line_addr, const SentinelLine &line)
 {
     if (below_.empty()) {
-        ++dramAccesses_;
+        ++stats_.dramAccesses;
         if (dram_.enabled())
             dram_.occupy(line_addr);
         memory_.writeLine(line_addr, line);
@@ -226,7 +226,7 @@ SharedMemory::writeBackLevel(std::size_t level,
         if (next.valid)
             writeBackLevel(level + 1, next);
     } else {
-        ++dramAccesses_;
+        ++stats_.dramAccesses;
         if (dram_.enabled())
             dram_.occupy(ev.lineAddr);
         memory_.writeLine(ev.lineAddr, ev.line);
@@ -271,7 +271,7 @@ SharedMemory::prefetchInto(Addr line_addr)
         }
     }
     if (found == below_.size()) {
-        ++dramAccesses_;
+        ++stats_.dramAccesses;
         // Prefetches hide their latency but still occupy a bank (and
         // can move the open row under the demand stream).
         if (dram_.enabled())
@@ -343,20 +343,18 @@ SharedMemory::functionalWrite(Addr line_addr, const SentinelLine &line)
     memory_.writeLine(line_addr, line);
 }
 
-void
-SharedMemory::mergeStatsInto(MemSysStats &out) const
+MemSysStats
+SharedMemory::stats() const
 {
+    MemSysStats out = stats_;
     for (const Level &level : below_)
         (level.id == 2 ? out.l2 : out.l3) = level.array.stats();
-    out.dramAccesses += dramAccesses_;
-    out.invalidationsSent += invalidationsSent_;
-    out.dirtyRecalls += dirtyRecalls_;
-    out.convUnderInval += convUnderInval_;
-    out.coherenceConvCycles += coherenceConvCycles_;
-    out.dramRowHits += dram_.stats().rowHits;
-    out.dramRowMisses += dram_.stats().rowMisses;
-    out.dramRowConflicts += dram_.stats().rowConflicts;
-    out.dramBankConflictCycles += dram_.stats().bankConflictCycles;
+    const DramTimingStats &dram = dram_.stats();
+    out.dramRowHits = dram.rowHits;
+    out.dramRowMisses = dram.rowMisses;
+    out.dramRowConflicts = dram.rowConflicts;
+    out.dramBankConflictCycles = dram.bankConflictCycles;
+    return out;
 }
 
 void
@@ -364,11 +362,7 @@ SharedMemory::clearStats()
 {
     for (Level &level : below_)
         level.array.clearStats();
-    dramAccesses_ = 0;
-    invalidationsSent_ = 0;
-    dirtyRecalls_ = 0;
-    convUnderInval_ = 0;
-    coherenceConvCycles_ = 0;
+    stats_ = MemSysStats{};
     // Bank busy times and open rows are machine state, not statistics;
     // only the counters reset at a window boundary.
     dram_.clearStats();

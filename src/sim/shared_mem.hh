@@ -48,11 +48,10 @@
 #include "sim/dram_timing.hh"
 #include "sim/main_memory.hh"
 #include "sim/params.hh"
+#include "sim/stats_dump.hh"
 
 namespace califorms
 {
-
-struct MemSysStats;
 
 /**
  * The interface a private side (one core's L1 + write-back queue)
@@ -156,21 +155,17 @@ class SharedMemory
     /** Write-through to wherever the line lives on the shared side. */
     void functionalWrite(Addr line_addr, const SentinelLine &line);
 
-    /** Fold the shared-side counters (L2/L3 stats, DRAM accesses,
-     *  coherence counters) into @p out. */
-    void mergeStatsInto(MemSysStats &out) const;
+    /** The shared-side counters (L2/L3, DRAM, coherence); every
+     *  private-side row is left zero. */
+    MemSysStats stats() const;
     void clearStats();
 
     /** Lines moved to or from DRAM (the bandwidth roofline quantity). */
-    std::uint64_t dramAccesses() const { return dramAccesses_; }
+    std::uint64_t dramAccesses() const { return stats_.dramAccesses; }
 
     MainMemory &memory() { return memory_; }
     const MainMemory &memory() const { return memory_; }
     const MemSysParams &params() const { return params_; }
-
-    /** The banked DRAM timing model (enabled() false on the flat
-     *  default machine). */
-    const DramTiming &dram() const { return dram_; }
 
     /** Number of enabled shared levels (0, 1 or 2). */
     std::size_t levelCount() const { return below_.size(); }
@@ -221,11 +216,7 @@ class SharedMemory
     std::vector<CoherencePeer *> peers_;
     std::unordered_map<Addr, DirEntry> directory_;
 
-    std::uint64_t dramAccesses_ = 0;
-    std::uint64_t invalidationsSent_ = 0;
-    std::uint64_t dirtyRecalls_ = 0;
-    std::uint64_t convUnderInval_ = 0;
-    std::uint64_t coherenceConvCycles_ = 0;
+    MemSysStats stats_; //!< DRAM and coherence rows only
 };
 
 } // namespace califorms

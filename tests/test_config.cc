@@ -423,10 +423,6 @@ TEST(CampaignAxis, CrossKeySweepsAKnobWithNoDedicatedAxis)
               std::string::npos);
     EXPECT_NE(json.find("\"config\": {\"core.mlp\": 12}"),
               std::string::npos);
-    // V1 stays pre-registry byte-compatible: no config objects.
-    const std::string v1 =
-        exp::campaignJson(result, timing, exp::ReportSchema::V1);
-    EXPECT_EQ(v1.find("\"config\""), std::string::npos);
 }
 
 TEST(CampaignAxis, LayoutSeedOverrideBeatsTheSeedList)

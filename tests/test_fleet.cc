@@ -466,6 +466,33 @@ TEST(FleetReport, ShapeAndDeterminism)
               std::string::npos);
 }
 
+TEST(FleetReport, TenantBlocksFollowTheResolvedOverlay)
+{
+    // Each tenant's counter blocks are gated by its own resolved
+    // config: the overlay enabling MSHRs, banked DRAM and DRRIP gets
+    // "memlp" and "repl"; the default tenant keeps just "mem".
+    FleetSpec spec;
+    spec.tenants = {mustParse("plain workload=zipf"),
+                    mustParse("tuned workload=zipf mem.mshr_entries=8 "
+                              "mem.dram_banks=8 mem.repl_policy=drrip")};
+    spec.durationOps = 2000;
+    const FleetResult result = runFleet(spec, 1);
+    const std::string json = fleetJson(spec, result, false);
+    const std::size_t tuned = json.find("\"tenant\": \"tuned\"");
+    ASSERT_NE(tuned, std::string::npos);
+    const std::string plain_run = json.substr(0, tuned);
+    const std::string tuned_run = json.substr(tuned);
+    EXPECT_NE(plain_run.find("\"mem\": {"), std::string::npos);
+    EXPECT_EQ(plain_run.find("\"memlp\""), std::string::npos);
+    EXPECT_EQ(plain_run.find("\"repl\""), std::string::npos);
+    EXPECT_NE(tuned_run.find("\"memlp\": {\"mshr.allocations\": "),
+              std::string::npos);
+    EXPECT_NE(tuned_run.find("\"dram.rowConflicts\""), std::string::npos);
+    EXPECT_NE(tuned_run.find("\"repl\": {\"repl.l1d.cformEvictions\": "),
+              std::string::npos);
+    EXPECT_EQ(json.find("\"coherence\""), std::string::npos);
+}
+
 TEST(FleetReport, ChecksumRendersAsHexString)
 {
     FleetSpec spec;

@@ -17,6 +17,7 @@
 #include "exp/campaign.hh"
 #include "exp/report.hh"
 #include "sim/machine.hh"
+#include "sim/stats_dump.hh"
 #include "sim/trace.hh"
 #include "workload/runner.hh"
 #include "workload/synth.hh"
@@ -35,41 +36,13 @@ multicoreParams(unsigned cores, CoherenceKind coherence)
     return p;
 }
 
-/** Field-for-field stat equality (loud names on mismatch). */
+/** Row-for-row stat equality over the whole counter table (loud row
+ *  names on mismatch). */
 void
 expectStatsEq(const MemSysStats &a, const MemSysStats &b)
 {
-    EXPECT_EQ(a.l1.hits, b.l1.hits);
-    EXPECT_EQ(a.l1.misses, b.l1.misses);
-    EXPECT_EQ(a.l1.evictions, b.l1.evictions);
-    EXPECT_EQ(a.l1.dirtyEvictions, b.l1.dirtyEvictions);
-    EXPECT_EQ(a.l2.hits, b.l2.hits);
-    EXPECT_EQ(a.l2.misses, b.l2.misses);
-    EXPECT_EQ(a.l3.hits, b.l3.hits);
-    EXPECT_EQ(a.l3.misses, b.l3.misses);
-    EXPECT_EQ(a.dramAccesses, b.dramAccesses);
-    EXPECT_EQ(a.spills, b.spills);
-    EXPECT_EQ(a.fills, b.fills);
-    EXPECT_EQ(a.cformOps, b.cformOps);
-    EXPECT_EQ(a.securityFaults, b.securityFaults);
-    EXPECT_EQ(a.fillConvCycles, b.fillConvCycles);
-    EXPECT_EQ(a.spillConvCycles, b.spillConvCycles);
-    EXPECT_EQ(a.wbHits, b.wbHits);
-    EXPECT_EQ(a.wbEnqueued, b.wbEnqueued);
-    EXPECT_EQ(a.wbForcedDrains, b.wbForcedDrains);
-    EXPECT_EQ(a.wbPeakOccupancy, b.wbPeakOccupancy);
-    EXPECT_EQ(a.invalidationsSent, b.invalidationsSent);
-    EXPECT_EQ(a.dirtyRecalls, b.dirtyRecalls);
-    EXPECT_EQ(a.convUnderInval, b.convUnderInval);
-    EXPECT_EQ(a.coherenceConvCycles, b.coherenceConvCycles);
-    EXPECT_EQ(a.mshrAllocations, b.mshrAllocations);
-    EXPECT_EQ(a.mshrCoalesced, b.mshrCoalesced);
-    EXPECT_EQ(a.mshrStallCycles, b.mshrStallCycles);
-    EXPECT_EQ(a.mshrPeakOccupancy, b.mshrPeakOccupancy);
-    EXPECT_EQ(a.dramRowHits, b.dramRowHits);
-    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses);
-    EXPECT_EQ(a.dramRowConflicts, b.dramRowConflicts);
-    EXPECT_EQ(a.dramBankConflictCycles, b.dramBankConflictCycles);
+    for (const StatRow &row : statTable())
+        EXPECT_EQ(row.value(a), row.value(b)) << row.name;
 }
 
 const SpecBenchmark &

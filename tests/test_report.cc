@@ -84,22 +84,16 @@ expectMatchesGolden(const std::string &json, const char *file)
     EXPECT_EQ(json, expected);
 }
 
-TEST(ReportGolden, V1ProjectionMatchesPreHierarchyGolden)
+TEST(ReportGolden, QuickJsonMatchesCheckedInExpectation)
 {
-    // campaign_quick.json was generated by the pre-hierarchy code and
-    // is deliberately left untouched: the V1 projection of a default-
-    // hierarchy campaign must still reproduce it byte for byte — the
-    // differential guarantee that the multi-level refactor changed
-    // neither the v1 schema nor the default machine's numbers.
-    // (CALIFORMS_REGEN_GOLDEN regenerates it like every golden, but a
-    // legitimate regen should only ever be needed for an intentional
-    // simulator-semantics change.)
+    // The default-hierarchy campaign: pins the per-run "mem" block
+    // (every counter-table row of a default machine, in table order)
+    // and the absence of every gated block.
     const auto result = exp::runCampaign(goldenSpec(), 2);
     exp::ReportTiming timing;
     timing.include = false;
-    const std::string json =
-        exp::campaignJson(result, timing, exp::ReportSchema::V1);
-    expectMatchesGolden(json, "campaign_quick.json");
+    const std::string json = exp::campaignJson(result, timing);
+    expectMatchesGolden(json, "campaign_quick_v2.json");
 }
 
 TEST(ReportGolden, V2JsonMatchesCheckedInExpectation)
@@ -131,14 +125,6 @@ TEST(Report, V2CarriesTheHierarchyAndConversionSurface)
     EXPECT_NE(v2.find("\"wbq.hits\""), std::string::npos);
     EXPECT_NE(v2.find("\"label\": \"base@L1\", \"policy\": \"none\""),
               std::string::npos);
-
-    const std::string v1 =
-        exp::campaignJson(result, timing, exp::ReportSchema::V1);
-    EXPECT_NE(v1.find("\"schema\": \"califorms-campaign/v1\""),
-              std::string::npos);
-    EXPECT_EQ(v1.find("\"hierarchy\""), std::string::npos);
-    EXPECT_EQ(v1.find("\"wbq.hits\""), std::string::npos);
-    EXPECT_EQ(v1.find("\"fillConvCycles\""), std::string::npos);
 }
 
 TEST(Report, TimingIsSegregatedAndOptional)

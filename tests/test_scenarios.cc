@@ -343,11 +343,6 @@ TEST(AttackBenchmark, V2ReportCarriesGatedSecurityBlock)
     EXPECT_NE(v2.find("\"scenario\": \"heapspray\""),
               std::string::npos);
     EXPECT_NE(v2.find("\"successProbability\""), std::string::npos);
-
-    // V1 consumers never see the block.
-    const std::string v1 = exp::campaignJson(
-        result, exp::ReportTiming{false}, exp::ReportSchema::V1);
-    EXPECT_EQ(v1.find("\"security\""), std::string::npos);
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <cstring>
 
 #include "security/scenarios.hh"
+#include "sim/stats_dump.hh"
 #include "workload/runner.hh"
 #include "workload/synth.hh"
 
@@ -45,6 +46,26 @@ usage()
         config::cliUsage().c_str());
 }
 
+/** One `  <ns>: <suffix>=<value> ...` line per dump namespace of the
+ *  rows of @p block the run's machine emits; nothing when it is off. */
+void
+printBlockLines(const RunResult &r, const RunConfig &config,
+                StatBlock block)
+{
+    std::string open;
+    for (const StatRow *row : emittedRows(config.machine, block)) {
+        const std::string name = row->name;
+        const std::string ns = name.substr(0, name.find('.'));
+        if (ns != open)
+            std::printf("%s  %s:", open.empty() ? "" : "\n", ns.c_str());
+        open = ns;
+        std::printf(" %s=%.0f", name.c_str() + ns.size() + 1,
+                    row->value(r.mem));
+    }
+    if (!open.empty())
+        std::printf("\n");
+}
+
 void
 report(const RunResult &r, const RunConfig &config)
 {
@@ -59,56 +80,25 @@ report(const RunResult &r, const RunConfig &config)
                                static_cast<double>(r.cycles)
                          : 0.0);
     std::printf("  l1miss%%=%.2f l2miss%%=%.2f l3miss%%=%.2f "
-                "dram=%llu cforms=%llu\n",
-                100.0 * r.mem.l1.missRate(), 100.0 * r.mem.l2.missRate(),
-                100.0 * r.mem.l3.missRate(),
-                static_cast<unsigned long long>(r.mem.dramAccesses),
-                static_cast<unsigned long long>(r.mem.cformOps));
+                "dram=%.0f cforms=%.0f\n",
+                100.0 * statValue(r.mem, "l1d.missRate"),
+                100.0 * statValue(r.mem, "l2.missRate"),
+                100.0 * statValue(r.mem, "l3.missRate"),
+                statValue(r.mem, "dram.accesses"),
+                statValue(r.mem, "califorms.cformOps"));
     std::printf("  allocs=%llu frees=%llu exceptions=%zu/%zu "
                 "(delivered/suppressed)\n",
                 static_cast<unsigned long long>(r.heap.allocs),
                 static_cast<unsigned long long>(r.heap.frees),
                 r.exceptionsDelivered, r.exceptionsSuppressed);
-    // Non-blocking timing lines only when the model is configured, so
-    // the default (flat-latency) output stays byte-identical.
-    if (config.machine.mem.mshrEntries > 0)
-        std::printf("  mshr: allocations=%llu coalesced=%llu "
-                    "stallCycles=%llu peakOccupancy=%llu\n",
-                    static_cast<unsigned long long>(
-                        r.mem.mshrAllocations),
-                    static_cast<unsigned long long>(r.mem.mshrCoalesced),
-                    static_cast<unsigned long long>(
-                        r.mem.mshrStallCycles),
-                    static_cast<unsigned long long>(
-                        r.mem.mshrPeakOccupancy));
-    if (config.machine.mem.dramBanks > 0)
-        std::printf("  dram: rowHits=%llu rowMisses=%llu "
-                    "rowConflicts=%llu bankConflictCycles=%llu\n",
-                    static_cast<unsigned long long>(r.mem.dramRowHits),
-                    static_cast<unsigned long long>(r.mem.dramRowMisses),
-                    static_cast<unsigned long long>(
-                        r.mem.dramRowConflicts),
-                    static_cast<unsigned long long>(
-                        r.mem.dramBankConflictCycles));
-    // Replacement-laboratory line only when some level runs a
-    // non-default policy, keeping default-LRU output byte-identical.
-    if (replPolicyActive(config.machine.mem)) {
-        const double evictions =
-            static_cast<double>(r.mem.l1.evictions + r.mem.l2.evictions +
-                                r.mem.l3.evictions);
-        const double cform = static_cast<double>(
-            r.mem.l1.cformEvictions + r.mem.l2.cformEvictions +
-            r.mem.l3.cformEvictions);
-        std::printf("  repl: cformEvictions=%llu/%llu/%llu "
+    printBlockLines(r, config, StatBlock::Memlp);
+    // The repl rows print as one compact per-level line.
+    const auto repl = emittedRows(config.machine, StatBlock::Repl);
+    if (!repl.empty())
+        std::printf("  repl: cformEvictions=%.0f/%.0f/%.0f "
                     "cformVictimRate=%.4f\n",
-                    static_cast<unsigned long long>(
-                        r.mem.l1.cformEvictions),
-                    static_cast<unsigned long long>(
-                        r.mem.l2.cformEvictions),
-                    static_cast<unsigned long long>(
-                        r.mem.l3.cformEvictions),
-                    evictions ? cform / evictions : 0.0);
-    }
+                    repl[0]->value(r.mem), repl[1]->value(r.mem),
+                    repl[2]->value(r.mem), repl[3]->value(r.mem));
     // Security rollup only for the attack replay benchmark, keeping
     // every other benchmark's output byte-identical.
     if (r.security.trials > 0)
@@ -126,24 +116,16 @@ report(const RunResult &r, const RunConfig &config)
                     static_cast<unsigned long long>(r.security.probes),
                     static_cast<unsigned long long>(
                         r.security.detectionLatencyCycles));
-    if (r.cores.empty())
-        return;
-    std::printf("  coherence: invalidations=%llu dirtyRecalls=%llu "
-                "convUnderInval=%llu convCycles=%llu\n",
-                static_cast<unsigned long long>(r.mem.invalidationsSent),
-                static_cast<unsigned long long>(r.mem.dirtyRecalls),
-                static_cast<unsigned long long>(r.mem.convUnderInval),
-                static_cast<unsigned long long>(
-                    r.mem.coherenceConvCycles));
+    printBlockLines(r, config, StatBlock::Coherence);
     for (std::size_t c = 0; c < r.cores.size(); ++c) {
         const CoreRunStats &core = r.cores[c];
         std::printf("  core%zu: cycles=%llu instructions=%llu "
-                    "l1miss%%=%.2f spills=%llu fills=%llu\n",
+                    "l1miss%%=%.2f spills=%.0f fills=%.0f\n",
                     c, static_cast<unsigned long long>(core.cycles),
                     static_cast<unsigned long long>(core.instructions),
-                    100.0 * core.mem.l1.missRate(),
-                    static_cast<unsigned long long>(core.mem.spills),
-                    static_cast<unsigned long long>(core.mem.fills));
+                    100.0 * statValue(core.mem, "l1d.missRate"),
+                    statValue(core.mem, "califorms.spills"),
+                    statValue(core.mem, "califorms.fills"));
     }
 }
 

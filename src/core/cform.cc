@@ -11,23 +11,19 @@ checkCform(const BitVectorLine &line, const CformOp &op)
     if (lineOffset(op.lineAddr) != 0)
         throw std::invalid_argument("CFORM: address not line aligned");
 
-    // Table 1, evaluated per byte in address order so the reported fault
-    // is the lowest faulting address (precise exception).
-    for (unsigned i = 0; i < lineBytes; ++i) {
-        if (!testBit(op.mask, i))
-            continue; // "Don't Care" column: masked bytes never change
-        const bool set = testBit(op.setBits, i);
-        const bool sec = line.isSecurityByte(i);
-        if (set && sec) {
-            return CaliformsException{op.lineAddr + i, AccessKind::Cform,
-                                      FaultReason::CformSetOnSecurity, 0};
-        }
-        if (!set && !sec) {
-            return CaliformsException{op.lineAddr + i, AccessKind::Cform,
-                                      FaultReason::CformUnsetRegular, 0};
-        }
-    }
-    return std::nullopt;
+    // Table 1 over all 64 bytes at once: a selected byte faults when its
+    // requested state equals its current one (set on a security byte,
+    // unset on a regular byte). The lowest one is reported, so the
+    // exception is precise.
+    const std::uint64_t faults = op.mask & ~(op.setBits ^ line.mask);
+    if (!faults)
+        return std::nullopt;
+    const unsigned i = findFirstOne(faults);
+    return CaliformsException{op.lineAddr + i, AccessKind::Cform,
+                              testBit(op.setBits, i)
+                                  ? FaultReason::CformSetOnSecurity
+                                  : FaultReason::CformUnsetRegular,
+                              0};
 }
 
 std::optional<CaliformsException>
@@ -36,19 +32,11 @@ applyCform(BitVectorLine &line, const CformOp &op)
     if (auto fault = checkCform(line, op))
         return fault;
 
-    for (unsigned i = 0; i < lineBytes; ++i) {
-        if (!testBit(op.mask, i))
-            continue;
-        if (testBit(op.setBits, i)) {
-            line.mask |= 1ull << i;
-            line.data[i] = 0; // canonical: security bytes read as zero
-        } else {
-            line.mask &= ~(1ull << i);
-            // The byte stays zero: freed data was already zeroed by the
-            // clean-before-use software contract (Section 6.1).
-            line.data[i] = 0;
-        }
-    }
+    line.mask = (line.mask & ~op.mask) | (op.setBits & op.mask);
+    // Newly set bytes read as zero (canonical form); unset bytes stay
+    // zero, as freed data was already zeroed by the clean-before-use
+    // software contract (Section 6.1).
+    line.zeroBytes(op.mask);
     return std::nullopt;
 }
 

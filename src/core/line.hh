@@ -65,6 +65,10 @@ struct BitVectorLine
     /** Zero the data under every security byte (restore canonical form). */
     void canonicalize();
 
+    /** Zero data byte i for every bit i set in @p bytes (eight 64-bit
+     *  lane stores, whatever the mask). */
+    void zeroBytes(std::uint64_t bytes);
+
     bool operator==(const BitVectorLine &other) const = default;
 };
 

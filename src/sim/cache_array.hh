@@ -95,23 +95,53 @@ class CacheArray
         cands_.resize(ways_);
     }
 
-    /** Look up @p line_addr; on a hit return the payload (policy
-     *  notified) and optionally mark it dirty. Null on miss. Counts
-     *  stats. */
-    LineT *
-    access(Addr line_addr, bool make_dirty)
+  private:
+    struct Entry;
+
+  public:
+    /** A resident line: its payload and a handle on its dirty bit.
+     *  Null on a miss. Valid until the next insert(), extract() or
+     *  reset(). */
+    class Ref
+    {
+      public:
+        Ref() = default;
+
+        explicit operator bool() const { return e_ != nullptr; }
+        LineT &operator*() const { return e_->line; }
+        LineT *operator->() const { return &e_->line; }
+
+        /** Set the dirty bit. The owner calls this once the op that
+         *  wrote the payload commits; a faulting op never does, so it
+         *  leaves a clean line clean. */
+        void markDirty() const { e_->dirty = true; }
+
+      private:
+        friend class CacheArray;
+        explicit Ref(Entry *e) : e_(e) {}
+        Entry *e_ = nullptr;
+    };
+
+    /** Demand lookup of @p line_addr: counts a hit or miss and notifies
+     *  the policy. The returned Ref lets the caller set the dirty bit
+     *  on commit without walking the set again. */
+    Ref
+    access(Addr line_addr)
     {
         Entry *e = lookup(line_addr);
         if (!e) {
             ++stats_.misses;
             repl_->onMiss(setIndex(line_addr));
-            return nullptr;
+            return Ref{};
         }
         ++stats_.hits;
-        e->dirty = e->dirty || make_dirty;
         repl_->onHit(setIndex(line_addr), wayOf(e), metaOf(*e));
-        return &e->line;
+        return Ref{e};
     }
+
+    /** Like access() but without touching stats or policy state: the
+     *  line a caller just inserted, or a functional write. */
+    Ref find(Addr line_addr) { return Ref{lookup(line_addr)}; }
 
     /** Look up without touching stats or policy state (functional
      *  peeks). */
@@ -184,14 +214,6 @@ class CacheArray
         slot->line = std::move(line);
         repl_->onInsert(set, wayOf(slot), metaOf(*slot));
         return out;
-    }
-
-    /** Set the dirty bit of a resident line (no stats/policy effect). */
-    void
-    markDirty(Addr line_addr)
-    {
-        if (Entry *e = lookup(line_addr))
-            e->dirty = true;
     }
 
     /** Clear the dirty bit of a resident line (coherence downgrade:

@@ -99,7 +99,7 @@ MemorySystem::fetchBelowL1(Addr line_addr, Cycles &latency, bool &dirty,
     return fetched.line;
 }
 
-BitVectorLine &
+MemorySystem::L1Ref
 MemorySystem::refillL1(Addr line_addr, Cycles &latency, bool for_write)
 {
     // Non-blocking timing: an L1 refill needs a miss-status entry
@@ -178,9 +178,9 @@ MemorySystem::refillL1(Addr line_addr, Cycles &latency, bool for_write)
             lastMissReady_ = fill_done;
     }
 
-    BitVectorLine *resident = l1_.peek(line_addr);
+    const L1Ref resident = l1_.find(line_addr);
     assert(resident && "line must be resident after refill");
-    return *resident;
+    return resident;
 }
 
 void
@@ -311,9 +311,9 @@ MemorySystem::accessSegment(Addr addr, unsigned size, bool is_store,
     res.latency =
         params_.l1Latency + l1FormatExtraLatency(params_.l1Format);
 
-    BitVectorLine *line = l1_.access(la, false);
+    L1Ref line = l1_.access(la);
     if (!line) {
-        line = &refillL1(la, res.latency, is_store);
+        line = refillL1(la, res.latency, is_store);
     } else {
         res.latency += coalesceWait(la);
         if (is_store && coherentMulti())
@@ -345,7 +345,7 @@ MemorySystem::accessSegment(Addr addr, unsigned size, bool is_store,
         for (unsigned i = 0; i < size; ++i)
             line->data[off + i] = static_cast<std::uint8_t>(
                 (value >> (8 * i)) & 0xff);
-        l1_.markDirty(la);
+        line.markDirty();
     } else {
         std::uint64_t v = 0;
         for (unsigned i = 0; i < size; ++i)
@@ -412,9 +412,9 @@ MemorySystem::wideLoad(Addr addr, unsigned size, SimdPolicy policy)
     WideAccessResult res;
     res.latency = params_.l1Latency;
 
-    BitVectorLine *line = l1_.access(la, false);
+    L1Ref line = l1_.access(la);
     if (!line)
-        line = &refillL1(la, res.latency, false);
+        line = refillL1(la, res.latency, false);
     else
         res.latency += coalesceWait(la);
 
@@ -469,32 +469,21 @@ MemorySystem::cform(const CformOp &op)
     AccessResult res;
     res.latency = params_.l1Latency;
 
-    if (op.nonTemporal) {
+    L1Ref line = l1_.access(op.lineAddr);
+    if (line) {
+        // Both variants update an L1-resident line in place.
+        res.latency += coalesceWait(op.lineAddr);
+        if (coherentMulti())
+            shared_->upgrade(coreId_, op.lineAddr, res.latency);
+    } else if (op.nonTemporal) {
         // Non-temporal variant: update the line beneath the L1 without
-        // polluting the L1 (footnote 3 of Section 6.1). If the line is
-        // in the L1 it is updated in place instead.
-        if (BitVectorLine *line = l1_.access(op.lineAddr, false)) {
-            res.latency += coalesceWait(op.lineAddr);
-            if (coherentMulti())
-                shared_->upgrade(coreId_, op.lineAddr, res.latency);
-            if (auto fault = checkCform(*line, op)) {
-                ++stats_.securityFaults;
-                res.faulted = true;
-                exceptions_.raise(*fault);
-                return res;
-            }
-            applyCform(*line, op);
-            l1_.markDirty(op.lineAddr);
-            return res;
-        }
+        // polluting the L1 (footnote 3 of Section 6.1).
         bool dirty = false;
-        SentinelLine below =
+        const SentinelLine below =
             fetchBelowL1(op.lineAddr, res.latency, dirty, true);
         BitVectorLine decoded = fillLine(below);
-        if (auto fault = checkCform(decoded, op)) {
-            ++stats_.securityFaults;
-            res.faulted = true;
-            exceptions_.raise(*fault);
+        if (auto fault = applyCform(decoded, op)) {
+            raiseCformFault(*fault, res);
             // fetchBelowL1 may have pulled the only up-to-date copy
             // out of the write-back queue; a faulting op must not
             // destroy it. Re-queue the untouched encoded line (no new
@@ -507,30 +496,29 @@ MemorySystem::cform(const CformOp &op)
             }
             return res;
         }
-        applyCform(decoded, op);
         writeBackL1(op.lineAddr, decoded, true, &res.latency);
         return res;
-    }
-
-    // Regular CFORM: store-like with write-allocate (Section 4.1).
-    BitVectorLine *line = l1_.access(op.lineAddr, false);
-    if (!line) {
-        line = &refillL1(op.lineAddr, res.latency, true);
     } else {
-        res.latency += coalesceWait(op.lineAddr);
-        if (coherentMulti())
-            shared_->upgrade(coreId_, op.lineAddr, res.latency);
+        // Regular CFORM: store-like with write-allocate (Section 4.1).
+        line = refillL1(op.lineAddr, res.latency, true);
     }
 
-    if (auto fault = checkCform(*line, op)) {
-        ++stats_.securityFaults;
-        res.faulted = true;
-        exceptions_.raise(*fault);
-        return res;
-    }
-    applyCform(*line, op);
-    l1_.markDirty(op.lineAddr);
+    // applyCform is atomic: a faulting op leaves the line untouched, and
+    // the dirty bit is set only when the op commits.
+    if (auto fault = applyCform(*line, op))
+        raiseCformFault(*fault, res);
+    else
+        line.markDirty();
     return res;
+}
+
+void
+MemorySystem::raiseCformFault(const CaliformsException &fault,
+                              AccessResult &res)
+{
+    ++stats_.securityFaults;
+    res.faulted = true;
+    exceptions_.raise(fault);
 }
 
 BitVectorLine
@@ -546,9 +534,9 @@ MemorySystem::functionalRead(Addr line_addr) const
 void
 MemorySystem::functionalWrite(Addr line_addr, const BitVectorLine &line)
 {
-    if (BitVectorLine *l1 = l1_.peek(line_addr)) {
+    if (const L1Ref l1 = l1_.find(line_addr)) {
         *l1 = line;
-        l1_.markDirty(line_addr);
+        l1.markDirty();
         return;
     }
     const SentinelLine encoded = spillLine(line);

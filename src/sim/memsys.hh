@@ -226,10 +226,11 @@ class MemorySystem : public CoherencePeer
         bool live = true;
     };
 
+    using L1Ref = CacheArray<BitVectorLine>::Ref;
+
     /** Fetch a line into L1 (miss path); returns latency spent below L1
-     *  and a reference to the resident line. */
-    BitVectorLine &refillL1(Addr line_addr, Cycles &latency,
-                            bool for_write);
+     *  and the resident line. */
+    L1Ref refillL1(Addr line_addr, Cycles &latency, bool for_write);
 
     /** Look the line up in the write-back queue and the shared side
      *  (levels, then DRAM). Sets @p dirty when the returned line is the
@@ -256,6 +257,10 @@ class MemorySystem : public CoherencePeer
     /** Common load/store path for one line-contained segment. */
     AccessResult accessSegment(Addr addr, unsigned size, bool is_store,
                                std::uint64_t value);
+
+    /** Count and deliver a CFORM fault, flagging @p res. */
+    void raiseCformFault(const CaliformsException &fault,
+                         AccessResult &res);
 
     /** Functional lookup of a line's current content (no state change). */
     BitVectorLine functionalRead(Addr line_addr) const;

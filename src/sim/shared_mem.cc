@@ -129,7 +129,7 @@ SharedMemory::fetchLine(Addr line_addr, Cycles &latency, unsigned core,
     std::size_t hit = below_.size();
     for (std::size_t k = 0; k < below_.size(); ++k) {
         latency += below_[k].latency + params_.extraL2L3Latency;
-        if (SentinelLine *p = below_[k].array.access(line_addr, false)) {
+        if (const auto p = below_[k].array.access(line_addr)) {
             out.line = *p;
             hit = k;
             break;
@@ -334,9 +334,9 @@ void
 SharedMemory::functionalWrite(Addr line_addr, const SentinelLine &line)
 {
     for (Level &level : below_) {
-        if (SentinelLine *p = level.array.peek(line_addr)) {
+        if (const auto p = level.array.find(line_addr)) {
             *p = line;
-            level.array.markDirty(line_addr);
+            p.markDirty();
             return;
         }
     }

@@ -29,11 +29,11 @@ TEST(CacheArrayGeometry, SetsAndWays)
 TEST(CacheArray, MissThenHit)
 {
     IntCache c(4096, 4);
-    EXPECT_EQ(c.access(0, false), nullptr);
+    EXPECT_FALSE(c.access(0));
     EXPECT_EQ(c.stats().misses, 1u);
     c.insert(0, 42, false);
-    int *v = c.access(0, false);
-    ASSERT_NE(v, nullptr);
+    const auto v = c.access(0);
+    ASSERT_TRUE(v);
     EXPECT_EQ(*v, 42);
     EXPECT_EQ(c.stats().hits, 1u);
 }
@@ -45,7 +45,7 @@ TEST(CacheArray, LruEvictsLeastRecentlyUsed)
     c.insert(0 * 64, 10, false);
     c.insert(1 * 64, 11, false);
     // Touch line 0 so line 1 becomes LRU.
-    EXPECT_NE(c.access(0, false), nullptr);
+    EXPECT_TRUE(c.access(0));
     const auto ev = c.insert(2 * 64, 12, false);
     ASSERT_TRUE(ev.valid);
     EXPECT_EQ(ev.lineAddr, 1u * 64);
@@ -84,7 +84,7 @@ TEST(CacheArray, MarkDirty)
 {
     IntCache c(4096, 4);
     c.insert(0, 5, false);
-    c.markDirty(0);
+    c.find(0).markDirty();
     int out;
     bool dirty;
     ASSERT_TRUE(c.extract(0, out, dirty));

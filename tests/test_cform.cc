@@ -1,17 +1,62 @@
 /**
  * @file test_cform.cc
  * Exhaustive tests of the CFORM instruction semantics against the
- * Table 1 K-map, plus atomicity and the canonical zeroing contract.
+ * Table 1 K-map, plus atomicity and the canonical zeroing contract, and
+ * a randomized differential check of the mask-algebra implementation
+ * against a byte-at-a-time reference.
  */
 
 #include <gtest/gtest.h>
 
 #include "core/cform.hh"
+#include "util/rng.hh"
 
 namespace califorms
 {
 namespace
 {
+
+/**
+ * Test-only reference: Table 1 evaluated one byte at a time in address
+ * order (the first faulting byte wins), then applied byte by byte. The
+ * library computes the same thing with whole-mask algebra.
+ */
+std::optional<CaliformsException>
+referenceApplyCform(BitVectorLine &line, const CformOp &op)
+{
+    for (unsigned i = 0; i < lineBytes; ++i) {
+        if (!testBit(op.mask, i))
+            continue;
+        const bool set = testBit(op.setBits, i);
+        const bool sec = line.isSecurityByte(i);
+        if (set && sec)
+            return CaliformsException{op.lineAddr + i, AccessKind::Cform,
+                                      FaultReason::CformSetOnSecurity, 0};
+        if (!set && !sec)
+            return CaliformsException{op.lineAddr + i, AccessKind::Cform,
+                                      FaultReason::CformUnsetRegular, 0};
+    }
+    for (unsigned i = 0; i < lineBytes; ++i) {
+        if (!testBit(op.mask, i))
+            continue;
+        if (testBit(op.setBits, i))
+            line.mask |= 1ull << i;
+        else
+            line.mask &= ~(1ull << i);
+        line.data[i] = 0;
+    }
+    return std::nullopt;
+}
+
+/** Byte-loop reference for BitVectorLine::canonical(). */
+bool
+referenceCanonical(const BitVectorLine &line)
+{
+    for (unsigned i = 0; i < lineBytes; ++i)
+        if (line.isSecurityByte(i) && line.data[i] != 0)
+            return false;
+    return true;
+}
 
 TEST(CformKmap, MaskedBytesNeverChange)
 {
@@ -163,6 +208,91 @@ TEST(Cform, RejectsUnalignedAddress)
     BitVectorLine line;
     CformOp op = makeSetOp(7, 1);
     EXPECT_THROW(applyCform(line, op), std::invalid_argument);
+}
+
+TEST(Cform, LowestFaultWinsAcrossReasons)
+{
+    // Byte 3 is an unset of a regular byte, byte 5 a set of a security
+    // byte: both fault, and the lower address decides the reason.
+    BitVectorLine line;
+    line.mask = 1ull << 5;
+    line.data[0] = 0x11;
+    CformOp op;
+    op.lineAddr = 0x4000;
+    op.setBits = 1ull << 5;
+    op.mask = (1ull << 3) | (1ull << 5);
+    const BitVectorLine before = line;
+    const auto fault = applyCform(line, op);
+    ASSERT_TRUE(fault.has_value());
+    EXPECT_EQ(fault->faultAddr, 0x4000u + 3);
+    EXPECT_EQ(fault->reason, FaultReason::CformUnsetRegular);
+    EXPECT_EQ(line, before);
+
+    // Mirrored: the set-on-security byte now comes first.
+    line.mask = 1ull << 3;
+    op.setBits = 1ull << 3;
+    const auto mirrored = applyCform(line, op);
+    ASSERT_TRUE(mirrored.has_value());
+    EXPECT_EQ(mirrored->faultAddr, 0x4000u + 3);
+    EXPECT_EQ(mirrored->reason, FaultReason::CformSetOnSecurity);
+}
+
+TEST(Cform, MatchesByteWiseReferenceOnRandomOps)
+{
+    // Random line state (mask and data, not necessarily canonical) and
+    // random operands. Half the ops are made legal on every selected
+    // byte and then have up to two bytes flipped into faults, so both
+    // outcomes and every fault position are well covered; mask
+    // densities vary from sparse to full.
+    Rng rng(0xCF0A);
+    unsigned faulted = 0;
+    for (unsigned n = 0; n < 100000; ++n) {
+        BitVectorLine line;
+        for (unsigned w = 0; w < lineBytes / 8; ++w) {
+            const std::uint64_t v = rng.next();
+            for (unsigned b = 0; b < 8; ++b)
+                line.data[8 * w + b] =
+                    static_cast<std::uint8_t>(v >> (8 * b));
+        }
+        line.mask = rng.next();
+        if (rng.chance(0.5))
+            line.mask &= rng.next();
+
+        CformOp op;
+        op.lineAddr = rng.nextBelow(1u << 20) * lineBytes;
+        op.mask = rng.next();
+        for (unsigned thin = rng.nextBelow(4); thin > 0; --thin)
+            op.mask &= rng.next();
+        if (rng.chance(0.05))
+            op.mask = ~0ull;
+        op.setBits = rng.next();
+        if (rng.chance(0.5)) {
+            op.setBits = ~line.mask;
+            for (unsigned flips = rng.nextBelow(3); flips > 0; --flips)
+                op.setBits ^= 1ull << rng.nextBelow(lineBytes);
+        }
+
+        EXPECT_EQ(line.canonical(), referenceCanonical(line)) << n;
+
+        BitVectorLine expect = line;
+        const auto want = referenceApplyCform(expect, op);
+        BitVectorLine got = line;
+        const auto fault = applyCform(got, op);
+
+        ASSERT_EQ(fault.has_value(), want.has_value()) << n;
+        if (fault) {
+            ++faulted;
+            EXPECT_EQ(fault->faultAddr, want->faultAddr) << n;
+            EXPECT_EQ(fault->reason, want->reason) << n;
+            EXPECT_EQ(fault->kind, AccessKind::Cform) << n;
+            EXPECT_EQ(got, line) << n; // untouched on fault
+        }
+        EXPECT_EQ(got.mask, expect.mask) << n;
+        EXPECT_EQ(got.data, expect.data) << n;
+    }
+    // Both outcomes must be exercised in bulk.
+    EXPECT_GT(faulted, 20000u);
+    EXPECT_LT(faulted, 80000u);
 }
 
 TEST(CformHelpers, MakeOpsTargetExactMask)

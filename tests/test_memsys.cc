@@ -234,6 +234,71 @@ TEST(MemSys, NonTemporalCformFaultChecksStillApply)
     EXPECT_TRUE(h.mem.cform(op).faulted);
 }
 
+/** Leave 0x3000 L1-resident and clean with bytes 0..7 blacklisted: set
+ *  the bytes, push the line out of the core, then reload it. */
+void
+makeCleanCaliformedLine(Harness &h)
+{
+    h.mem.cform(makeSetOp(0x3000, 0xffull));
+    h.mem.flushAll();
+    h.mem.load(0x3008, 8);
+    h.mem.clearStats();
+}
+
+/** Stream clean loads through every L1 set so the line at 0x3000 is
+ *  evicted; returns how many L1 evictions were dirty. */
+std::uint64_t
+dirtyEvictionsAfterStream(Harness &h)
+{
+    for (int i = 0; i < 64; ++i)
+        h.mem.load(0x100000 + 64 * i, 8);
+    EXPECT_GT(h.mem.stats().l1.evictions, 0u);
+    return h.mem.stats().l1.dirtyEvictions;
+}
+
+TEST(MemSys, CommittedCformDirtiesL1Line)
+{
+    // Control for the tests below: a committed CFORM on the same clean
+    // line is written back when evicted.
+    Harness h;
+    makeCleanCaliformedLine(h);
+    EXPECT_FALSE(h.mem.cform(makeUnsetOp(0x3000, 0x1ull)).faulted);
+    EXPECT_EQ(dirtyEvictionsAfterStream(h), 1u);
+}
+
+TEST(MemSys, DeliveredStoreFaultLeavesL1LineClean)
+{
+    Harness h;
+    makeCleanCaliformedLine(h);
+    EXPECT_TRUE(h.mem.store(0x3000, 8, ~0ull).faulted);
+    ASSERT_EQ(h.exceptions.deliveredCount(), 1u);
+    EXPECT_EQ(h.mem.stats().l1.hits, 1u);
+    EXPECT_EQ(dirtyEvictionsAfterStream(h), 0u);
+}
+
+TEST(MemSys, CformFaultLeavesL1LineClean)
+{
+    Harness h;
+    makeCleanCaliformedLine(h);
+    EXPECT_TRUE(h.mem.cform(makeSetOp(0x3000, 0x1ull)).faulted);
+    EXPECT_EQ(h.mem.stats().l1.hits, 1u);
+    EXPECT_EQ(dirtyEvictionsAfterStream(h), 0u);
+}
+
+TEST(MemSys, NonTemporalCformFaultLeavesL1LineCleanAndUnchanged)
+{
+    Harness h;
+    makeCleanCaliformedLine(h);
+    // Byte 8 is legal to set, byte 0 faults: the in-place update of the
+    // resident line must not happen at all.
+    CformOp op = makeSetOp(0x3000, 0x101ull);
+    op.nonTemporal = true;
+    EXPECT_TRUE(h.mem.cform(op).faulted);
+    EXPECT_EQ(h.mem.stats().l1.hits, 1u);
+    EXPECT_EQ(h.mem.securityMask(0x3000), 0xffull);
+    EXPECT_EQ(dirtyEvictionsAfterStream(h), 0u);
+}
+
 TEST(MemSysTiming, HitLatenciesFollowTable3)
 {
     MemSysParams p; // full-size defaults

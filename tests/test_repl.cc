@@ -102,7 +102,10 @@ evictionTrace(ReplPolicy policy)
         x ^= x >> 7;
         x ^= x << 17;
         const Addr la = (x % 512) * lineBytes;
-        if (!cache.access(la, (x >> 32) % 4 == 0)) {
+        if (const auto hit = cache.access(la)) {
+            if ((x >> 32) % 4 == 0)
+                hit.markDirty();
+        } else {
             const auto ev =
                 cache.insert(la, static_cast<int>(i), (x >> 40) % 8 == 0);
             if (ev.valid)

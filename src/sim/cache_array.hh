@@ -6,6 +6,13 @@
  * (califorms-sentinel). Timing lives in the hierarchy (memsys.hh);
  * this class is purely the tag/data array.
  *
+ * The array is three parallel vectors indexed set * ways + way: tags,
+ * dirty bytes and payloads. A lookup scans only the set's contiguous
+ * tags; an empty way holds a tag no line-aligned address can take, so
+ * it needs no valid bit. The set index is a mask when the set count is
+ * a power of two and a modulo otherwise, so non-power-of-two LLC sizes
+ * stay legal.
+ *
  * Victim selection is delegated to a pluggable ReplacementPolicy
  * (sim/repl/policy.hh): the array owns tags, payloads, and dirty bits;
  * the policy owns all recency/prediction state and is driven through
@@ -23,7 +30,6 @@
 
 #include <cstdint>
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 #include "sim/repl/policy.hh"
@@ -84,21 +90,19 @@ class CacheArray
     CacheArray(std::size_t size_bytes, unsigned ways,
                ReplPolicy policy = ReplPolicy::Lru)
         : ways_(ways),
-          sets_(ways ? size_bytes / (lineBytes * ways) : 0)
+          sets_(ways ? size_bytes / (lineBytes * ways) : 0),
+          pow2Sets_((sets_ & (sets_ - 1)) == 0)
     {
         if (ways == 0 || sets_ == 0 ||
             size_bytes % (lineBytes * ways) != 0) {
             throw std::invalid_argument("CacheArray: bad geometry");
         }
-        entries_.resize(sets_ * ways_);
+        tags_.assign(sets_ * ways_, kInvalidTag);
+        dirty_.assign(sets_ * ways_, 0);
+        lines_.resize(sets_ * ways_);
         repl_ = repl::makePolicy(policy, sets_, ways_);
-        cands_.resize(ways_);
     }
 
-  private:
-    struct Entry;
-
-  public:
     /** A resident line: its payload and a handle on its dirty bit.
      *  Null on a miss. Valid until the next insert(), extract() or
      *  reset(). */
@@ -107,19 +111,22 @@ class CacheArray
       public:
         Ref() = default;
 
-        explicit operator bool() const { return e_ != nullptr; }
-        LineT &operator*() const { return e_->line; }
-        LineT *operator->() const { return &e_->line; }
+        explicit operator bool() const { return line_ != nullptr; }
+        LineT &operator*() const { return *line_; }
+        LineT *operator->() const { return line_; }
 
         /** Set the dirty bit. The owner calls this once the op that
          *  wrote the payload commits; a faulting op never does, so it
          *  leaves a clean line clean. */
-        void markDirty() const { e_->dirty = true; }
+        void markDirty() const { *dirty_ = 1; }
 
       private:
         friend class CacheArray;
-        explicit Ref(Entry *e) : e_(e) {}
-        Entry *e_ = nullptr;
+        Ref(LineT *line, std::uint8_t *dirty) : line_(line), dirty_(dirty)
+        {
+        }
+        LineT *line_ = nullptr;
+        std::uint8_t *dirty_ = nullptr;
     };
 
     /** Demand lookup of @p line_addr: counts a hit or miss and notifies
@@ -128,35 +135,43 @@ class CacheArray
     Ref
     access(Addr line_addr)
     {
-        Entry *e = lookup(line_addr);
-        if (!e) {
-            ++stats_.misses;
-            repl_->onMiss(setIndex(line_addr));
-            return Ref{};
+        const std::size_t set = setIndex(line_addr);
+        const std::size_t base = set * ways_;
+        for (unsigned w = 0; w < ways_; ++w) {
+            if (tags_[base + w] == line_addr) {
+                ++stats_.hits;
+                repl_->onHit(set, w, metaOf(base + w));
+                return refAt(base + w);
+            }
         }
-        ++stats_.hits;
-        repl_->onHit(setIndex(line_addr), wayOf(e), metaOf(*e));
-        return Ref{e};
+        ++stats_.misses;
+        repl_->onMiss(set);
+        return Ref{};
     }
 
     /** Like access() but without touching stats or policy state: the
      *  line a caller just inserted, or a functional write. */
-    Ref find(Addr line_addr) { return Ref{lookup(line_addr)}; }
+    Ref
+    find(Addr line_addr)
+    {
+        const std::size_t i = slotOf(line_addr);
+        return i != kNone ? refAt(i) : Ref{};
+    }
 
     /** Look up without touching stats or policy state (functional
      *  peeks). */
     LineT *
     peek(Addr line_addr)
     {
-        Entry *e = lookup(line_addr);
-        return e ? &e->line : nullptr;
+        const std::size_t i = slotOf(line_addr);
+        return i != kNone ? &lines_[i] : nullptr;
     }
 
     const LineT *
     peek(Addr line_addr) const
     {
-        const Entry *e = lookup(line_addr);
-        return e ? &e->line : nullptr;
+        const std::size_t i = slotOf(line_addr);
+        return i != kNone ? &lines_[i] : nullptr;
     }
 
     /** Insert a line, evicting the policy's victim if the set is full.
@@ -165,54 +180,45 @@ class CacheArray
      *  (onHit), so an upgrade-write refreshes recency under every
      *  policy. */
     Evicted
-    insert(Addr line_addr, LineT line, bool dirty)
+    insert(Addr line_addr, const LineT &line, bool dirty)
     {
         const std::size_t set = setIndex(line_addr);
-        Entry *match = nullptr;
-        Entry *invalid = nullptr;
+        const std::size_t base = set * ways_;
+        unsigned invalid = ways_;
         for (unsigned w = 0; w < ways_; ++w) {
-            Entry &e = entries_[set * ways_ + w];
-            if (e.valid && e.lineAddr == line_addr) {
-                match = &e;
-                break;
+            const Addr tag = tags_[base + w];
+            if (tag == line_addr) {
+                dirty_[base + w] |= dirty;
+                lines_[base + w] = line;
+                repl_->onHit(set, w, metaOf(base + w));
+                return {};
             }
-            if (!e.valid && !invalid)
-                invalid = &e;
+            if (tag == kInvalidTag && invalid == ways_)
+                invalid = w;
         }
 
+        const unsigned way =
+            invalid < ways_ ? invalid : repl_->victimWay(set, ways_);
+        if (way >= ways_)
+            throw std::logic_error(
+                "ReplacementPolicy: victim way out of range");
+        const std::size_t i = base + way;
         Evicted out;
-        if (match) {
-            match->dirty = match->dirty || dirty;
-            match->line = std::move(line);
-            repl_->onHit(set, wayOf(match), metaOf(*match));
-            return out;
-        }
-
-        Entry *slot = invalid;
-        if (!slot) {
-            for (unsigned w = 0; w < ways_; ++w)
-                cands_[w] = metaOf(entries_[set * ways_ + w]);
-            const unsigned victim =
-                repl_->victimWay(set, cands_.data(), ways_);
-            if (victim >= ways_)
-                throw std::logic_error(
-                    "ReplacementPolicy: victim way out of range");
-            slot = &entries_[set * ways_ + victim];
+        if (invalid == ways_) {
             out.valid = true;
-            out.dirty = slot->dirty;
-            out.lineAddr = slot->lineAddr;
-            out.line = std::move(slot->line);
+            out.dirty = dirty_[i];
+            out.lineAddr = tags_[i];
+            out.line = lines_[i];
             ++stats_.evictions;
-            if (slot->dirty)
+            if (out.dirty)
                 ++stats_.dirtyEvictions;
             if (lineCaliformed(out.line))
                 ++stats_.cformEvictions;
         }
-        slot->valid = true;
-        slot->dirty = dirty;
-        slot->lineAddr = line_addr;
-        slot->line = std::move(line);
-        repl_->onInsert(set, wayOf(slot), metaOf(*slot));
+        tags_[i] = line_addr;
+        dirty_[i] = dirty;
+        lines_[i] = line;
+        repl_->onInsert(set, way, metaOf(i));
         return out;
     }
 
@@ -221,30 +227,31 @@ class CacheArray
     void
     markClean(Addr line_addr)
     {
-        if (Entry *e = lookup(line_addr))
-            e->dirty = false;
+        const std::size_t i = slotOf(line_addr);
+        if (i != kNone)
+            dirty_[i] = 0;
     }
 
     /** Dirty bit of a resident line (false when absent). */
     bool
     dirtyAt(Addr line_addr) const
     {
-        const Entry *e = lookup(line_addr);
-        return e && e->dirty;
+        const std::size_t i = slotOf(line_addr);
+        return i != kNone && dirty_[i];
     }
 
     /** Remove @p line_addr if present; returns true and fills the outs. */
     bool
     extract(Addr line_addr, LineT &line_out, bool &dirty_out)
     {
-        Entry *e = lookup(line_addr);
-        if (!e)
+        const std::size_t i = slotOf(line_addr);
+        if (i == kNone)
             return false;
-        line_out = std::move(e->line);
-        dirty_out = e->dirty;
-        e->valid = false;
-        e->dirty = false;
-        repl_->onInvalidate(setIndex(line_addr), wayOf(e));
+        line_out = lines_[i];
+        dirty_out = dirty_[i];
+        tags_[i] = kInvalidTag;
+        dirty_[i] = 0;
+        repl_->onInvalidate(i / ways_, static_cast<unsigned>(i % ways_));
         return true;
     }
 
@@ -253,22 +260,21 @@ class CacheArray
     void
     forEachLine(Fn &&fn)
     {
-        for (auto &e : entries_)
-            if (e.valid)
-                fn(e.lineAddr, e.line, e.dirty);
+        for (std::size_t i = 0; i < tags_.size(); ++i)
+            if (tags_[i] != kInvalidTag)
+                fn(tags_[i], lines_[i], static_cast<bool>(dirty_[i]));
     }
 
     /** Drop everything without write-back (only safe after a flush). */
     void
     reset()
     {
-        for (std::size_t i = 0; i < entries_.size(); ++i) {
-            Entry &e = entries_[i];
-            if (e.valid)
+        for (std::size_t i = 0; i < tags_.size(); ++i) {
+            if (tags_[i] != kInvalidTag)
                 repl_->onInvalidate(i / ways_,
                                     static_cast<unsigned>(i % ways_));
-            e.valid = false;
-            e.dirty = false;
+            tags_[i] = kInvalidTag;
+            dirty_[i] = 0;
         }
     }
 
@@ -278,62 +284,45 @@ class CacheArray
     unsigned ways() const { return ways_; }
 
   private:
-    struct Entry
-    {
-        bool valid = false;
-        bool dirty = false;
-        Addr lineAddr = 0;
-        LineT line{};
-    };
+    /** Tag of an empty way: not line-aligned, so no lookup matches it. */
+    static constexpr Addr kInvalidTag = ~Addr{0};
+    static constexpr std::size_t kNone = ~std::size_t{0};
 
     std::size_t
     setIndex(Addr line_addr) const
     {
-        return static_cast<std::size_t>((line_addr >> lineShift) % sets_);
+        const auto line = static_cast<std::size_t>(line_addr >> lineShift);
+        return pow2Sets_ ? line & (sets_ - 1) : line % sets_;
     }
 
-    /** Shared body of the const and non-const lookup overloads: the
-     *  constness of @p self propagates to the returned Entry pointer,
-     *  so neither caller needs a const_cast. */
-    template <typename Self>
-    static auto
-    lookupImpl(Self &self, Addr line_addr) -> decltype(self.entries_.data())
+    /** Flat index of the way holding @p line_addr, or kNone. */
+    std::size_t
+    slotOf(Addr line_addr) const
     {
-        const std::size_t set = self.setIndex(line_addr);
-        for (unsigned w = 0; w < self.ways_; ++w) {
-            auto &e = self.entries_[set * self.ways_ + w];
-            if (e.valid && e.lineAddr == line_addr)
-                return &e;
-        }
-        return nullptr;
+        const std::size_t base = setIndex(line_addr) * ways_;
+        for (unsigned w = 0; w < ways_; ++w)
+            if (tags_[base + w] == line_addr)
+                return base + w;
+        return kNone;
     }
 
-    Entry *lookup(Addr line_addr) { return lookupImpl(*this, line_addr); }
-
-    const Entry *
-    lookup(Addr line_addr) const
-    {
-        return lookupImpl(*this, line_addr);
-    }
-
-    unsigned
-    wayOf(const Entry *e) const
-    {
-        return static_cast<unsigned>(
-            static_cast<std::size_t>(e - entries_.data()) % ways_);
-    }
+    Ref refAt(std::size_t i) { return Ref{&lines_[i], &dirty_[i]}; }
 
     repl::LineMeta
-    metaOf(const Entry &e) const
+    metaOf(std::size_t i) const
     {
-        return {e.lineAddr, e.dirty, lineCaliformed(e.line)};
+        return {tags_[i], static_cast<bool>(dirty_[i]),
+                lineCaliformed(lines_[i])};
     }
 
     unsigned ways_;
     std::size_t sets_;
-    std::vector<Entry> entries_;
+    bool pow2Sets_;
+    // Parallel per-way arrays, indexed set * ways + way.
+    std::vector<Addr> tags_;          //!< kInvalidTag when empty
+    std::vector<std::uint8_t> dirty_; //!< 0/1
+    std::vector<LineT> lines_;
     std::unique_ptr<repl::ReplacementPolicy> repl_;
-    std::vector<repl::LineMeta> cands_; //!< victimWay scratch
     CacheStats stats_;
 };
 

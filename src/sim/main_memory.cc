@@ -1,45 +1,84 @@
 #include "sim/main_memory.hh"
 
+#include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace califorms
 {
 
+namespace
+{
+
+constexpr unsigned kPageShift = 12;
+static_assert(pageBytes == std::size_t{1} << kPageShift);
+
+unsigned
+slotOf(Addr line_addr)
+{
+    return static_cast<unsigned>((line_addr >> lineShift) &
+                                 (linesPerPage - 1));
+}
+
+void
+checkAligned(Addr line_addr, const char *what)
+{
+    if (lineOffset(line_addr) != 0)
+        throw std::invalid_argument(
+            std::string("MainMemory: unaligned line ") + what);
+}
+
+} // namespace
+
+const SentinelLine *
+MainMemory::find(Addr line_addr, const char *what) const
+{
+    checkAligned(line_addr, what);
+    const auto it = pages_.find(line_addr >> kPageShift);
+    return it != pages_.end() ? &it->second->lines[slotOf(line_addr)]
+                              : nullptr;
+}
+
 SentinelLine
 MainMemory::readLine(Addr line_addr)
 {
-    if (lineOffset(line_addr) != 0)
-        throw std::invalid_argument("MainMemory: unaligned line read");
+    const SentinelLine *line = find(line_addr, "read");
     ++reads_;
-    auto it = lines_.find(line_addr);
-    return it != lines_.end() ? it->second : SentinelLine{};
+    return line ? *line : SentinelLine{};
 }
 
 SentinelLine
 MainMemory::peekLine(Addr line_addr) const
 {
-    if (lineOffset(line_addr) != 0)
-        throw std::invalid_argument("MainMemory: unaligned line peek");
-    auto it = lines_.find(line_addr);
-    return it != lines_.end() ? it->second : SentinelLine{};
+    const SentinelLine *line = find(line_addr, "peek");
+    return line ? *line : SentinelLine{};
 }
 
 void
 MainMemory::writeLine(Addr line_addr, const SentinelLine &line)
 {
-    if (lineOffset(line_addr) != 0)
-        throw std::invalid_argument("MainMemory: unaligned line write");
+    checkAligned(line_addr, "write");
     ++writes_;
-    lines_[line_addr] = line;
+    std::unique_ptr<Page> &page = pages_[line_addr >> kPageShift];
+    if (!page)
+        page = std::make_unique<Page>();
+    const unsigned slot = slotOf(line_addr);
+    const std::uint64_t bit = std::uint64_t{1} << slot;
+    if (!(page->present & bit)) {
+        page->present |= bit;
+        ++backed_;
+    }
+    page->lines[slot] = line;
 }
 
 std::size_t
 MainMemory::califormedLines() const
 {
     std::size_t n = 0;
-    for (const auto &[addr, line] : lines_)
-        if (line.califormed)
-            ++n;
+    for (const auto &[number, page] : pages_)
+        for (std::uint64_t rest = page->present; rest; rest &= rest - 1)
+            if (page->lines[std::countr_zero(rest)].califormed)
+                ++n;
     return n;
 }
 

@@ -4,12 +4,18 @@
  * format; the one metadata bit per line models the spare ECC bit the
  * paper repurposes (Section 3), so data never grows and the DIMM
  * interface is unchanged. Untouched lines read as zero.
+ *
+ * Storage is paged: one heap block per touched 4 KiB page holds that
+ * page's 64 lines plus a presence mask, so a line access costs one hash
+ * probe on the page number and no per-line allocation.
  */
 
 #ifndef CALIFORMS_SIM_MAIN_MEMORY_HH
 #define CALIFORMS_SIM_MAIN_MEMORY_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 #include "core/line.hh"
@@ -32,8 +38,8 @@ class MainMemory : public LineStore
     /** Write a full line including its ECC califormed bit. */
     void writeLine(Addr line_addr, const SentinelLine &line) override;
 
-    /** Number of lines currently backed (for memory footprint stats). */
-    std::size_t backedLines() const { return lines_.size(); }
+    /** Number of lines ever written (for memory footprint stats). */
+    std::size_t backedLines() const { return backed_; }
 
     /** Number of backed lines whose califormed (ECC) bit is set. */
     std::size_t califormedLines() const;
@@ -42,7 +48,22 @@ class MainMemory : public LineStore
     std::uint64_t writes() const { return writes_; }
 
   private:
-    std::unordered_map<Addr, SentinelLine> lines_;
+    static_assert(linesPerPage == 64, "presence mask is one word");
+
+    /** One 4 KiB page. Lines never written stay SentinelLine{} and
+     *  have their presence bit clear. */
+    struct Page
+    {
+        std::array<SentinelLine, linesPerPage> lines{};
+        std::uint64_t present = 0;
+    };
+
+    /** The line slot of @p line_addr within its page, or null when the
+     *  page was never written. Throws on an unaligned address. */
+    const SentinelLine *find(Addr line_addr, const char *what) const;
+
+    std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+    std::size_t backed_ = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;
 };

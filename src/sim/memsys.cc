@@ -149,7 +149,7 @@ MemorySystem::refillL1(Addr line_addr, Cycles &latency, bool for_write)
         break;
     }
 
-    auto ev = l1_.insert(line_addr, std::move(line), dirty);
+    auto ev = l1_.insert(line_addr, line, dirty);
     if (ev.valid)
         writeBackL1(ev.lineAddr, ev.line, ev.dirty, &latency);
 

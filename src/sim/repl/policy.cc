@@ -59,7 +59,7 @@ class LruPolicy final : public ReplacementPolicy
     }
 
     unsigned
-    victimWay(std::size_t set, const LineMeta *, unsigned n) override
+    victimWay(std::size_t set, unsigned n) override
     {
         unsigned victim = 0;
         for (unsigned w = 1; w < n; ++w)
@@ -86,7 +86,7 @@ class RandomPolicy final : public ReplacementPolicy
     void onInsert(std::size_t, unsigned, const LineMeta &) override {}
 
     unsigned
-    victimWay(std::size_t, const LineMeta *, unsigned n) override
+    victimWay(std::size_t, unsigned n) override
     {
         state_ ^= state_ << 13;
         state_ ^= state_ >> 7;
@@ -137,7 +137,7 @@ class DipPolicy final : public ReplacementPolicy
     }
 
     unsigned
-    victimWay(std::size_t set, const LineMeta *, unsigned n) override
+    victimWay(std::size_t set, unsigned n) override
     {
         unsigned victim = 0;
         for (unsigned w = 1; w < n; ++w)
@@ -171,7 +171,7 @@ class RripBase : public ReplacementPolicy
     }
 
     unsigned
-    victimWay(std::size_t set, const LineMeta *, unsigned n) override
+    victimWay(std::size_t set, unsigned n) override
     {
         for (;;) {
             for (unsigned w = 0; w < n; ++w)

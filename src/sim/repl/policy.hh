@@ -11,19 +11,20 @@
  *                              PSEL counters of DIP/DRRIP.
  *  - onInsert(set, way, meta): a line landed in a way (fresh fill or
  *                              eviction refill).
- *  - victimWay(set, ways, n):  choose the way to evict; called only
+ *  - victimWay(set, n):       choose the way to evict; called only
  *                              when every way of the set is valid.
  *  - onInvalidate(set, way):   a line left without being replaced
  *                              (extract / reset), so outcome-tracking
  *                              policies (SHiP) do not mistrain.
  *
- * Every hook that sees a line receives LineMeta, which carries whether
- * the payload is califormed (sentinel/blacklist bytes present). This
- * is what lets the laboratory ask the Califorms question: do
- * scan-resistant policies preferentially evict sentinel-carrying
- * lines, re-inflating conversion cost? CacheArray counts califormed
- * victims in CacheStats::cformEvictions; the policies themselves are
- * payload-agnostic.
+ * onHit and onInsert receive LineMeta, which carries whether the
+ * payload is califormed (sentinel/blacklist bytes present). victimWay
+ * sees only the set: the choice rests on the policy's own state, never
+ * on the occupants' payloads. This is what lets the laboratory ask the
+ * Califorms question: do scan-resistant policies preferentially evict
+ * sentinel-carrying lines, re-inflating conversion cost? CacheArray
+ * counts califormed victims in CacheStats::cformEvictions; the
+ * policies themselves are payload-agnostic.
  *
  * All policies are deterministic: Random uses a fixed-seed xorshift
  * stream (per array instance), BRRIP throttles with a counter rather
@@ -94,13 +95,12 @@ class ReplacementPolicy
                           const LineMeta &meta) = 0;
 
     /**
-     * Choose the victim among @p n valid ways of @p set. @p ways[w]
-     * describes the current occupant of way w (so a policy could, for
-     * instance, deprioritize califormed lines). Called only when the
-     * set is full. Must return a value in [0, n).
+     * Choose the victim among the @p n valid ways of @p set from the
+     * policy's own recency/prediction state; the occupants' payloads
+     * are not consulted. Called only when the set is full. Must return
+     * a value in [0, n).
      */
-    virtual unsigned victimWay(std::size_t set, const LineMeta *ways,
-                               unsigned n) = 0;
+    virtual unsigned victimWay(std::size_t set, unsigned n) = 0;
 
     /** The line in (set, way) vanished without a replacement
      *  (extract / reset). */

@@ -89,6 +89,11 @@ inline constexpr char kBinTraceMagic[6] = {'C', 'A', 'L', 'T', 'R',
                                            'C'};
 inline constexpr std::uint8_t kBinTraceVersion = 1;
 
+/** The binary reader decodes from blocks of this many bytes, each one
+ *  istream::read(). Not part of the format: it only fixes where the
+ *  reader's refills fall. */
+inline constexpr std::size_t kBinTraceBlockBytes = 16 * 1024;
+
 /** Replay @p trace on @p machine; returns loads' value XOR (a cheap
  *  checksum so replays can be compared). */
 std::uint64_t runTrace(Machine &machine, const Trace &trace);

@@ -11,6 +11,7 @@
 
 #include "sim/trace.hh"
 
+#include <array>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -50,32 +51,6 @@ putVarint(std::ostream &os, std::uint64_t v)
         v >>= 7;
     }
     os.put(static_cast<char>(v));
-}
-
-std::uint64_t
-getVarint(std::istream &is, const char *what)
-{
-    std::uint64_t v = 0;
-    for (unsigned shift = 0; shift < 64; shift += 7) {
-        const int byte = is.get();
-        if (byte == std::char_traits<char>::eof())
-            fail(std::string("truncated ") + what);
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80)) {
-            // The final byte of a 10-byte varint may only carry one
-            // bit; anything more overflowed 64 bits.
-            if (shift == 63 && (byte & 0x7e))
-                fail(std::string("varint overflow in ") + what);
-            // A terminal zero byte past the first position is a
-            // non-minimal encoding the writer never produces; accept
-            // it and decode -> encode would no longer be
-            // byte-identity (the canonical-form contract).
-            if (shift > 0 && byte == 0)
-                fail(std::string("non-minimal varint in ") + what);
-            return v;
-        }
-    }
-    fail(std::string("varint overflow in ") + what);
 }
 
 // Tag byte layout: bits 0-1 kind, bit 2 dep/nt, bits 3-6 size-1.
@@ -150,8 +125,9 @@ class BinTraceWriter final : public TraceWriter
     void
     putDelta(Addr addr)
     {
-        putVarint(os_, zigzag(static_cast<std::int64_t>(addr) -
-                              static_cast<std::int64_t>(prevAddr_)));
+        // Subtract modulo 2^64: a jump across half the address space
+        // wraps to the same delta without signed overflow.
+        putVarint(os_, zigzag(static_cast<std::int64_t>(addr - prevAddr_)));
         prevAddr_ = addr;
     }
 
@@ -161,6 +137,13 @@ class BinTraceWriter final : public TraceWriter
     Addr prevAddr_ = 0;
 };
 
+/**
+ * Decodes from a fixed block that one istream::read() refills, so a
+ * byte costs a pointer compare rather than a stream call. The reader
+ * therefore consumes up to one block past the op it last returned;
+ * the length prefix makes the end of the trace the end of the stream,
+ * so nothing else reads that stream afterwards.
+ */
 class BinTraceReader final : public TraceReader
 {
   public:
@@ -184,7 +167,7 @@ class BinTraceReader final : public TraceReader
                  ")");
         if (reserved != 0)
             fail("nonzero reserved header byte");
-        count_ = getVarint(is_, "header op count");
+        count_ = getVarint("header op count");
     }
 
     bool
@@ -192,17 +175,18 @@ class BinTraceReader final : public TraceReader
     {
         if (read_ == count_) {
             // The length prefix is authoritative: bytes past the last
-            // op mean corruption (or a concatenated file), never data.
+            // op — still buffered or yet unread — mean corruption (or
+            // a concatenated file), never data.
             if (!tailChecked_) {
                 tailChecked_ = true;
-                if (is_.peek() != std::char_traits<char>::eof())
+                if (pos_ != end_ || refill())
                     fail("trailing junk after " +
                          std::to_string(count_) + " ops");
             }
             return false;
         }
-        const int tag = is_.get();
-        if (tag == std::char_traits<char>::eof())
+        const int tag = getByte();
+        if (tag < 0)
             fail("truncated at op " + std::to_string(read_) + " of " +
                  std::to_string(count_));
         const unsigned kind = tag & kKindMask;
@@ -222,8 +206,7 @@ class BinTraceReader final : public TraceReader
             // Two stream reads: sequence them explicitly (argument
             // evaluation order is unspecified).
             const Addr addr = getDelta();
-            op = TraceOp::store(addr, size,
-                                getVarint(is_, "store value"));
+            op = TraceOp::store(addr, size, getVarint("store value"));
             break;
         }
         case 2: {
@@ -231,8 +214,8 @@ class BinTraceReader final : public TraceReader
                 fail("bad tag byte");
             CformOp cform;
             cform.lineAddr = getDelta();
-            cform.setBits = getVarint(is_, "cform set bits");
-            cform.mask = getVarint(is_, "cform mask");
+            cform.setBits = getVarint("cform set bits");
+            cform.mask = getVarint("cform mask");
             cform.nonTemporal = flag;
             op = TraceOp::cformOp(cform);
             break;
@@ -240,7 +223,7 @@ class BinTraceReader final : public TraceReader
         default: {
             if (flag || size != 1)
                 fail("bad tag byte");
-            const std::uint64_t ops = getVarint(is_, "compute count");
+            const std::uint64_t ops = getVarint("compute count");
             if (ops > 0xffffffffull)
                 fail("compute count overflows uint32");
             op = TraceOp::compute(static_cast<std::uint32_t>(ops));
@@ -263,6 +246,51 @@ class BinTraceReader final : public TraceReader
     }
 
   private:
+    /** Read the next block; false at the end of the stream. */
+    bool
+    refill()
+    {
+        is_.read(block_.data(), block_.size());
+        pos_ = reinterpret_cast<const unsigned char *>(block_.data());
+        end_ = pos_ + is_.gcount();
+        return pos_ != end_;
+    }
+
+    /** The next byte, or -1 at the end of the stream. */
+    int
+    getByte()
+    {
+        if (pos_ == end_ && !refill())
+            return -1;
+        return *pos_++;
+    }
+
+    std::uint64_t
+    getVarint(const char *what)
+    {
+        std::uint64_t v = 0;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            const int byte = getByte();
+            if (byte < 0)
+                fail(std::string("truncated ") + what);
+            v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+            if (!(byte & 0x80)) {
+                // The final byte of a 10-byte varint may only carry
+                // one bit; anything more overflowed 64 bits.
+                if (shift == 63 && (byte & 0x7e))
+                    fail(std::string("varint overflow in ") + what);
+                // A terminal zero byte past the first position is a
+                // non-minimal encoding the writer never produces;
+                // accept it and decode -> encode would no longer be
+                // byte-identity (the canonical-form contract).
+                if (shift > 0 && byte == 0)
+                    fail(std::string("non-minimal varint in ") + what);
+                return v;
+            }
+        }
+        fail(std::string("varint overflow in ") + what);
+    }
+
     void
     checkSize(unsigned size) const
     {
@@ -273,14 +301,14 @@ class BinTraceReader final : public TraceReader
     Addr
     getDelta()
     {
-        const std::int64_t delta = unzigzag(
-            getVarint(is_, "address delta"));
-        prevAddr_ = static_cast<Addr>(
-            static_cast<std::int64_t>(prevAddr_) + delta);
+        prevAddr_ += static_cast<Addr>(unzigzag(getVarint("address delta")));
         return prevAddr_;
     }
 
     std::istream &is_;
+    std::array<char, kBinTraceBlockBytes> block_;
+    const unsigned char *pos_ = nullptr; //!< next unread buffered byte
+    const unsigned char *end_ = nullptr; //!< one past the buffered bytes
     std::uint64_t count_ = 0;
     std::uint64_t read_ = 0;
     bool tailChecked_ = false;

@@ -1,7 +1,8 @@
 /**
  * @file test_cache_array.cc
- * Tests for the set-associative cache array: geometry, LRU replacement,
- * dirty tracking, eviction reporting, and the in-place overwrite rules.
+ * Tests for the set-associative cache array: geometry and set mapping,
+ * LRU replacement, dirty tracking, eviction reporting, and the in-place
+ * overwrite rules.
  */
 
 #include <gtest/gtest.h>
@@ -152,6 +153,45 @@ TEST(CacheArray, DistinctSetsDoNotConflict)
     EXPECT_NE(c.peek(64), nullptr);
     EXPECT_NE(c.peek(128), nullptr);
     EXPECT_NE(c.peek(192), nullptr);
+}
+
+TEST(CacheArray, NonPowerOfTwoSetsMapByModulo)
+{
+    IntCache c(3 * 2 * 64, 2); // 3 sets x 2 ways
+    ASSERT_EQ(c.sets(), 3u);
+    c.insert(0 * 64, 0, false);
+    c.insert(1 * 64, 1, false); // set 1: never in the conflict below
+    c.insert(3 * 64, 3, false);
+    const auto ev = c.insert(6 * 64, 6, false); // set 0 is now full
+    ASSERT_TRUE(ev.valid);
+    EXPECT_EQ(ev.lineAddr, 0u); // the LRU of lines 0, 3 and 6
+    EXPECT_NE(c.peek(1 * 64), nullptr);
+    EXPECT_NE(c.peek(3 * 64), nullptr);
+    EXPECT_NE(c.peek(6 * 64), nullptr);
+    EXPECT_EQ(c.stats().evictions, 1u);
+}
+
+TEST(CacheArray, SetIndexMatchesModuloForEveryGeometry)
+{
+    // Direct-mapped arrays, so a second insert evicts the first iff
+    // both lines share a set: power-of-two counts take the mask path,
+    // the others the modulo path, and both must agree with %.
+    const Addr lines[] = {0, 1, 2, 3, 5, 7, 8, 15, 16, 17, 31, 64, 96,
+                          0x1'0000'0001ull, 0x3'ffff'ffffull};
+    for (const std::size_t sets : {1u, 2u, 3u, 4u, 5u, 6u, 8u, 16u}) {
+        for (const Addr a : lines) {
+            for (const Addr b : lines) {
+                if (a == b)
+                    continue;
+                IntCache c(sets * 64, 1);
+                c.insert(a << lineShift, 1, false);
+                const bool conflict = c.insert(b << lineShift, 2, false)
+                                          .valid;
+                EXPECT_EQ(conflict, a % sets == b % sets)
+                    << sets << " sets, lines " << a << " and " << b;
+            }
+        }
+    }
 }
 
 TEST(CacheArray, HoldsLinePayloads)

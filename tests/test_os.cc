@@ -1,11 +1,14 @@
 /**
  * @file test_os.cc
  * OS layer tests: privileged exception delivery policies, nested
- * whitelist windows (Section 6.3), and page swap metadata handling
- * (8B of reserved kernel space per 4KB page, Section 3).
+ * whitelist windows (Section 6.3), page swap metadata handling
+ * (8B of reserved kernel space per 4KB page, Section 3), and the paged
+ * DRAM line store beneath them.
  */
 
 #include <gtest/gtest.h>
+
+#include <iterator>
 
 #include "core/sentinel.hh"
 #include "os/exception_unit.hh"
@@ -198,8 +201,89 @@ TEST(MainMemoryTest, RejectsUnaligned)
 {
     MainMemory memory;
     EXPECT_THROW(memory.readLine(1), std::invalid_argument);
+    EXPECT_THROW(memory.peekLine(0x1020), std::invalid_argument);
     EXPECT_THROW(memory.writeLine(63, SentinelLine{}),
                  std::invalid_argument);
+    EXPECT_EQ(memory.reads(), 0u);
+    EXPECT_EQ(memory.writes(), 0u);
+}
+
+SentinelLine
+lineWithByte(std::uint8_t byte, bool califormed = false)
+{
+    SentinelLine line;
+    line.raw[0] = byte;
+    line.califormed = califormed;
+    return line;
+}
+
+TEST(MainMemoryTest, LinesSharingAPageStayIndependent)
+{
+    MainMemory memory;
+    const Addr page = 0x7000;
+    memory.writeLine(page + 3 * lineBytes, lineWithByte(0x33, true));
+    memory.writeLine(page + 4 * lineBytes, lineWithByte(0x44));
+    EXPECT_EQ(memory.peekLine(page + 3 * lineBytes).raw[0], 0x33);
+    EXPECT_TRUE(memory.peekLine(page + 3 * lineBytes).califormed);
+    EXPECT_EQ(memory.peekLine(page + 4 * lineBytes).raw[0], 0x44);
+    EXPECT_FALSE(memory.peekLine(page + 4 * lineBytes).califormed);
+    // A never-written neighbour on the same page still reads zero.
+    const SentinelLine untouched = memory.peekLine(page + 5 * lineBytes);
+    EXPECT_FALSE(untouched.califormed);
+    for (unsigned i = 0; i < lineBytes; ++i)
+        EXPECT_EQ(untouched.raw[i], 0);
+    EXPECT_EQ(memory.backedLines(), 2u);
+    EXPECT_EQ(memory.califormedLines(), 1u);
+}
+
+TEST(MainMemoryTest, RewriteDoesNotDoubleCount)
+{
+    MainMemory memory;
+    memory.writeLine(0x100, lineWithByte(1, true));
+    memory.writeLine(0x100, lineWithByte(2));
+    memory.writeLine(0x100, lineWithByte(3, true));
+    EXPECT_EQ(memory.backedLines(), 1u);
+    EXPECT_EQ(memory.califormedLines(), 1u);
+    EXPECT_EQ(memory.peekLine(0x100).raw[0], 3);
+    // Clearing the ECC bit drops the line from the califormed count
+    // but it stays backed.
+    memory.writeLine(0x100, lineWithByte(4));
+    EXPECT_EQ(memory.backedLines(), 1u);
+    EXPECT_EQ(memory.califormedLines(), 0u);
+}
+
+TEST(MainMemoryTest, DistantPagesIncludingHighAddresses)
+{
+    MainMemory memory;
+    const Addr addrs[] = {0, 0xfc0, 0x1000, 0x1234'5678'9ac0ull,
+                          (Addr{1} << 40) + 0x40,
+                          ~Addr{0} & ~Addr{lineBytes - 1}};
+    std::uint8_t tag = 1;
+    for (const Addr a : addrs)
+        memory.writeLine(a, lineWithByte(tag++, (a & 0x40) != 0));
+    tag = 1;
+    for (const Addr a : addrs) {
+        const SentinelLine got = memory.readLine(a);
+        EXPECT_EQ(got.raw[0], tag++) << std::hex << a;
+        EXPECT_EQ(got.califormed, (a & 0x40) != 0) << std::hex << a;
+    }
+    EXPECT_EQ(memory.backedLines(), std::size(addrs));
+    EXPECT_EQ(memory.califormedLines(), 4u);
+    // The same page offset one page number away is a different line.
+    EXPECT_EQ(memory.readLine((Addr{1} << 40) + 0x1040).raw[0], 0);
+}
+
+TEST(MainMemoryTest, CountsReadsAndWritesButNotPeeks)
+{
+    MainMemory memory;
+    memory.writeLine(0x40, lineWithByte(9));
+    memory.writeLine(0x40, lineWithByte(9));
+    (void)memory.readLine(0x40);
+    (void)memory.readLine(0x80); // a never-written line still counts
+    (void)memory.peekLine(0x40);
+    (void)memory.peekLine(0x80);
+    EXPECT_EQ(memory.writes(), 2u);
+    EXPECT_EQ(memory.reads(), 2u);
 }
 
 } // namespace

@@ -391,6 +391,123 @@ TEST(TraceBinary, TrailingJunkRejected)
     EXPECT_THROW(readTraceBinary(ss), std::runtime_error);
 }
 
+// Block-buffered decode ----------------------------------------------
+//
+// The reader takes the 8 magic/version/reserved bytes with single
+// stream reads and everything after them in kBinTraceBlockBytes blocks,
+// so the first refill boundary sits at this file offset.
+constexpr std::size_t kFirstBlockEnd = 8 + kBinTraceBlockBytes;
+
+/** Every op kind with wide varints: full-range addresses (so deltas
+ *  go negative and take ten bytes), ~0 store values, 64-bit CFORM
+ *  words and 32-bit compute counts. */
+Trace
+wideTrace(Rng &rng, std::size_t n)
+{
+    Trace trace;
+    for (std::size_t i = 0; i < n; ++i) {
+        const Addr addr = rng.next();
+        const unsigned size = 1 + static_cast<unsigned>(rng.nextBelow(8));
+        switch (i % 4) {
+        case 0:
+            trace.push_back(TraceOp::load(addr, size, rng.chance(0.5)));
+            break;
+        case 1:
+            trace.push_back(TraceOp::store(
+                addr, size, rng.chance(0.5) ? ~0ull : rng.next()));
+            break;
+        case 2: {
+            CformOp op;
+            op.lineAddr = lineBase(addr);
+            op.setBits = rng.next();
+            op.mask = rng.next() | (1ull << 63);
+            op.nonTemporal = rng.chance(0.5);
+            trace.push_back(TraceOp::cformOp(op));
+            break;
+          }
+        default:
+            trace.push_back(TraceOp::compute(
+                static_cast<std::uint32_t>(rng.next())));
+        }
+    }
+    return trace;
+}
+
+TEST(TraceBinary, MultiBlockRoundTripThroughNextAndFill)
+{
+    Rng rng(0xb10c);
+    const Trace trace = wideTrace(rng, 6000);
+    const std::string blob = toBinary(trace);
+    ASSERT_GT(blob.size(), 8 + 3 * kBinTraceBlockBytes);
+
+    std::stringstream by_op(blob);
+    const auto reader = openTraceReader(by_op);
+    Trace via_next;
+    TraceOp op;
+    while (reader->next(op))
+        via_next.push_back(op);
+    expectTracesEqual(via_next, trace);
+
+    // An odd batch size, so batches straddle every block boundary.
+    std::stringstream by_batch(blob);
+    const auto batcher = openTraceReader(by_batch);
+    Trace via_fill;
+    TraceOp batch[37];
+    while (const std::size_t got = batcher->fill(batch, std::size(batch)))
+        via_fill.insert(via_fill.end(), batch, batch + got);
+    expectTracesEqual(via_fill, trace);
+}
+
+TEST(TraceBinary, TruncationAroundTheFirstBlockBoundaryRejected)
+{
+    Rng rng(0xc07);
+    const std::string blob = toBinary(wideTrace(rng, 2000));
+    ASSERT_GT(blob.size(), kFirstBlockEnd + 32);
+    for (std::size_t keep = kFirstBlockEnd - 32;
+         keep <= kFirstBlockEnd + 32; ++keep) {
+        std::stringstream ss(blob.substr(0, keep));
+        try {
+            readTraceBinary(ss);
+            ADD_FAILURE() << "kept " << keep << " bytes: no error";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("truncated"),
+                      std::string::npos)
+                << "kept " << keep << ": " << e.what();
+        }
+    }
+}
+
+TEST(TraceBinary, TrailingJunkRejectedInAndAfterTheLastBlock)
+{
+    auto expectJunk = [](const std::string &blob) {
+        std::stringstream ss(blob + "x");
+        try {
+            readTraceBinary(ss);
+            FAIL() << "expected exception";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("trailing junk"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
+    // Junk buffered in the same block as the last op.
+    Rng rng(0x3e7);
+    const std::string multi = toBinary(wideTrace(rng, 3000));
+    ASSERT_NE((multi.size() - 8) % kBinTraceBlockBytes, 0u);
+    expectJunk(multi);
+
+    // Junk that starts exactly at a block boundary: the last op ends
+    // the first block, so only a fresh refill can see the junk. A
+    // two-byte op count plus B/2 - 1 two-byte compute ops fill it.
+    const Trace fill(kBinTraceBlockBytes / 2 - 1, TraceOp::compute(1));
+    const std::string exact = toBinary(fill);
+    ASSERT_EQ(exact.size(), kFirstBlockEnd);
+    std::stringstream clean(exact);
+    EXPECT_EQ(readTraceBinary(clean).size(), fill.size());
+    expectJunk(exact);
+}
+
 TEST(TraceBinary, GarbageBodyNeverCrashes)
 {
     // Valid header, fuzzed body: parse or throw, never crash.

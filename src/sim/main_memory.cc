@@ -34,9 +34,8 @@ const SentinelLine *
 MainMemory::find(Addr line_addr, const char *what) const
 {
     checkAligned(line_addr, what);
-    const auto it = pages_.find(line_addr >> kPageShift);
-    return it != pages_.end() ? &it->second->lines[slotOf(line_addr)]
-                              : nullptr;
+    const auto *page = pages_.find(line_addr >> kPageShift);
+    return page ? &(*page)->lines[slotOf(line_addr)] : nullptr;
 }
 
 SentinelLine
@@ -75,10 +74,11 @@ std::size_t
 MainMemory::califormedLines() const
 {
     std::size_t n = 0;
-    for (const auto &[number, page] : pages_)
+    pages_.forEach([&n](Addr, const std::unique_ptr<Page> &page) {
         for (std::uint64_t rest = page->present; rest; rest &= rest - 1)
             if (page->lines[std::countr_zero(rest)].califormed)
                 ++n;
+    });
     return n;
 }
 

@@ -6,8 +6,9 @@
  * interface is unchanged. Untouched lines read as zero.
  *
  * Storage is paged: one heap block per touched 4 KiB page holds that
- * page's 64 lines plus a presence mask, so a line access costs one hash
- * probe on the page number and no per-line allocation.
+ * page's 64 lines plus a presence mask. The page table is an
+ * open-addressed LineMap keyed by page number, so a line access costs
+ * one or two probes of a flat key array and no per-line allocation.
  */
 
 #ifndef CALIFORMS_SIM_MAIN_MEMORY_HH
@@ -16,10 +17,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
 #include "core/line.hh"
 #include "os/swap.hh"
+#include "sim/line_map.hh"
 
 namespace califorms
 {
@@ -62,7 +63,7 @@ class MainMemory : public LineStore
      *  page was never written. Throws on an unaligned address. */
     const SentinelLine *find(Addr line_addr, const char *what) const;
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages_;
+    LineMap<std::unique_ptr<Page>> pages_; //!< page number -> page
     std::size_t backed_ = 0;
     std::uint64_t reads_ = 0;
     std::uint64_t writes_ = 0;

@@ -31,19 +31,17 @@ MemorySystem::MemorySystem(const MemSysParams &params,
 MemorySystem::WbEntry *
 MemorySystem::wbqFind(Addr line_addr)
 {
-    const auto it = wbqIndex_.find(line_addr);
-    if (it == wbqIndex_.end())
-        return nullptr;
-    return &wbq_[static_cast<std::size_t>(it->second - wbqHeadSeq_)];
+    const std::uint64_t *seq = wbqIndex_.find(line_addr);
+    return seq ? &wbq_[static_cast<std::size_t>(*seq - wbqHeadSeq_)]
+               : nullptr;
 }
 
 const MemorySystem::WbEntry *
 MemorySystem::wbqFind(Addr line_addr) const
 {
-    const auto it = wbqIndex_.find(line_addr);
-    if (it == wbqIndex_.end())
-        return nullptr;
-    return &wbq_[static_cast<std::size_t>(it->second - wbqHeadSeq_)];
+    const std::uint64_t *seq = wbqIndex_.find(line_addr);
+    return seq ? &wbq_[static_cast<std::size_t>(*seq - wbqHeadSeq_)]
+               : nullptr;
 }
 
 void
@@ -487,13 +485,15 @@ MemorySystem::cform(const CformOp &op)
             // fetchBelowL1 may have pulled the only up-to-date copy
             // out of the write-back queue; a faulting op must not
             // destroy it. Re-queue the untouched encoded line (no new
-            // conversion happened, so no spill accounting).
-            if (dirty) {
-                if (params_.wbQueueEntries)
-                    enqueueWriteBack(op.lineAddr, below);
-                else
-                    spillBelowNow(op.lineAddr, below);
-            }
+            // conversion happened, so no spill accounting). A clean
+            // line is simply not kept, so the directory entry the
+            // write fetch created is dropped with it.
+            if (!dirty)
+                shared_->noteDropped(coreId_, op.lineAddr);
+            else if (params_.wbQueueEntries)
+                enqueueWriteBack(op.lineAddr, below);
+            else
+                spillBelowNow(op.lineAddr, below);
             return res;
         }
         writeBackL1(op.lineAddr, decoded, true, &res.latency);

@@ -51,13 +51,13 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/cform.hh"
 #include "core/line.hh"
 #include "os/exception_unit.hh"
 #include "sim/cache_array.hh"
+#include "sim/line_map.hh"
 #include "sim/main_memory.hh"
 #include "sim/mshr.hh"
 #include "sim/params.hh"
@@ -322,12 +322,14 @@ class MemorySystem : public CoherencePeer
     MemSysParams params_;
     ExceptionUnit &exceptions_;
     CacheArray<BitVectorLine> l1_;
-    /** Dirty write-back queue, indexed by wbqIndex_: wbqIndex_[addr]
-     *  is the entry's sequence number, wbq_[seq - wbqHeadSeq_] the
-     *  entry itself. wbqLive_ counts non-tombstoned entries (the
-     *  occupancy every threshold and stat uses). */
+    /** Dirty write-back queue, indexed by wbqIndex_: an open-addressed
+     *  line map from each live entry's line address to its sequence
+     *  number, so wbq_[seq - wbqHeadSeq_] is the entry itself.
+     *  Tombstoned entries are unindexed. wbqLive_ counts
+     *  non-tombstoned entries (the occupancy every threshold and stat
+     *  uses). */
     std::deque<WbEntry> wbq_;
-    std::unordered_map<Addr, std::uint64_t> wbqIndex_;
+    LineMap<std::uint64_t> wbqIndex_;
     std::uint64_t wbqHeadSeq_ = 0; //!< sequence number of wbq_.front()
     std::size_t wbqLive_ = 0;
     std::unique_ptr<SharedMemory> ownedShared_; //!< standalone facade

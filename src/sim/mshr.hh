@@ -18,13 +18,19 @@
  * Entries whose completion time has passed are dead and are pruned
  * lazily; a coherence invalidation cancels the entry outright (the
  * line left the core, so nothing can coalesce with its fill anymore).
+ *
+ * The entries are a flat vector, scanned: after a prune it holds at
+ * most capacity live entries (a handful), which a linear scan over two
+ * or three cache lines answers faster than any hash. At most one entry
+ * exists per line; re-allocating a line overwrites its completion time.
  */
 
 #ifndef CALIFORMS_SIM_MSHR_HH
 #define CALIFORMS_SIM_MSHR_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "util/types.hh"
 
@@ -43,7 +49,10 @@ struct MshrStats
 class MshrTable
 {
   public:
-    explicit MshrTable(unsigned capacity) : capacity_(capacity) {}
+    explicit MshrTable(unsigned capacity) : capacity_(capacity)
+    {
+        pending_.reserve(capacity + 1);
+    }
 
     unsigned capacity() const { return capacity_; }
 
@@ -52,12 +61,8 @@ class MshrTable
     std::size_t
     occupancy(Cycles now)
     {
-        for (auto it = pending_.begin(); it != pending_.end();) {
-            if (it->second <= now)
-                it = pending_.erase(it);
-            else
-                ++it;
-        }
+        std::erase_if(pending_,
+                      [now](const Entry &e) { return e.ready <= now; });
         return pending_.size();
     }
 
@@ -66,10 +71,10 @@ class MshrTable
     Cycles
     remainder(Addr line_addr, Cycles now) const
     {
-        const auto it = pending_.find(line_addr);
-        if (it == pending_.end() || it->second <= now)
+        const auto it = std::ranges::find(pending_, line_addr, &Entry::line);
+        if (it == pending_.end() || it->ready <= now)
             return 0;
-        return it->second - now;
+        return it->ready - now;
     }
 
     /** Completion time of the earliest live entry (call only when
@@ -79,9 +84,9 @@ class MshrTable
     {
         Cycles earliest = 0;
         bool first = true;
-        for (const auto &[addr, ready] : pending_) {
-            if (first || ready < earliest)
-                earliest = ready;
+        for (const Entry &e : pending_) {
+            if (first || e.ready < earliest)
+                earliest = e.ready;
             first = false;
         }
         return earliest;
@@ -91,7 +96,11 @@ class MshrTable
     void
     allocate(Addr line_addr, Cycles ready_at, Cycles now)
     {
-        pending_[line_addr] = ready_at;
+        const auto it = std::ranges::find(pending_, line_addr, &Entry::line);
+        if (it != pending_.end())
+            it->ready = ready_at;
+        else
+            pending_.push_back({line_addr, ready_at});
         ++stats_.allocations;
         const std::size_t live = occupancy(now);
         if (live > stats_.peakOccupancy)
@@ -100,7 +109,13 @@ class MshrTable
 
     /** The line left the core (coherence invalidation): cancel any
      *  outstanding fill so nothing coalesces with it afterwards. */
-    void cancel(Addr line_addr) { pending_.erase(line_addr); }
+    void
+    cancel(Addr line_addr)
+    {
+        std::erase_if(pending_, [line_addr](const Entry &e) {
+            return e.line == line_addr;
+        });
+    }
 
     void noteCoalesced() { ++stats_.coalesced; }
     void noteStall(Cycles cycles) { stats_.stallCycles += cycles; }
@@ -118,8 +133,15 @@ class MshrTable
     }
 
   private:
+    /** One outstanding fill: the line and its completion time. */
+    struct Entry
+    {
+        Addr line;
+        Cycles ready;
+    };
+
     unsigned capacity_;
-    std::unordered_map<Addr, Cycles> pending_; //!< line -> completion
+    std::vector<Entry> pending_; //!< at most one entry per line
     MshrStats stats_;
 };
 

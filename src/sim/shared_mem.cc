@@ -1,5 +1,6 @@
 #include "sim/shared_mem.hh"
 
+#include <cassert>
 #include <stdexcept>
 
 #include "sim/memsys.hh"
@@ -46,10 +47,14 @@ bool
 SharedMemory::probeHolders(Addr line_addr, unsigned core, bool for_write,
                            Cycles &latency, SentinelLine &recalled)
 {
-    auto it = directory_.find(line_addr);
-    if (it == directory_.end())
+    DirEntry *entry = directory_.find(line_addr);
+    if (!entry)
         return false;
-    DirEntry &d = it->second;
+    // Held across the peers' surrenderLine calls below: they only drop
+    // private copies and never touch the directory, so no insert or
+    // erase can move the entry underneath this reference.
+    DirEntry &d = *entry;
+    [[maybe_unused]] const std::size_t entries = directory_.size();
     bool have = false;
 
     auto recall = [&](const CoherencePeer::Surrender &s) {
@@ -94,8 +99,10 @@ SharedMemory::probeHolders(Addr line_addr, unsigned core, bool for_write,
             recall(s);
     }
 
+    assert(directory_.size() == entries &&
+           "surrenderLine must not touch the directory");
     if (d.sharers == 0 && d.owner < 0)
-        directory_.erase(it);
+        directory_.erase(line_addr);
     return have;
 }
 
@@ -180,12 +187,9 @@ SharedMemory::upgrade(unsigned core, Addr line_addr, Cycles &latency)
 {
     if (!coherent())
         return;
-    {
-        const auto it = directory_.find(line_addr);
-        if (it != directory_.end() &&
-            it->second.owner == static_cast<int>(core))
-            return; // already the modified owner: nothing to do
-    }
+    if (const DirEntry *d = directory_.find(line_addr);
+        d && d->owner == static_cast<int>(core))
+        return; // already the modified owner: nothing to do
     SentinelLine recalled;
     if (probeHolders(line_addr, core, /*for_write=*/true, latency,
                      recalled)) {
@@ -238,15 +242,14 @@ SharedMemory::noteDropped(unsigned core, Addr line_addr)
 {
     if (!coherent())
         return;
-    const auto it = directory_.find(line_addr);
-    if (it == directory_.end())
+    DirEntry *d = directory_.find(line_addr);
+    if (!d)
         return;
-    DirEntry &d = it->second;
-    d.sharers &= ~(1u << core);
-    if (d.owner == static_cast<int>(core))
-        d.owner = -1;
-    if (d.sharers == 0 && d.owner < 0)
-        directory_.erase(it);
+    d->sharers &= ~(1u << core);
+    if (d->owner == static_cast<int>(core))
+        d->owner = -1;
+    if (d->sharers == 0 && d->owner < 0)
+        directory_.erase(line_addr);
 }
 
 void
@@ -257,8 +260,8 @@ SharedMemory::prefetchInto(Addr line_addr)
     if (below_[0].array.peek(line_addr))
         return;
     if (coherent()) {
-        const auto it = directory_.find(line_addr);
-        if (it != directory_.end() && it->second.owner >= 0)
+        const DirEntry *d = directory_.find(line_addr);
+        if (d && d->owner >= 0)
             return; // a core owns it modified; never prefetch over it
     }
     SentinelLine pf;

@@ -40,12 +40,12 @@
 #define CALIFORMS_SIM_SHARED_MEM_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "core/line.hh"
 #include "sim/cache_array.hh"
 #include "sim/dram_timing.hh"
+#include "sim/line_map.hh"
 #include "sim/main_memory.hh"
 #include "sim/params.hh"
 #include "sim/stats_dump.hh"
@@ -174,6 +174,10 @@ class SharedMemory
      *  latency when no level is enabled. */
     Cycles firstLevelLatency() const;
 
+    /** Lines the directory tracks (at least one private holder); 0
+     *  without coherence. */
+    std::size_t directoryEntries() const { return directory_.size(); }
+
     /** True when MSI probes are actually exchanged (coherence enabled
      *  and more than one private side attached). */
     bool coherent() const
@@ -214,7 +218,7 @@ class SharedMemory
     MainMemory memory_;
     DramTiming dram_;
     std::vector<CoherencePeer *> peers_;
-    std::unordered_map<Addr, DirEntry> directory_;
+    LineMap<DirEntry> directory_;
 
     MemSysStats stats_; //!< DRAM and coherence rows only
 };

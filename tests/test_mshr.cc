@@ -1,6 +1,8 @@
 /**
  * @file test_mshr.cc
- * Non-blocking miss path tests: the MSHR table (coalescing,
+ * Non-blocking miss path tests: the MSHR table driven directly (one
+ * entry per line, dead at its ready time, cancel, earliest ready, peak
+ * and clearStats), the MSHR table through the hierarchy (coalescing,
  * hit-under-miss, structural stalls, invalidation cancel, fill
  * conversion under an outstanding entry), the banked DRAM row-buffer
  * state machine, the pinned MSHR-beats-blocking comparison, stat
@@ -215,6 +217,91 @@ TEST(Mshr, InvalidationCancelsTheOutstandingEntry)
     m.loadOn(0, 0x20000, 8);          // would stall on a stale entry
     EXPECT_EQ(m.memStats().mshrStallCycles, 0u);
     EXPECT_EQ(m.memStats().invalidationsSent, 1u);
+}
+
+// ---------------------------------------------------------------------
+// The MSHR table, driven directly: one entry per line, entries dead at
+// their completion time, and the peak counting live entries only.
+// ---------------------------------------------------------------------
+
+TEST(MshrTableDirect, ReallocatingALineOverwritesIt)
+{
+    MshrTable t(8);
+    t.allocate(0x40, 100, 0);
+    t.allocate(0x40, 150, 10);
+    EXPECT_EQ(t.occupancy(10), 1u);
+    EXPECT_EQ(t.remainder(0x40, 10), 140u);
+    EXPECT_EQ(t.earliestReady(), 150u);
+    EXPECT_EQ(t.stats().allocations, 2u);
+    EXPECT_EQ(t.stats().peakOccupancy, 1u);
+}
+
+TEST(MshrTableDirect, AnEntryIsDeadAtItsReadyTime)
+{
+    MshrTable t(8);
+    t.allocate(0x40, 100, 0);
+    EXPECT_EQ(t.remainder(0x40, 99), 1u);
+    EXPECT_EQ(t.remainder(0x40, 100), 0u);
+    EXPECT_EQ(t.occupancy(99), 1u);
+    EXPECT_EQ(t.occupancy(100), 0u);
+    EXPECT_EQ(t.remainder(0x40, 50), 0u); // pruned, gone for good
+}
+
+TEST(MshrTableDirect, CancelRemovesOnlyItsLine)
+{
+    MshrTable t(8);
+    t.allocate(0x40, 100, 0);
+    t.allocate(0x80, 120, 0);
+    t.allocate(0xc0, 90, 0);
+    t.cancel(0x80);
+    t.cancel(0x1000); // absent: no effect
+    EXPECT_EQ(t.occupancy(0), 2u);
+    EXPECT_EQ(t.remainder(0x80, 0), 0u);
+    EXPECT_EQ(t.remainder(0x40, 0), 100u);
+    EXPECT_EQ(t.remainder(0xc0, 0), 90u);
+}
+
+TEST(MshrTableDirect, EarliestReadyIsTheMinimum)
+{
+    MshrTable t(8);
+    t.allocate(0x40, 300, 0);
+    t.allocate(0x80, 120, 0);
+    t.allocate(0xc0, 200, 0);
+    t.allocate(0x100, 120, 0); // ties the minimum
+    EXPECT_EQ(t.earliestReady(), 120u);
+    t.cancel(0x80);
+    EXPECT_EQ(t.earliestReady(), 120u);
+    t.cancel(0x100);
+    EXPECT_EQ(t.earliestReady(), 200u);
+}
+
+TEST(MshrTableDirect, PeakCountsLiveEntriesAfterThePrune)
+{
+    MshrTable t(8);
+    t.allocate(0x40, 10, 0);
+    t.allocate(0x80, 20, 0);
+    EXPECT_EQ(t.stats().peakOccupancy, 2u);
+    // At time 15 the first entry is dead, so the third allocation
+    // brings the live count back to 2, not 3.
+    t.allocate(0xc0, 30, 15);
+    EXPECT_EQ(t.stats().peakOccupancy, 2u);
+    t.allocate(0x100, 40, 15);
+    EXPECT_EQ(t.stats().peakOccupancy, 3u);
+}
+
+TEST(MshrTableDirect, ClearStatsSeedsThePeakFromLiveEntries)
+{
+    MshrTable t(8);
+    t.allocate(0x40, 10, 0);
+    t.allocate(0x80, 20, 0);
+    t.allocate(0xc0, 30, 0);
+    t.noteCoalesced();
+    t.noteStall(5);
+    t.clearStats(15);
+    EXPECT_EQ(t.stats().allocations, 0u);
+    EXPECT_EQ(t.stats().coalesced, 0u);
+    EXPECT_EQ(t.stats().stallCycles, 0u);
+    EXPECT_EQ(t.stats().peakOccupancy, 2u);
 }
 
 // ---------------------------------------------------------------------

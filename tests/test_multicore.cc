@@ -3,8 +3,9 @@
  * The multi-core coherent machine: single-core equivalence (N=1 with
  * or without MSI is bit-for-bit the historical machine), read sharing
  * and write invalidation through the directory, dirty recalls,
- * califormed-line ping-pong (conversion under invalidation), replay
- * determinism, jobs-invariance of a core.count sweep, per-core vs
+ * califormed-line ping-pong (conversion under invalidation), directory
+ * residency (the directory drains with the private sides, including
+ * after a faulting non-temporal CFORM), replay determinism, jobs-invariance of a core.count sweep, per-core vs
  * merged statistics, the round-robin interleaver, the clearStats
  * wbPeakOccupancy regression, and degenerate trace-reader inputs.
  */
@@ -13,6 +14,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "exp/campaign.hh"
 #include "exp/report.hh"
@@ -224,6 +226,56 @@ TEST(MulticoreCoherence, MulticoreSynthRunHasCoherenceTraffic)
     EXPECT_GT(r.mem.dirtyRecalls, 0u);
     EXPECT_GT(r.mem.convUnderInval, 0u);
     ASSERT_EQ(r.cores.size(), 4u);
+}
+
+// ---------------------------------------------------------------------
+// Directory residency: the directory tracks exactly the lines some
+// private side holds, so it drains when every private side does.
+// ---------------------------------------------------------------------
+
+TEST(MulticoreCoherence, FaultingNonTemporalCformLeavesNoOwner)
+{
+    Machine m(multicoreParams(2, CoherenceKind::Msi));
+    const Addr line = 0xa0000;
+    m.cformOn(0, makeSetOp(line, 0x3));
+    m.flushAll();
+    // Setting already-set security bytes faults; the non-temporal op
+    // keeps nothing in core 1, so core 1 must not stay the owner.
+    CformOp op = makeSetOp(line, 0x3);
+    op.nonTemporal = true;
+    const std::size_t faults = m.exceptions().deliveredCount();
+    m.cformOn(1, op);
+    ASSERT_EQ(m.exceptions().deliveredCount(), faults + 1);
+    BitVectorLine copy;
+    EXPECT_FALSE(m.memorySystem(1).peekPrivateLine(line, copy));
+    EXPECT_EQ(m.sharedMemory().directoryEntries(), 0u);
+    m.storeOn(0, line + 8, 8, 42);
+    EXPECT_EQ(m.memStats().invalidationsSent, 0u);
+    m.flushAll();
+    EXPECT_EQ(m.sharedMemory().directoryEntries(), 0u);
+}
+
+TEST(MulticoreCoherence, DirectoryDrainsOnFlush)
+{
+    // The timed coherent machine of the `guarded` host benchmark.
+    MachineParams p = multicoreParams(2, CoherenceKind::Msi);
+    p.mem.mshrEntries = 8;
+    p.mem.dramBanks = 8;
+    for (const unsigned wbq : {0u, 16u}) {
+        p.mem.wbQueueEntries = wbq;
+        for (const std::string &name : synthWorkloadNames()) {
+            SCOPED_TRACE(name + " wbq=" + std::to_string(wbq));
+            Machine m(p);
+            auto streams = makeSynthStreams(name, SynthParams{}, 4000, 2);
+            std::vector<TraceReader *> raw;
+            for (const auto &s : streams)
+                raw.push_back(s.get());
+            runTraceInterleaved(m, raw);
+            EXPECT_GT(m.sharedMemory().directoryEntries(), 0u);
+            m.flushAll();
+            EXPECT_EQ(m.sharedMemory().directoryEntries(), 0u);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -81,12 +81,10 @@ main(int argc, char **argv)
 
     std::printf("=============================================="
                 "========================\n");
-    std::printf("fleet throughput: %zu mixed-workload tenants, "
-                "batched SoA replay\n",
+    std::printf("fleet throughput: %zu mixed-workload tenants\n",
                 spec.tenants.size());
-    std::printf("duration-ops=%llu batch=%zu stride=%llu\n",
+    std::printf("duration-ops=%llu stride=%llu\n",
                 static_cast<unsigned long long>(duration_ops),
-                spec.base.fleet.batchOps,
                 static_cast<unsigned long long>(
                     spec.base.fleet.tenantSeedStride));
     std::printf("=============================================="
@@ -95,10 +93,10 @@ main(int argc, char **argv)
     try {
         const fleet::FleetResult result = fleet::runFleet(spec, jobs);
         fleet::printFleetSummary(std::cout, result);
-        std::printf("throughput: opsReplayed=%llu batchOps=%zu "
-                    "shards=%u tenants=%zu\n",
+        std::printf("throughput: opsReplayed=%llu shards=%u "
+                    "tenants=%zu\n",
                     static_cast<unsigned long long>(result.totalOps),
-                    result.batchOps, result.shards,
+                    result.shards,
                     result.tenants.size());
         std::fprintf(stderr,
                      "fleet throughput: %.0f ops/s (jobs=%u, "

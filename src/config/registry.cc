@@ -733,14 +733,6 @@ ParamRegistry::ParamRegistry()
             rc.fleet.shards = static_cast<unsigned>(v);
         }));
     specs_.push_back(uintKnob(
-        "fleet.batch_ops", 1, 1u << 16, "",
-        "ops decoded per batch in the SoA replay hot loop (one bulk "
-        "TraceReader::fill and one stat flush per batch)",
-        [](const RunConfig &rc) { return rc.fleet.batchOps; },
-        [](RunConfig &rc, std::uint64_t v) {
-            rc.fleet.batchOps = static_cast<std::size_t>(v);
-        }));
-    specs_.push_back(uintKnob(
         "fleet.tenant_seed_stride", 0,
         std::numeric_limits<std::uint64_t>::max(), "",
         "tenant t's generator seed is workload.seed + stride * t "

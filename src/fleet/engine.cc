@@ -55,24 +55,27 @@ replayTenant(const FleetSpec &spec, std::size_t index)
     result.source = tenant.source();
 
     Machine machine(config.machine, ExceptionUnit::Policy::Record);
-    const std::size_t batch_ops = spec.base.fleet.batchOps;
+    // Trace tenants take durationOps as a cap; generator tenants are
+    // built to produce exactly their budget.
+    std::ifstream is;
+    std::unique_ptr<TraceReader> reader;
+    std::uint64_t cap = 0;
     if (tenant.workload.empty()) {
-        std::ifstream is(tenant.tracePath, std::ios::binary);
+        is.open(tenant.tracePath, std::ios::binary);
         if (!is)
             throw std::runtime_error("tenant '" + tenant.id +
                                      "': cannot open trace '" +
                                      tenant.tracePath + "'");
-        const auto reader = openTraceReader(is);
-        result.replay = replayBatched(machine, *reader, batch_ops,
-                                      spec.durationOps);
+        reader = openTraceReader(is);
+        cap = spec.durationOps;
     } else {
         const std::uint64_t ops = spec.durationOps
                                       ? spec.durationOps
                                       : config.synth.ops;
-        const auto reader =
-            makeSynthGenerator(tenant.workload, config.synth, ops);
-        result.replay = replayBatched(machine, *reader, batch_ops);
+        reader = makeSynthGenerator(tenant.workload, config.synth, ops);
     }
+    TraceReader *const stream = reader.get();
+    result.replay = replayStreams(machine, {&stream, 1}, cap);
 
     result.cycles = machine.cycles();
     result.instructions = machine.instructions();
@@ -105,7 +108,6 @@ runFleet(const FleetSpec &spec, unsigned jobs)
     FleetResult result;
     result.tenants.resize(n);
     result.shards = shards;
-    result.batchOps = spec.base.fleet.batchOps;
     result.tenantSeedStride = spec.base.fleet.tenantSeedStride;
     result.durationOps = spec.durationOps;
     result.jobs = exp::effectiveJobs(jobs);

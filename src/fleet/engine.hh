@@ -25,8 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "fleet/batch.hh"
 #include "fleet/tenant.hh"
+#include "sim/trace.hh"
 #include "workload/runner.hh"
 
 namespace califorms::fleet
@@ -49,7 +49,7 @@ struct TenantResult
 {
     std::string id;
     std::string source; //!< "workload=..." or "trace=..."
-    BatchReplayStats replay{};
+    ReplayStats replay{};
     Cycles cycles = 0;
     std::uint64_t instructions = 0;
     MemSysStats mem{};
@@ -62,7 +62,6 @@ struct FleetResult
 {
     std::vector<TenantResult> tenants; //!< tenant order == spec order
     unsigned shards = 0;               //!< effective shard count
-    std::size_t batchOps = 0;
     std::uint64_t tenantSeedStride = 0;
     std::uint64_t durationOps = 0;
     std::uint64_t totalOps = 0; //!< sum of tenant replay.ops

@@ -23,10 +23,6 @@ struct FleetParams
      *  (maximum parallelism). Results merge in tenant order, so the
      *  shard count never changes any counter. */
     unsigned shards = 0;
-    /** Operations decoded per batch in the SoA replay hot loop: one
-     *  bulk TraceReader::fill per batch, per-kind counters and the
-     *  checksum accumulated in registers and flushed once per batch. */
-    std::size_t batchOps = 256;
     /** Tenant t's generator seed is workload.seed + stride * t unless
      *  the tenant's own overlay pins workload.seed. Stride 0 gives
      *  every same-workload tenant the identical stream. */

@@ -35,13 +35,12 @@ void
 tenantJson(std::ostringstream &os, const TenantResult &t,
            const MachineParams &machine, std::uint64_t layout_seed)
 {
-    const BatchReplayStats &replay = t.replay;
+    const ReplayStats &replay = t.replay;
     os << "    {\"benchmark\": " << jsonString(t.source)
        << ", \"variant\": " << jsonString(t.id)
        << ", \"layoutSeed\": " << u64(layout_seed)
        << ",\n     \"tenant\": " << jsonString(t.id)
        << ", \"ops\": " << u64(replay.ops)
-       << ", \"batches\": " << u64(replay.batches)
        << ", \"checksum\": " << jsonString(hex64(replay.checksum))
        << ",\n     \"opsByKind\": {\"loads\": " << u64(replay.kindOps[0])
        << ", \"stores\": " << u64(replay.kindOps[1])
@@ -75,14 +74,12 @@ fleetJson(const FleetSpec &spec, const FleetResult &result,
     os << "  \"campaign\": \"fleet\",\n";
     os << "  \"fleet\": {\"tenants\": " << result.tenants.size()
        << ", \"shards\": " << result.shards
-       << ", \"batchOps\": " << result.batchOps
        << ", \"durationOps\": " << u64(result.durationOps)
        << ", \"tenantSeedStride\": " << u64(result.tenantSeedStride)
        << "},\n";
     // The first-class throughput object: the deterministic counters
     // always; the wall-clock-derived rate only alongside "timing".
     os << "  \"throughput\": {\"opsReplayed\": " << u64(result.totalOps)
-       << ", \"batchOps\": " << result.batchOps
        << ", \"shards\": " << result.shards
        << ", \"tenants\": " << result.tenants.size();
     if (include_timing)
@@ -108,8 +105,7 @@ void
 printFleetSummary(std::ostream &os, const FleetResult &result)
 {
     os << "fleet: " << result.tenants.size() << " tenants, "
-       << result.shards << " shards, batch=" << result.batchOps
-       << ", ops=" << result.totalOps << "\n";
+       << result.shards << " shards, ops=" << result.totalOps << "\n";
     for (const TenantResult &t : result.tenants) {
         os << "tenant " << t.id << ": " << t.source
            << " ops=" << t.replay.ops

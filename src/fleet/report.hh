@@ -5,7 +5,7 @@
  * bench_gate counter comparison works unchanged, and carrying the
  * counter-table blocks — "mem", plus "memlp"/"repl" — that the
  * tenant's resolved config emits) plus the first-class
- * "throughput" object — opsReplayed / batchOps / shards / tenants are
+ * "throughput" object — opsReplayed / shards / tenants are
  * deterministic and exact-gated; opsPerSec is derived from the wall
  * clock and only emitted when timing is included, keeping the
  * timing-free report byte-identical at any --jobs value.

@@ -8,9 +8,8 @@
  * The historical single-core API (load/store/cform/compute) targets
  * core 0 and is bit-for-bit identical to the pre-multi-core machine
  * when core.count == 1. Per-core traffic goes through the *On(core,
- * ...) variants; the deterministic round-robin interleaver that drives
- * them from per-core streams lives in sim/trace.hh
- * (runTraceInterleaved).
+ * ...) variants; the one replay loop that drives them from per-core
+ * trace streams, round-robin, lives in sim/trace.hh (replayStreams).
  */
 
 #ifndef CALIFORMS_SIM_MACHINE_HH

@@ -1,6 +1,8 @@
 #include "sim/trace.hh"
 
+#include <algorithm>
 #include <istream>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -49,56 +51,117 @@ TraceOp::compute(std::uint32_t ops)
     return op;
 }
 
+namespace
+{
+
+/** Yields the ops of an in-memory trace. */
+class VectorTraceReader final : public TraceReader
+{
+  public:
+    explicit VectorTraceReader(const Trace &trace)
+        : next_(trace.begin()), end_(trace.end())
+    {}
+
+    bool
+    next(TraceOp &op) override
+    {
+        if (next_ == end_)
+            return false;
+        op = *next_++;
+        return true;
+    }
+
+  private:
+    Trace::const_iterator next_;
+    Trace::const_iterator end_;
+};
+
+} // namespace
+
 std::uint64_t
 runTrace(Machine &machine, const Trace &trace)
 {
+    VectorTraceReader reader(trace);
+    return runTrace(machine, reader);
+}
+
+ReplayStats
+replayStreams(Machine &machine, std::span<TraceReader *const> streams,
+              std::uint64_t max_ops)
+{
+    if (streams.size() > machine.coreCount())
+        throw std::invalid_argument(
+            "replayStreams: more streams than cores");
+
+    // The live streams in core order, in [first, last). A drained
+    // stream is erased in place, so the stream after it keeps its turn
+    // in the same round.
+    struct Live
+    {
+        unsigned core;
+        TraceReader *reader;
+    };
+    const auto live = std::make_unique<Live[]>(streams.size());
+    Live *const first = live.get();
+    Live *last = first;
+    for (unsigned core = 0; core < streams.size(); ++core)
+        *last++ = {core, streams[core]};
+
+    // The totals accumulate in locals, not in the returned struct: the
+    // machine calls are opaque, so stores through the result would be
+    // repeated on every op. `left` is the remaining op budget.
+    std::uint64_t left = max_ops ? max_ops : ~std::uint64_t{0};
     std::uint64_t checksum = 0;
-    for (const TraceOp &op : trace) {
-        switch (op.kind) {
-        case TraceOp::Kind::Load:
-            checksum ^= machine.load(op.addr, op.size, op.dependsOnPrev);
-            break;
-        case TraceOp::Kind::Store:
-            machine.store(op.addr, op.size, op.value);
-            break;
-        case TraceOp::Kind::Cform:
-            machine.cform(op.cform);
-            break;
-        case TraceOp::Kind::Compute:
-            machine.compute(op.computeOps);
-            break;
+    std::uint64_t kind_ops[4] = {0, 0, 0, 0};
+    TraceOp op;
+    for (Live *it = first; it != last && left;) {
+        if (it->reader->next(op)) {
+            --left;
+            // Each case counts its own kind: a constant slot is cheaper
+            // than one indexed by the op just decoded.
+            switch (op.kind) {
+            case TraceOp::Kind::Load:
+                ++kind_ops[0];
+                checksum ^= machine.loadOn(it->core, op.addr, op.size,
+                                           op.dependsOnPrev);
+                break;
+            case TraceOp::Kind::Store:
+                ++kind_ops[1];
+                machine.storeOn(it->core, op.addr, op.size, op.value);
+                break;
+            case TraceOp::Kind::Cform:
+                ++kind_ops[2];
+                machine.cformOn(it->core, op.cform);
+                break;
+            case TraceOp::Kind::Compute:
+                ++kind_ops[3];
+                machine.computeOn(it->core, op.computeOps);
+                break;
+            }
+            ++it;
+        } else {
+            last = std::move(it + 1, last, it);
         }
+        if (it == last)
+            it = first;
     }
-    return checksum;
+
+    ReplayStats stats;
+    stats.ops = kind_ops[0] + kind_ops[1] + kind_ops[2] + kind_ops[3];
+    stats.checksum = checksum;
+    std::copy(std::begin(kind_ops), std::end(kind_ops), stats.kindOps);
+    return stats;
 }
 
 std::uint64_t
 runTrace(Machine &machine, TraceReader &reader,
          std::uint64_t *ops_replayed)
 {
-    std::uint64_t checksum = 0;
-    std::uint64_t count = 0;
-    TraceOp op;
-    while (reader.next(op)) {
-        ++count;
-        switch (op.kind) {
-        case TraceOp::Kind::Load:
-            checksum ^= machine.load(op.addr, op.size, op.dependsOnPrev);
-            break;
-        case TraceOp::Kind::Store:
-            machine.store(op.addr, op.size, op.value);
-            break;
-        case TraceOp::Kind::Cform:
-            machine.cform(op.cform);
-            break;
-        case TraceOp::Kind::Compute:
-            machine.compute(op.computeOps);
-            break;
-        }
-    }
+    TraceReader *const stream = &reader;
+    const ReplayStats stats = replayStreams(machine, {&stream, 1});
     if (ops_replayed)
-        *ops_replayed = count;
-    return checksum;
+        *ops_replayed = stats.ops;
+    return stats.checksum;
 }
 
 std::uint64_t
@@ -109,41 +172,10 @@ runTraceInterleaved(Machine &machine,
     if (streams.size() != machine.coreCount())
         throw std::invalid_argument(
             "runTraceInterleaved: need exactly one stream per core");
-    std::uint64_t checksum = 0;
-    std::uint64_t count = 0;
-    std::vector<bool> alive(streams.size(), true);
-    std::size_t live = streams.size();
-    TraceOp op;
-    while (live) {
-        for (unsigned core = 0; core < streams.size(); ++core) {
-            if (!alive[core])
-                continue;
-            if (!streams[core]->next(op)) {
-                alive[core] = false;
-                --live;
-                continue;
-            }
-            ++count;
-            switch (op.kind) {
-            case TraceOp::Kind::Load:
-                checksum ^= machine.loadOn(core, op.addr, op.size,
-                                           op.dependsOnPrev);
-                break;
-            case TraceOp::Kind::Store:
-                machine.storeOn(core, op.addr, op.size, op.value);
-                break;
-            case TraceOp::Kind::Cform:
-                machine.cformOn(core, op.cform);
-                break;
-            case TraceOp::Kind::Compute:
-                machine.computeOn(core, op.computeOps);
-                break;
-            }
-        }
-    }
+    const ReplayStats stats = replayStreams(machine, streams);
     if (ops_replayed)
-        *ops_replayed = count;
-    return checksum;
+        *ops_replayed = stats.ops;
+    return stats.checksum;
 }
 
 namespace detail

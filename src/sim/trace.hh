@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -128,9 +129,10 @@ class TraceReader
 
     /** Bulk variant: produce up to @p max ops into @p out, returning
      *  the count actually written (< max only at end of trace). The
-     *  default loops next(); sources with cheaper batch decodes
-     *  override it. One virtual call per batch instead of per op is
-     *  what the fleet replay loop (fleet/batch.hh) builds on. */
+     *  default loops next(); the synthetic generators override it to
+     *  skip the per-op virtual call when a whole stream is recorded to
+     *  a trace file. Replay never uses it: replayStreams() pulls one
+     *  op at a time with next(). */
     virtual std::size_t
     fill(TraceOp *out, std::size_t max)
     {
@@ -173,21 +175,42 @@ std::unique_ptr<TraceWriter> makeTraceWriter(std::ostream &os,
                                              TraceFormat format,
                                              std::uint64_t op_count);
 
-/** Replay every op @p reader yields; returns the loads' value XOR, and
- *  the op count via @p ops_replayed when non-null. */
+/** Totals of one replayStreams() call. */
+struct ReplayStats
+{
+    std::uint64_t ops = 0;      //!< ops issued
+    std::uint64_t checksum = 0; //!< loads' value XOR
+    /** Ops per TraceOp::Kind, indexed Load/Store/Cform/Compute. */
+    std::uint64_t kindOps[4] = {0, 0, 0, 0};
+};
+
+/**
+ * The replay loop every trace-driven entry point shares. Stream c
+ * drives core c with a deterministic round-robin interleave: one op
+ * from core 0, one from core 1, ... each round, in core order; a
+ * stream that ends drops out of the rotation while the rest continue.
+ * The fixed policy makes any (machine, streams) pair reproduce the
+ * same cycles, stats, and checksum on every run. With @p max_ops
+ * non-zero the replay stops after that many ops in total and never
+ * pulls an op past the cap, so a capped replay is an exact prefix of
+ * the uncapped one. Throws std::invalid_argument when there are more
+ * streams than cores.
+ */
+ReplayStats replayStreams(Machine &machine,
+                          std::span<TraceReader *const> streams,
+                          std::uint64_t max_ops = 0);
+
+/** Replay every op @p reader yields on core 0; returns the loads'
+ *  value XOR, and the op count via @p ops_replayed when non-null. */
 std::uint64_t runTrace(Machine &machine, TraceReader &reader,
                        std::uint64_t *ops_replayed = nullptr);
 
 /**
- * Replay per-core streams on a multi-core machine with a deterministic
- * round-robin interleave: one op from core 0, one from core 1, ... each
- * round, in core order; a stream that ends drops out of the rotation
- * while the rest continue. @p streams must contain exactly
- * machine.coreCount() entries (throws std::invalid_argument
+ * replayStreams() over exactly one stream per core: @p streams must
+ * contain machine.coreCount() entries (throws std::invalid_argument
  * otherwise). Returns the loads' value XOR across all cores (and the
  * total op count via @p ops_replayed) — with one stream this is
- * exactly runTrace. The fixed policy makes any (machine, streams) pair
- * reproduce the same cycles, stats, and checksum on every run.
+ * exactly runTrace.
  */
 std::uint64_t
 runTraceInterleaved(Machine &machine,

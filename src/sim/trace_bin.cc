@@ -234,17 +234,6 @@ class BinTraceReader final : public TraceReader
         return true;
     }
 
-    /** Batch fast path: the class is final, so the per-op next()
-     *  calls devirtualize into the decode loop. */
-    std::size_t
-    fill(TraceOp *out, std::size_t max) override
-    {
-        std::size_t n = 0;
-        while (n < max && next(out[n]))
-            ++n;
-        return n;
-    }
-
   private:
     /** Read the next block; false at the end of the stream. */
     bool

@@ -77,8 +77,8 @@ class BudgetedGenerator : public TraceReader
         return true;
     }
 
-    /** Batch fast path for the fleet replay loop: one virtual call
-     *  per batch, produce() dispatched directly. */
+    /** Bulk path for recording a stream to a trace file: one virtual
+     *  call per block, produce() dispatched directly. */
     std::size_t
     fill(TraceOp *out, std::size_t max) final
     {
@@ -555,15 +555,6 @@ synthBench(const char *name)
     return {bench, false, [bench](KernelContext &ctx) {
                 const SynthParams &p = ctx.synth();
                 const unsigned cores = ctx.machine().coreCount();
-                if (cores == 1) {
-                    // Historical single-core path, kept verbatim so
-                    // core.count=1 runs stay bit-identical to the
-                    // committed baselines.
-                    const auto gen =
-                        makeSynthGenerator(bench, p, ctx.n(p.ops));
-                    runTrace(ctx.machine(), *gen);
-                    return;
-                }
                 auto streams =
                     makeSynthStreams(bench, p, ctx.n(p.ops), cores);
                 std::vector<TraceReader *> raw;

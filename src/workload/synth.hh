@@ -33,7 +33,7 @@
  *               directly measurable (repl.cformEvictions)
  *
  * Every generator is a TraceReader: the same op stream can be replayed
- * directly into a Machine (runTrace), serialized to a text or binary
+ * directly into a Machine (replayStreams), serialized to a text or binary
  * trace (`califorms trace gen --workload`), or run as a campaign
  * benchmark — each workload is registered as a SpecBenchmark
  * (synthSuite()) visible to findBenchmark, `califorms sweep --bench`
@@ -85,7 +85,9 @@ std::unique_ptr<TraceReader> makeSynthGenerator(const std::string &name,
  * 1 and params.protectLines > 0, core 0's stream is prefixed with a
  * CFORM protect-preamble over the workload's hottest shared lines, so
  * cross-core handoffs of those lines exercise the sentinel conversion
- * path under coherence. Feed the result to runTraceInterleaved.
+ * path under coherence. With @p cores == 1 the single stream is exactly
+ * makeSynthGenerator(name, params, ops_per_core). Feed the result to
+ * runTraceInterleaved.
  */
 std::vector<std::unique_ptr<TraceReader>>
 makeSynthStreams(const std::string &name, const SynthParams &params,
@@ -93,9 +95,10 @@ makeSynthStreams(const std::string &name, const SynthParams &params,
 
 /** The synthetic workloads as campaign benchmarks. Each entry streams
  *  its generator into the context machine with ops scaled by
- *  run.scale; none is part of the paper's software-eval suite. On a
- *  multi-core machine the spec fans out per core (makeSynthStreams)
- *  and replays through the deterministic round-robin interleaver. */
+ *  run.scale; none is part of the paper's software-eval suite. The
+ *  spec fans out per core (makeSynthStreams, one stream on a 1-core
+ *  machine) and replays through the deterministic round-robin
+ *  interleaver. */
 const std::vector<SpecBenchmark> &synthSuite();
 
 /** The adversarial replacement stressors (thrash, scan, mixed) as

@@ -2,12 +2,10 @@
  * @file test_fleet.cc
  * Fleet serving engine tests: tenant manifest parsing and the overlay
  * restriction rules, per-tenant config resolution (overlay precedence
- * and the seed stride), bit-equivalence of the batched SoA replay loop
- * against the per-op runTrace path, constant-memory streaming (fill
- * requests never exceed the batch size over a multi-million-op
- * replay), and the merged-report determinism contract: per-tenant sums
- * equal the fleet totals and the timing-free JSON is byte-identical at
- * any jobs/shards value.
+ * and the seed stride), and the merged-report determinism contract:
+ * per-tenant sums equal the fleet totals and the timing-free JSON is
+ * byte-identical at any jobs/shards value. The replay loop itself is
+ * tested with the trace code (ReplayStreams.* in test_trace.cc).
  */
 
 #include <gtest/gtest.h>
@@ -212,137 +210,6 @@ TEST(ResolveTenantConfig, StrideZeroGivesIdenticalStreams)
     // ...without touching tenant 0, whose seed is unstrided.
     EXPECT_EQ(strided.tenants[0].replay.checksum,
               result.tenants[0].replay.checksum);
-}
-
-// The batched SoA hot loop ---------------------------------------------
-
-TEST(BatchReplay, BitEquivalentToRunTrace)
-{
-    SynthParams params;
-    const std::uint64_t ops = 20000;
-    // Generators covering all four op kinds: stackchurn for CFORMs,
-    // attackmix for faults, zipf for dependent loads.
-    for (const std::string &name :
-         {std::string("zipf"), std::string("stackchurn"),
-          std::string("attackmix")}) {
-        Machine reference({}, ExceptionUnit::Policy::Record);
-        const auto ref_gen = makeSynthGenerator(name, params, ops);
-        std::uint64_t ref_ops = 0;
-        const std::uint64_t ref_checksum =
-            runTrace(reference, *ref_gen, &ref_ops);
-
-        Machine batched({}, ExceptionUnit::Policy::Record);
-        const auto gen = makeSynthGenerator(name, params, ops);
-        const BatchReplayStats stats =
-            replayBatched(batched, *gen, 256);
-
-        EXPECT_EQ(stats.ops, ref_ops) << name;
-        EXPECT_EQ(stats.checksum, ref_checksum) << name;
-        EXPECT_EQ(batched.cycles(), reference.cycles()) << name;
-        EXPECT_EQ(batched.instructions(), reference.instructions())
-            << name;
-        EXPECT_EQ(batched.memStats().securityFaults,
-                  reference.memStats().securityFaults)
-            << name;
-        EXPECT_EQ(stats.kindOps[0] + stats.kindOps[1] +
-                      stats.kindOps[2] + stats.kindOps[3],
-                  stats.ops)
-            << name;
-    }
-}
-
-TEST(BatchReplay, BatchSizeInvariant)
-{
-    // The batch size is a pure performance knob: any value produces
-    // the same machine state and checksum.
-    SynthParams params;
-    std::uint64_t checksum0 = 0;
-    Cycles cycles0 = 0;
-    for (const std::size_t batch : {1ul, 7ul, 256ul, 65536ul}) {
-        Machine machine({}, ExceptionUnit::Policy::Record);
-        const auto gen = makeSynthGenerator("mixed", params, 10000);
-        const BatchReplayStats stats =
-            replayBatched(machine, *gen, batch);
-        EXPECT_EQ(stats.ops, 10000u);
-        EXPECT_EQ(stats.batches,
-                  (10000 + batch - 1) / batch);
-        if (!checksum0) {
-            checksum0 = stats.checksum;
-            cycles0 = machine.cycles();
-        }
-        EXPECT_EQ(stats.checksum, checksum0) << batch;
-        EXPECT_EQ(machine.cycles(), cycles0) << batch;
-    }
-}
-
-TEST(BatchReplay, MaxOpsCapsTheReplay)
-{
-    SynthParams params;
-    Machine machine({}, ExceptionUnit::Policy::Record);
-    const auto gen = makeSynthGenerator("stream", params, 100000);
-    const BatchReplayStats stats =
-        replayBatched(machine, *gen, 256, 1000);
-    EXPECT_EQ(stats.ops, 1000u);
-    EXPECT_EQ(stats.batches, 4u); // ceil(1000 / 256)
-
-    // The cap must be an exact prefix of the uncapped replay.
-    Machine full({}, ExceptionUnit::Policy::Record);
-    const auto prefix_gen = makeSynthGenerator("stream", params, 1000);
-    const BatchReplayStats prefix =
-        replayBatched(full, *prefix_gen, 256);
-    EXPECT_EQ(stats.checksum, prefix.checksum);
-    EXPECT_EQ(machine.cycles(), full.cycles());
-}
-
-TEST(BatchReplay, ZeroBatchThrows)
-{
-    SynthParams params;
-    Machine machine({}, ExceptionUnit::Policy::Record);
-    const auto gen = makeSynthGenerator("zipf", params, 10);
-    EXPECT_THROW(replayBatched(machine, *gen, 0),
-                 std::invalid_argument);
-}
-
-/** Wraps a reader to record the largest single fill() request — the
- *  constant-memory contract: the replay loop must never ask for more
- *  than one batch at a time, however long the trace. */
-class FillAuditReader : public TraceReader
-{
-  public:
-    explicit FillAuditReader(TraceReader &inner) : inner_(inner) {}
-
-    bool next(TraceOp &op) override { return inner_.next(op); }
-
-    std::size_t
-    fill(TraceOp *out, std::size_t max) override
-    {
-        maxRequest = std::max(maxRequest, max);
-        ++fillCalls;
-        return inner_.fill(out, max);
-    }
-
-    std::size_t maxRequest = 0;
-    std::uint64_t fillCalls = 0;
-
-  private:
-    TraceReader &inner_;
-};
-
-TEST(BatchReplay, ConstantMemoryOverTwoMillionOps)
-{
-    // 2M ops through a 512-op buffer: one fill per batch, never a
-    // request larger than the batch — the buffer is the only storage,
-    // so memory stays constant however long the stream runs.
-    SynthParams params;
-    const std::uint64_t ops = 2'000'000;
-    Machine machine({}, ExceptionUnit::Policy::Record);
-    const auto gen = makeSynthGenerator("stream", params, ops);
-    FillAuditReader audit(*gen);
-    const BatchReplayStats stats = replayBatched(machine, audit, 512);
-    EXPECT_EQ(stats.ops, ops);
-    EXPECT_EQ(audit.maxRequest, 512u);
-    EXPECT_EQ(audit.fillCalls, stats.batches);
-    EXPECT_EQ(stats.batches, ops / 512 + (ops % 512 ? 1 : 0));
 }
 
 // The fleet engine ------------------------------------------------------

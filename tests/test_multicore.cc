@@ -6,7 +6,8 @@
  * califormed-line ping-pong (conversion under invalidation), directory
  * residency (the directory drains with the private sides, including
  * after a faulting non-temporal CFORM), replay determinism, jobs-invariance of a core.count sweep, per-core vs
- * merged statistics, the round-robin interleaver, the clearStats
+ * merged statistics, the round-robin interleaver (pinned op for op
+ * against hand-issued per-core calls), the clearStats
  * wbPeakOccupancy regression, and degenerate trace-reader inputs.
  */
 
@@ -21,6 +22,7 @@
 #include "sim/machine.hh"
 #include "sim/stats_dump.hh"
 #include "sim/trace.hh"
+#include "util/rng.hh"
 #include "workload/runner.hh"
 #include "workload/synth.hh"
 
@@ -373,6 +375,58 @@ TEST(MulticoreInterleave, UnequalStreamsDrainCompletely)
     EXPECT_EQ(replayed, 37u);
     EXPECT_EQ(m.coreInstructions(0), 30u);
     EXPECT_EQ(m.coreInstructions(1), 7u);
+}
+
+TEST(MulticoreInterleave, MatchesHandIssuedRoundRobin)
+{
+    // Two unequal streams over the same eight lines, so the order of
+    // the cores' accesses decides the coherence traffic, the cycles
+    // and the loaded values.
+    Rng rng(0x1e7);
+    Trace t0, t1;
+    auto randomOp = [&rng] {
+        const Addr addr = 0x40000 + 8 * rng.nextBelow(64);
+        return rng.chance(0.5) ? TraceOp::load(addr, 8)
+                               : TraceOp::store(addr, 8, rng.next());
+    };
+    for (int i = 0; i < 41; ++i)
+        t0.push_back(randomOp());
+    for (int i = 0; i < 13; ++i)
+        t1.push_back(randomOp());
+
+    std::stringstream s0, s1;
+    writeTrace(s0, t0);
+    writeTrace(s1, t1);
+    const auto r0 = openTraceReader(s0);
+    const auto r1 = openTraceReader(s1);
+    Machine replayed(multicoreParams(2, CoherenceKind::Msi));
+    std::uint64_t ops = 0;
+    const std::uint64_t checksum =
+        runTraceInterleaved(replayed, {r0.get(), r1.get()}, &ops);
+
+    // One op per live core per round, core 0 first; core 1 drops out
+    // after round 13 and core 0 runs on alone.
+    Machine direct(multicoreParams(2, CoherenceKind::Msi));
+    std::uint64_t direct_checksum = 0;
+    auto issueOn = [&direct, &direct_checksum](unsigned core,
+                                               const TraceOp &op) {
+        if (op.kind == TraceOp::Kind::Load)
+            direct_checksum ^= direct.loadOn(core, op.addr, op.size);
+        else
+            direct.storeOn(core, op.addr, op.size, op.value);
+    };
+    for (std::size_t i = 0; i < t0.size(); ++i) {
+        issueOn(0, t0[i]);
+        if (i < t1.size())
+            issueOn(1, t1[i]);
+    }
+
+    EXPECT_EQ(ops, t0.size() + t1.size());
+    EXPECT_EQ(checksum, direct_checksum);
+    EXPECT_EQ(replayed.cycles(), direct.cycles());
+    for (unsigned core = 0; core < 2; ++core)
+        EXPECT_EQ(replayed.coreCycles(core), direct.coreCycles(core));
+    expectStatsEq(replayed.memStats(), direct.memStats());
 }
 
 TEST(MulticoreInterleave, StreamCountMustMatchCoreCount)

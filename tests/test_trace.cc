@@ -3,8 +3,8 @@
  * Trace replay and serialization tests: round-trip through the text
  * and binary formats, header/truncation edge cases, format
  * auto-detection, streaming-vs-vector equivalence, replay determinism,
- * equivalence between trace replay and direct Machine calls, and the
- * stats dump.
+ * equivalence between trace replay and direct Machine calls, the
+ * shared replay loop (op cap, per-kind counts), and the stats dump.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "sim/stats_dump.hh"
 #include "sim/trace.hh"
 #include "util/rng.hh"
+#include "workload/synth.hh"
 
 namespace califorms
 {
@@ -593,6 +594,115 @@ TEST(TraceReplay, MatchesDirectCalls)
     EXPECT_EQ(checksum, 77u);
     EXPECT_EQ(replayed.cycles(), direct.cycles());
     EXPECT_EQ(replayed.securityMask(0x2040), 0xf0ull);
+}
+
+// The shared replay loop ------------------------------------------------
+
+/** Counts the ops pulled through it, so a test can see that a capped
+ *  replay never reads past its cap. */
+class CountingReader final : public TraceReader
+{
+  public:
+    explicit CountingReader(TraceReader &inner) : inner_(inner) {}
+
+    bool
+    next(TraceOp &op) override
+    {
+        if (!inner_.next(op))
+            return false;
+        ++pulled;
+        return true;
+    }
+
+    std::uint64_t pulled = 0;
+
+  private:
+    TraceReader &inner_;
+};
+
+TEST(ReplayStreams, MaxOpsCapsTheReplay)
+{
+    SynthParams params;
+    Machine machine({}, ExceptionUnit::Policy::Record);
+    const auto gen = makeSynthGenerator("stream", params, 100000);
+    CountingReader counted(*gen);
+    TraceReader *const stream = &counted;
+    const ReplayStats stats = replayStreams(machine, {&stream, 1}, 1000);
+    EXPECT_EQ(stats.ops, 1000u);
+    EXPECT_EQ(counted.pulled, 1000u);
+
+    // The cap must be an exact prefix of the uncapped replay.
+    Machine full({}, ExceptionUnit::Policy::Record);
+    const auto prefix_gen = makeSynthGenerator("stream", params, 1000);
+    std::uint64_t prefix_ops = 0;
+    EXPECT_EQ(stats.checksum, runTrace(full, *prefix_gen, &prefix_ops));
+    EXPECT_EQ(prefix_ops, 1000u);
+    EXPECT_EQ(machine.cycles(), full.cycles());
+}
+
+TEST(ReplayStreams, CapCountsOpsAcrossStreams)
+{
+    Trace t;
+    for (int i = 0; i < 10; ++i)
+        t.push_back(TraceOp::load(0x10000 + 64 * i, 8));
+    std::stringstream s0, s1;
+    writeTrace(s0, t);
+    writeTrace(s1, t);
+    const auto r0 = openTraceReader(s0);
+    const auto r1 = openTraceReader(s1);
+    TraceReader *const streams[] = {r0.get(), r1.get()};
+
+    MachineParams p;
+    p.core.count = 2;
+    Machine machine(p);
+    const ReplayStats stats = replayStreams(machine, streams, 5);
+    EXPECT_EQ(stats.ops, 5u);
+    EXPECT_EQ(machine.coreInstructions(0), 3u);
+    EXPECT_EQ(machine.coreInstructions(1), 2u);
+}
+
+TEST(ReplayStreams, KindCountsMatchTheStream)
+{
+    // Generators covering all four op kinds: stackchurn for CFORMs,
+    // attackmix for faults, zipf for dependent loads.
+    for (const std::string name : {"zipf", "stackchurn", "attackmix"}) {
+        SCOPED_TRACE(name);
+        const std::uint64_t ops = 20000;
+        const auto materialized =
+            makeSynthGenerator(name, SynthParams{}, ops);
+        Trace trace;
+        std::uint64_t expected[4] = {0, 0, 0, 0};
+        TraceOp op;
+        while (materialized->next(op)) {
+            trace.push_back(op);
+            ++expected[static_cast<std::size_t>(op.kind)];
+        }
+
+        Machine streamed({}, ExceptionUnit::Policy::Record);
+        const auto gen = makeSynthGenerator(name, SynthParams{}, ops);
+        TraceReader *const stream = gen.get();
+        const ReplayStats stats = replayStreams(streamed, {&stream, 1});
+        EXPECT_EQ(stats.ops, ops);
+        EXPECT_EQ(stats.kindOps[0] + stats.kindOps[1] +
+                      stats.kindOps[2] + stats.kindOps[3],
+                  stats.ops);
+        for (std::size_t k = 0; k < 4; ++k)
+            EXPECT_EQ(stats.kindOps[k], expected[k]) << "kind " << k;
+
+        Machine vectored({}, ExceptionUnit::Policy::Record);
+        EXPECT_EQ(stats.checksum, runTrace(vectored, trace));
+        EXPECT_EQ(streamed.cycles(), vectored.cycles());
+    }
+}
+
+TEST(ReplayStreams, MoreStreamsThanCoresThrows)
+{
+    std::stringstream s0, s1;
+    const auto r0 = openTraceReader(s0);
+    const auto r1 = openTraceReader(s1);
+    TraceReader *const streams[] = {r0.get(), r1.get()};
+    Machine machine;
+    EXPECT_THROW(replayStreams(machine, streams), std::invalid_argument);
 }
 
 TEST(StatsDump, ContainsAllSections)

@@ -61,8 +61,8 @@ usage()
         "object and\n"
         "                   throughput.opsPerSec)\n"
         "%s\n"
-        "base config keys: mem.*, workload.*, fleet.* (fleet.shards, "
-        "fleet.batch_ops,\nfleet.tenant_seed_stride); workloads: %s\n",
+        "base config keys: mem.*, workload.*, fleet.* (fleet.shards,\n"
+        "fleet.tenant_seed_stride); workloads: %s\n",
         config::cliUsage().c_str(), workloads.c_str());
 }
 

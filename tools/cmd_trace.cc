@@ -22,6 +22,7 @@
 
 #include "cli.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -62,7 +63,8 @@ usage()
         "legacy alias flags, e.g. --levels,\n--l2-kb, --cores) "
         "reconfigure it. On a multi-core machine (--set\n"
         "core.count=N) trace run takes exactly N trace files, one "
-        "stream per core,\ninterleaved round-robin.\n",
+        "stream per core,\ninterleaved round-robin; at most one of "
+        "them may be '-' (stdin).\n",
         workloads.c_str());
 }
 
@@ -323,6 +325,14 @@ traceRun(int argc, char **argv)
         usage();
         return 2;
     }
+    // Two cores reading one stdin would alternate over a single
+    // stream, each seeing every other op: refuse instead.
+    if (std::count(paths.begin(), paths.end(), "-") > 1) {
+        std::fprintf(stderr, "califorms trace: stdin ('-') given more "
+                             "than once; each core needs its own "
+                             "stream\n");
+        return 2;
+    }
 
     // A trace replay consumes only the machine model: every other
     // domain (run.*, layout.*, heap.*, stack.*, workload.*) is decided
@@ -363,10 +373,7 @@ traceRun(int argc, char **argv)
             readers.push_back(openTraceReader(*is));
             streams.push_back(readers.back().get());
         }
-        checksum = paths.size() == 1
-                       ? runTrace(machine, *streams[0], &replayed)
-                       : runTraceInterleaved(machine, streams,
-                                             &replayed);
+        checksum = runTraceInterleaved(machine, streams, &replayed);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "califorms trace: %s\n", e.what());
         return 1;

@@ -1,0 +1,467 @@
+/**
+ * @file anchors.cc
+ * The exact-counter CI anchors, one row of kAnchors each:
+ *
+ *   bench_anchor NAME [--quick] [--scale S] [--seeds N] [--jobs N]
+ *                     [--json FILE] [--csv FILE] [--set key=value ...]
+ *
+ * NAME is the suffix of the anchor's committed BENCH_<NAME>.json
+ * baseline, which is this program's `NAME --quick --jobs 1 --json`
+ * report; ctest's bench.gate.<NAME> and CI's bench-baseline job gate
+ * merges on it (tools/bench_gate.py).
+ *
+ * Every anchor is the same experiment shape: a suite crossed with
+ * registry-key axes, run as one campaign through bench::runCampaign,
+ * and printed as one table row per (benchmark, variant) cell with
+ * every value averaged over the cell's layout seeds. A row declares
+ * only what differs between anchors, so a new grid is a new row, not
+ * a new harness.
+ */
+
+#include <string_view>
+
+#include "bench/common.hh"
+#include "sim/stats_dump.hh"
+
+using namespace califorms;
+
+namespace
+{
+
+/** The depth axis key: crossed through crossLevels (not crossKey), so
+ *  reports keep their "levels" field and "@L<n>" labels. */
+constexpr std::string_view kLevels = "mem.levels";
+
+/** One crossed axis: a registry key and its values. */
+struct Axis
+{
+    std::string key;
+    std::vector<std::string> values;
+};
+
+/** One printed column: a kRunFields entry, a counter-table row
+ *  (statValue), or "slowdown" (cycles relative to the first base
+ *  variant at the same axis point). */
+struct Column
+{
+    const char *name;
+    int digits = 0;
+    bool percent = false;
+};
+
+/** One CI anchor. */
+struct Anchor
+{
+    const char *name;     //!< CLI name, the BENCH_<name>.json suffix
+    const char *campaign; //!< campaign name written to the report
+    const char *title;
+    const char *paper;
+    const char *note; //!< printed after the table
+    std::vector<const SpecBenchmark *> suite;
+    /** key=value sets applied to the campaign base before the user's
+     *  --set/--config, so user values still win. */
+    std::vector<std::string> sets = {};
+    std::vector<exp::Variant> variants; //!< base variants
+    std::vector<Axis> axes;             //!< crossed in order
+    std::vector<Column> columns;
+};
+
+std::vector<const SpecBenchmark *>
+suiteOf(const std::vector<SpecBenchmark> &suite)
+{
+    std::vector<const SpecBenchmark *> out;
+    for (const SpecBenchmark &b : suite)
+        out.push_back(&b);
+    return out;
+}
+
+/** The generators ignore layouts: one non-randomized variant. */
+exp::Variant
+layoutFree()
+{
+    return {"base", InsertionPolicy::None, 0, 0, std::nullopt, false};
+}
+
+const std::vector<Anchor> &
+anchors()
+{
+    static const std::vector<Anchor> table = {
+        {
+            .name = "hierarchy",
+            .campaign = "hierarchy_sweep",
+            .title = "Hierarchy sweep - califorms across 1/2/3 cache "
+                     "levels",
+            .paper = "L1<->L2 conversions per Sec. 5.2; deeper levels "
+                     "absorb miss cost",
+            .note = "the fill/spill codec runs at the L1 boundary "
+                    "wherever it is (L2 at levels>=2,\nDRAM at "
+                    "levels=1); deeper hierarchies trade DRAM traffic "
+                    "for extra conversions\nas califormed lines bounce "
+                    "between the L1 and the sentinel levels.\n",
+            .suite = {&findBenchmark("mcf"), &findBenchmark("milc")},
+            // The write-back queue (the miss-queue path) is part of the
+            // modelled machine; conversion latencies stay at the
+            // paper's hidden-by-the-fill default of 0 cycles.
+            .sets = {"mem.wb_queue_entries=8"},
+            .variants = {{"base", InsertionPolicy::None, 0, 0, false,
+                          false},
+                         {"full/3 CFORM", InsertionPolicy::Full, 3, 0,
+                          true, true}},
+            .axes = {{"mem.levels", {"1", "2", "3"}}},
+            .columns = {{"cycles"},
+                        {"slowdown", 2, true},
+                        {"califorms.fills"},
+                        {"califorms.spills"},
+                        {"wbq.forcedDrains"},
+                        {"dram.accesses"}},
+        },
+        {
+            .name = "workloads",
+            .campaign = "workload_suite",
+            .title = "Synthetic workload suite - generators across "
+                     "1/2/3 cache levels",
+            .paper = "beyond Sec. 8.2: zipf/stream/stack/ring/attack "
+                     "access-pattern coverage",
+            .note = "zipf's hot set collapses into the upper levels as "
+                    "depth grows; stream is\nbandwidth-bound at every "
+                    "depth; stackchurn exercises the CFORM set/unset\n"
+                    "hot path; attackmix is the only workload that "
+                    "trips security bytes.\n",
+            .suite = suiteOf(synthSuite()),
+            .variants = {layoutFree()},
+            .axes = {{"mem.levels", {"1", "2", "3"}}},
+            .columns = {{"cycles"},
+                        {"ipc", 3},
+                        {"l1d.missRate", 2, true},
+                        {"dram.accesses"},
+                        {"califorms.cformOps"},
+                        {"califorms.securityFaults"}},
+        },
+        {
+            .name = "multicore",
+            .campaign = "multicore_scaling",
+            .title = "Multi-core scaling - synthetic workloads across "
+                     "core counts and coherence",
+            .paper = "beyond Sec. 8: private L1s + shared LLC with MSI "
+                     "invalidation coherence",
+            .note = "core.count=1 reproduces the single-requester "
+                    "machine exactly (coherence\ncounters stay zero, "
+                    "msi == none); adding cores multiplies the "
+                    "combined\nfootprint, and MSI charges the "
+                    "write-shared lines with invalidations,\ndirty "
+                    "recalls, and sentinel conversions under "
+                    "surrender.\n",
+            .suite = suiteOf(synthSuite()),
+            .variants = {layoutFree()},
+            .axes = {{"core.count", {"1", "2", "4"}},
+                     {"mem.coherence", {"none", "msi"}}},
+            .columns = {{"cycles"},
+                        {"ipc", 3},
+                        {"dram.accesses"},
+                        {"coherence.invalidations"},
+                        {"coherence.dirtyRecalls"},
+                        {"coherence.convUnderInval"}},
+        },
+        {
+            .name = "memlp",
+            .campaign = "memlevel_parallelism",
+            .title = "Memory-level parallelism - MSHRs and banked DRAM "
+                     "timing across the synthetic workloads",
+            .paper = "beyond Sec. 8: non-blocking miss path vs the "
+                     "blocking machine, row-buffer locality",
+            .note = "mshrs=0 banks=0 reproduces the legacy untimed "
+                    "machine exactly; banks>0\nwith mshrs=0 is the "
+                    "blocking machine (misses serialize on the banked"
+                    "\ntimeline), and raising the MSHR depth lets "
+                    "independent misses overlap -\nstall cycles fall "
+                    "and cycle counts drop back toward the untimed "
+                    "bound.\n",
+            .suite = suiteOf(synthSuite()),
+            // The indexed victim-buffer path runs under the same
+            // traffic.
+            .sets = {"mem.wb_queue_entries=32"},
+            .variants = {layoutFree()},
+            .axes = {{"mem.mshr_entries", {"0", "4", "16"}},
+                     {"mem.dram_banks", {"0", "8"}}},
+            .columns = {{"cycles"},
+                        {"ipc", 3},
+                        {"mshr.stallCycles"},
+                        {"mshr.coalesced"},
+                        {"dram.rowHits"},
+                        {"dram.rowConflicts"},
+                        {"dram.bankConflictCycles"}},
+        },
+        {
+            .name = "repl",
+            .campaign = "repl_policies",
+            .title = "Replacement-policy laboratory - adversarial "
+                     "microworkloads across the pluggable policies",
+            .paper = "beyond Sec. 8: scan/thrash resistance and "
+                     "califormed-victim selection per policy",
+            .note = "lru flushes its hot set on every scan episode and "
+                    "misses the whole thrash\nloop; the rrip pair "
+                    "(drrip, ship) ages the never-reused scan lines out "
+                    "first,\nso their hot-set miss rates collapse. the "
+                    "repl.*.cformEvictions counters are\nnonzero only "
+                    "on mixed, whose hot objects carry security bytes - "
+                    "a policy that\nvictimizes califormed lines shows "
+                    "up directly in repl.cformVictimRate.\n",
+            .suite = suiteOf(adversarialSuite()),
+            .variants = {layoutFree()},
+            .axes = {{"mem.levels", {"2", "3"}},
+                     {"mem.repl_policy",
+                      {"lru", "random", "dip", "drrip", "ship"}}},
+            .columns = {{"cycles"},
+                        {"ipc", 3},
+                        {"l2.missRate", 2, true},
+                        {"l3.missRate", 2, true},
+                        {"repl.l1d.cformEvictions"},
+                        {"repl.l2.cformEvictions"},
+                        {"repl.l3.cformEvictions"},
+                        {"repl.cformVictimRate", 4}},
+        },
+        {
+            .name = "attacks",
+            .campaign = "attack_scenarios",
+            .title = "Red-team scenario laboratory - registered attack "
+                     "PoCs vs victim insertion policies",
+            .paper = "Sec. 7.3: byte-granular blacklisting turns heap "
+                     "exploit primitives into detections",
+            .note = "on the uncaliformed baseline the spray, overflow "
+                    "and stale-pointer primitives\nland silently "
+                    "(timing finds no gap to attack on this victim). "
+                    "under full/\nintelligent insertion the same loops "
+                    "trip a security byte within a handful\nof probes: "
+                    "successProbability collapses while "
+                    "detectProbability saturates,\nand "
+                    "detectionLatencyCycles records how few cycles "
+                    "each attacker life had.\nthe exceptions prove the "
+                    "paper's point - brop still wins because these\n"
+                    "respawns reuse one layout "
+                    "(attack.brop_rerandomize closes it), and uaf\n"
+                    "outwaits the default quarantine "
+                    "(heap.quarantine_fraction=1 closes that).\n",
+            .suite = suiteOf(securitySuite()),
+            // Conversion latencies on so the timing side channel has
+            // signal; extra trials per cell smooth the probabilities.
+            .sets = {"mem.fill_conv_latency=3",
+                     "mem.spill_conv_latency=5", "attack.seeds=8"},
+            // The none column is a genuinely unprotected heap: no
+            // CFORMs means no intra-object spans, no inter-object
+            // guards, and no blacklisted quarantine.
+            .variants = {exp::Variant{"none", InsertionPolicy::None, 0, 0,
+                                      std::nullopt, false}
+                             .withSet("heap.use_cform", "false"),
+                         {"full", InsertionPolicy::Full, 7, 0,
+                          std::nullopt, true},
+                         {"intelligent", InsertionPolicy::Intelligent, 7,
+                          0, std::nullopt, true}},
+            .axes = {{"attack.scenario", attackScenarioNames()}},
+            .columns = {{"successProbability", 2},
+                        {"detectProbability", 2},
+                        {"probes"},
+                        {"crashes"},
+                        {"bytesTouched"},
+                        {"detectionLatencyCycles"}},
+        },
+    };
+    return table;
+}
+
+/** Per-run values that are not memory-system counter rows. */
+struct RunField
+{
+    const char *name;
+    double (*value)(const RunResult &);
+};
+
+template <std::uint64_t SecurityRunStats::*field>
+double
+security(const RunResult &r)
+{
+    return static_cast<double>(r.security.*field);
+}
+
+/** A security counter as a share of the cell's attack trials. */
+template <std::uint64_t SecurityRunStats::*field>
+double
+perTrial(const RunResult &r)
+{
+    return security<field>(r) /
+           static_cast<double>(r.security.trials ? r.security.trials : 1);
+}
+
+using S = SecurityRunStats;
+
+constexpr RunField kRunFields[] = {
+    {"cycles",
+     [](const RunResult &r) { return static_cast<double>(r.cycles); }},
+    {"ipc",
+     [](const RunResult &r) {
+         return r.cycles ? static_cast<double>(r.instructions) /
+                               static_cast<double>(r.cycles)
+                         : 0.0;
+     }},
+    {"successProbability", perTrial<&S::successes>},
+    {"detectProbability", perTrial<&S::detections>},
+    {"probes", security<&S::probes>},
+    {"crashes", security<&S::crashes>},
+    {"bytesTouched", security<&S::bytesTouched>},
+    {"detectionLatencyCycles", security<&S::detectionLatencyCycles>},
+};
+
+double
+runValue(const RunResult &r, std::string_view name)
+{
+    for (const RunField &field : kRunFields)
+        if (name == field.name)
+            return field.value(r);
+    return statValue(r.mem, name);
+}
+
+/** @p name averaged over the layout seeds of one (benchmark, variant)
+ *  cell, summed in unit order (so it is job-count independent). */
+double
+cellMean(const exp::CampaignResult &result, std::size_t b, std::size_t v,
+         std::string_view name)
+{
+    double sum = 0;
+    std::size_t n = 0;
+    for (const exp::RunUnit &unit : result.units) {
+        if (unit.benchIndex != b || unit.variantIndex != v)
+            continue;
+        sum += runValue(result.results[unit.index], name);
+        ++n;
+    }
+    return sum / static_cast<double>(n);
+}
+
+/** The value @p axis assigned to the expanded variant @p v. */
+std::string
+axisValue(const exp::Variant &v, const Axis &axis)
+{
+    if (axis.key == kLevels)
+        return std::to_string(v.levels);
+    for (const auto &[key, value] : v.sets)
+        if (key == axis.key)
+            return value;
+    return {};
+}
+
+std::string
+anchorNames()
+{
+    std::string out;
+    for (const Anchor &a : anchors())
+        out += (out.empty() ? "" : " ") + std::string(a.name);
+    return out;
+}
+
+int
+runAnchor(const Anchor &anchor, const bench::Options &opt)
+{
+    bench::banner(anchor.title, anchor.paper, opt);
+
+    exp::CampaignSpec spec;
+    spec.name = anchor.campaign;
+    spec.suite = anchor.suite;
+    config::Config sets;
+    for (const std::string &pair : anchor.sets) {
+        if (const auto error = sets.setPair(pair)) {
+            std::fprintf(stderr, "anchor %s: %s\n", anchor.name,
+                         error->c_str());
+            return 2;
+        }
+    }
+    sets.applyTo(spec.base);
+    spec.variants = anchor.variants;
+    for (const Axis &axis : anchor.axes) {
+        if (axis.key != kLevels) {
+            spec.variants = exp::CampaignSpec::crossKey(
+                spec.variants, axis.key, axis.values);
+            continue;
+        }
+        std::vector<unsigned> levels;
+        for (const std::string &value : axis.values)
+            levels.push_back(static_cast<unsigned>(std::stoul(value)));
+        spec.variants = exp::CampaignSpec::crossLevels(spec.variants, levels);
+    }
+
+    const auto result = bench::runCampaign(opt, spec);
+
+    // Row keys: the benchmark and the base label when there is more
+    // than one of each, then every axis in declaration order.
+    const bool by_bench = spec.suite.size() > 1;
+    const std::size_t bases = anchor.variants.size();
+    std::vector<std::string> header;
+    if (by_bench)
+        header.push_back("benchmark");
+    if (bases > 1)
+        header.push_back("variant");
+    for (const Axis &axis : anchor.axes)
+        header.push_back(axis.key);
+    for (const Column &column : anchor.columns)
+        header.push_back(column.name);
+
+    TextTable table(header);
+    for (std::size_t b = 0; b < spec.suite.size(); ++b) {
+        for (std::size_t v = 0; v < spec.variants.size(); ++v) {
+            std::vector<std::string> row;
+            if (by_bench)
+                row.push_back(spec.suite[b]->name);
+            if (bases > 1)
+                row.push_back(anchor.variants[v % bases].label);
+            for (const Axis &axis : anchor.axes)
+                row.push_back(axisValue(spec.variants[v], axis));
+            for (const Column &column : anchor.columns) {
+                const bool slowdown =
+                    std::string_view(column.name) == "slowdown";
+                double value =
+                    cellMean(result, b, v, slowdown ? "cycles" : column.name);
+                // Crossing keeps the base variants innermost, so the
+                // first base at this axis point is v - v % bases.
+                if (slowdown)
+                    value = value / cellMean(result, b, v - v % bases,
+                                             "cycles") -
+                            1.0;
+                row.push_back(
+                    column.percent
+                        ? TextTable::pct(value, column.digits)
+                        : TextTable::num(value, column.digits));
+            }
+            table.addRow(std::move(row));
+        }
+    }
+    std::printf("%s\n%s", table.render().c_str(), anchor.note);
+    return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    const std::string_view name = argc > 1 ? argv[1] : "";
+    for (const Anchor &anchor : anchors()) {
+        if (name != anchor.name)
+            continue;
+        // The anchor name joins the program name, so Options sees the
+        // usual argv and its diagnostics name the anchor.
+        std::string prog = std::string(argv[0]) + " " + anchor.name;
+        std::vector<char *> args = {prog.data()};
+        args.insert(args.end(), argv + 2, argv + argc);
+        const bench::Options opt = bench::Options::parse(
+            static_cast<int>(args.size()), args.data());
+        return runAnchor(anchor, opt);
+    }
+    const bool help = name == "--help";
+    if (!help && !name.empty())
+        std::fprintf(stderr, "%s: unknown anchor '%s' (expected one of "
+                             "%s)\n",
+                     argv[0], argv[1], anchorNames().c_str());
+    std::fprintf(help ? stdout : stderr,
+                 "usage: %s NAME [options]   (NAME: %s)\n"
+                 "run '%s NAME --help' for the options\n",
+                 argv[0], anchorNames().c_str(), argv[0]);
+    return help ? 0 : 2;
+}

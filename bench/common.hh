@@ -20,8 +20,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "config/config.hh"
@@ -29,6 +29,7 @@
 #include "exp/report.hh"
 #include "security/scenarios.hh"
 #include "sim/params.hh"
+#include "util/parse.hh"
 #include "util/table.hh"
 #include "workload/runner.hh"
 #include "workload/synth.hh"
@@ -56,13 +57,28 @@ struct Options
      */
     config::Config cfg;
 
+    /**
+     * Parse the harness command line; every malformed or unknown
+     * argument exits 2 with a diagnostic prefixed by argv[0]. --scale
+     * is the run.scale registry key (validated like --set), and
+     * --seeds/--jobs are integers in [1, 4096] / [0, 4096].
+     */
     static Options
     parse(int argc, char **argv)
     {
         Options opt;
+        const char *prog = argv[0];
+        const auto value = [&](int &i) -> std::string {
+            if (i + 1 >= argc) {
+                std::fprintf(stderr, "%s: %s requires a value\n", prog,
+                             argv[i]);
+                std::exit(2);
+            }
+            return argv[++i];
+        };
         for (int i = 1; i < argc; ++i) {
             switch (config::parseCliArg(opt.cfg, argv[i], argc, argv,
-                                        i, argv[0])) {
+                                        i, prog)) {
             case config::CliArg::Consumed:
                 continue;
             case config::CliArg::Error:
@@ -70,41 +86,59 @@ struct Options
             case config::CliArg::NotMine:
                 break;
             }
-            if (std::strcmp(argv[i], "--quick") == 0) {
+            const std::string arg = argv[i];
+            if (arg == "--quick") {
                 opt.quick = true;
                 opt.scale = 0.1;
                 opt.seeds = 1;
-            } else if (std::strcmp(argv[i], "--scale") == 0 &&
-                       i + 1 < argc) {
-                opt.scale = std::atof(argv[++i]);
-            } else if (std::strcmp(argv[i], "--seeds") == 0 &&
-                       i + 1 < argc) {
-                opt.seeds = static_cast<unsigned>(
-                    std::atoi(argv[++i]));
-            } else if (std::strcmp(argv[i], "--jobs") == 0 &&
-                       i + 1 < argc) {
-                opt.jobs = static_cast<unsigned>(
-                    std::atoi(argv[++i]));
-            } else if (std::strcmp(argv[i], "--json") == 0 &&
-                       i + 1 < argc) {
-                opt.jsonPath = argv[++i];
-            } else if (std::strcmp(argv[i], "--csv") == 0 &&
-                       i + 1 < argc) {
-                opt.csvPath = argv[++i];
-            } else if (std::strcmp(argv[i], "--help") == 0) {
+            } else if (arg == "--scale") {
+                if (const auto error = opt.cfg.set("run.scale", value(i))) {
+                    std::fprintf(stderr, "%s: --scale: %s\n", prog,
+                                 error->c_str());
+                    std::exit(2);
+                }
+            } else if (arg == "--seeds") {
+                opt.seeds = countArg(prog, arg, value(i), 1);
+            } else if (arg == "--jobs") {
+                opt.jobs = countArg(prog, arg, value(i), 0);
+            } else if (arg == "--json") {
+                opt.jsonPath = value(i);
+            } else if (arg == "--csv") {
+                opt.csvPath = value(i);
+            } else if (arg == "--help") {
                 std::printf("usage: %s [--scale S] [--seeds N] "
                             "[--jobs N] [--quick]\n"
                             "          [--json FILE] [--csv FILE]\n"
                             "\n%s\n",
-                            argv[0], config::cliUsage().c_str());
+                            prog, config::cliUsage().c_str());
                 std::exit(0);
+            } else {
+                std::fprintf(stderr, "%s: unknown argument '%s'\n",
+                             prog, arg.c_str());
+                std::exit(2);
             }
         }
-        if (opt.scale <= 0)
-            opt.scale = 0.5;
-        if (opt.seeds == 0)
-            opt.seeds = 1;
+        // An explicit --scale / run.scale wins over --quick's default.
+        if (const config::ParamValue *scale = opt.cfg.get("run.scale"))
+            opt.scale = std::get<double>(*scale);
         return opt;
+    }
+
+    /** @p text as an integer in [@p lo, 4096]; exits 2 with the
+     *  `califorms fleet --jobs` style diagnostic otherwise. */
+    static unsigned
+    countArg(const char *prog, const std::string &flag,
+             const std::string &text, unsigned lo)
+    {
+        const auto v = parseU64(text);
+        if (!v || *v < lo || *v > 4096) {
+            std::fprintf(stderr,
+                         "%s: %s expects an integer in [%u, 4096], "
+                         "got '%s'\n",
+                         prog, flag.c_str(), lo, text.c_str());
+            std::exit(2);
+        }
+        return static_cast<unsigned>(*v);
     }
 
     /** The conventional layout-seed list (1000, 1001, ...). */

@@ -16,7 +16,7 @@ int
 main(int argc, char **argv)
 {
     Options opt = Options::parse(argc, argv);
-    if (opt.scale < 1.0 && !opt.quick)
+    if (!opt.quick && !opt.cfg.isSet("run.scale"))
         opt.scale = 1.0; // cheap experiment; run at full scale
     bench::banner("Figure 10 - +1 cycle L2/L3 access latency",
                   "slowdown 0.24%..1.37%, average 0.83%", opt);

@@ -3,7 +3,7 @@
  * The fleet serving engine's throughput harness: one tenant per
  * synthetic workload generator (the five classic streams plus the
  * three adversarial replacement stressors), replayed through the
- * batched SoA loop on the work-stealing pool, reporting the merged
+ * shared replay loop on the work-stealing pool, reporting the merged
  * fleet counters and the sustained ops/sec.
  *
  * The committed BENCH_fleet.json baseline is this harness at --quick
@@ -17,14 +17,13 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 
+#include "bench/common.hh"
 #include "fleet/engine.hh"
 #include "fleet/report.hh"
-#include "workload/synth.hh"
 
 using namespace califorms;
 
@@ -40,10 +39,20 @@ main(int argc, char **argv)
             duration_ops = 20000;
         } else if (std::strcmp(argv[i], "--duration-ops") == 0 &&
                    i + 1 < argc) {
-            duration_ops = std::strtoull(argv[++i], nullptr, 10);
+            const std::string text = argv[++i];
+            const auto v = parseU64(text);
+            if (!v || !*v) {
+                std::fprintf(stderr,
+                             "%s: --duration-ops expects a positive "
+                             "integer, got '%s'\n",
+                             argv[0], text.c_str());
+                return 2;
+            }
+            duration_ops = *v;
         } else if (std::strcmp(argv[i], "--jobs") == 0 &&
                    i + 1 < argc) {
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            jobs = bench::Options::countArg(argv[0], "--jobs",
+                                            argv[++i], 0);
         } else if (std::strcmp(argv[i], "--json") == 0 &&
                    i + 1 < argc) {
             json_path = argv[++i];
@@ -57,12 +66,6 @@ main(int argc, char **argv)
                          argv[0], argv[i]);
             return 2;
         }
-    }
-    if (!duration_ops) {
-        std::fprintf(stderr,
-                     "%s: --duration-ops expects a positive integer\n",
-                     argv[0]);
-        return 2;
     }
 
     // One tenant per generator: the full access-pattern space as one

@@ -56,6 +56,14 @@ bool setOrReport(config::Config &cfg, const char *prog,
                  const std::string &flag, const std::string &key,
                  const std::string &text);
 
+/** @p text as an integer in [@p lo, @p hi], or std::nullopt after the
+ *  uniform "<prog>: <flag> expects an integer in [lo, hi], got
+ *  '<text>'" diagnostic. */
+std::optional<unsigned> countOrReport(const char *prog,
+                                      const std::string &flag,
+                                      const std::string &text,
+                                      unsigned lo, unsigned hi);
+
 } // namespace califorms::cli
 
 #endif // CALIFORMS_TOOLS_CLI_HH

@@ -42,4 +42,18 @@ setOrReport(config::Config &cfg, const char *prog,
     return true;
 }
 
+std::optional<unsigned>
+countOrReport(const char *prog, const std::string &flag,
+              const std::string &text, unsigned lo, unsigned hi)
+{
+    const auto v = parseU64(text);
+    if (!v || *v < lo || *v > hi) {
+        std::fprintf(stderr,
+                     "%s: %s expects an integer in [%u, %u], got '%s'\n",
+                     prog, flag.c_str(), lo, hi, text.c_str());
+        return std::nullopt;
+    }
+    return static_cast<unsigned>(*v);
+}
+
 } // namespace califorms::cli

@@ -115,16 +115,11 @@ cmdFleet(int argc, char **argv)
             }
             duration_ops = *v;
         } else if (arg == "--jobs") {
-            const std::string text = flagValue(argc, argv, i);
-            const auto v = parseU64(text);
-            if (!v || *v > 4096) {
-                std::fprintf(stderr,
-                             "%s: --jobs expects an integer in "
-                             "[0, 4096], got '%s'\n",
-                             prog, text.c_str());
+            const auto v =
+                countOrReport(prog, arg, flagValue(argc, argv, i), 0, 4096);
+            if (!v)
                 return 2;
-            }
-            jobs = static_cast<unsigned>(*v);
+            jobs = *v;
         } else if (arg == "--json") {
             json_path = flagValue(argc, argv, i);
         } else if (arg == "--no-timing") {

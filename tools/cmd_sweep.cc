@@ -21,7 +21,6 @@
 #include "cli.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "exp/campaign.hh"
@@ -210,13 +209,17 @@ cmdSweep(int argc, char **argv)
                              flagValue(argc, argv, i)))
                 return 2;
         } else if (arg == "--seeds") {
-            seeds = static_cast<unsigned>(
-                std::atoi(flagValue(argc, argv, i)));
-            if (seeds == 0)
-                seeds = 1;
+            const auto v =
+                countOrReport(prog, arg, flagValue(argc, argv, i), 1, 4096);
+            if (!v)
+                return 2;
+            seeds = *v;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::atoi(flagValue(argc, argv, i)));
+            const auto v =
+                countOrReport(prog, arg, flagValue(argc, argv, i), 0, 4096);
+            if (!v)
+                return 2;
+            jobs = *v;
         } else if (arg == "--json") {
             json_path = flagValue(argc, argv, i);
         } else if (arg == "--csv") {

@@ -21,7 +21,9 @@
 #include <string_view>
 
 #include "bench/common.hh"
+#include "security/scenarios.hh"
 #include "sim/stats_dump.hh"
+#include "workload/synth.hh"
 
 using namespace califorms;
 

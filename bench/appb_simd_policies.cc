@@ -24,6 +24,9 @@ int
 main(int argc, char **argv)
 {
     const Options opt = Options::parse(argc, argv);
+    // Nothing here reads opt.cfg, so every config key is inert.
+    if (config::KeyScope{0, "this harness"}.reportInert(opt.cfg, opt.prog))
+        return 2;
     bench::banner("Appendix B - SIMD/vector load policies",
                   "three alternatives for wide loads over security bytes",
                   opt);

@@ -27,12 +27,10 @@
 #include "config/config.hh"
 #include "exp/campaign.hh"
 #include "exp/report.hh"
-#include "security/scenarios.hh"
 #include "sim/params.hh"
 #include "util/parse.hh"
 #include "util/table.hh"
 #include "workload/runner.hh"
-#include "workload/synth.hh"
 
 namespace califorms::bench
 {
@@ -46,6 +44,7 @@ struct Options
     bool quick = false;   //!< --quick: one seed, small scale
     std::string jsonPath; //!< --json FILE: machine-readable report
     std::string csvPath;  //!< --csv FILE: one row per run
+    const char *prog = ""; //!< argv[0], the diagnostics' prefix
 
     /**
      * Registry-backed knob overrides, collected from --set key=value,
@@ -67,7 +66,7 @@ struct Options
     parse(int argc, char **argv)
     {
         Options opt;
-        const char *prog = argv[0];
+        const char *prog = opt.prog = argv[0];
         const auto value = [&](int &i) -> std::string {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s: %s requires a value\n", prog,
@@ -192,55 +191,15 @@ fullSuite()
  * before any simulation time is spent). Report notes go to stderr so
  * stdout stays diffable across job counts and report paths. Exits with
  * a message rather than std::terminate on report errors — the bench
- * mains have no try/catch of their own.
+ * mains have no try/catch of their own — and exits 2 on a config key
+ * that no suite entry consumes or that the grid owns.
  */
 inline exp::CampaignResult
 runCampaign(const Options &opt, exp::CampaignSpec spec)
 {
-    // The harness grid owns the layout axis (policy/span variants,
-    // the --seeds list): a base-level set of those keys would be
-    // silently overwritten during expand(), so reject it loudly.
-    // Likewise workload.* keys when no synthetic workload is in the
-    // suite to consume them.
-    bool any_synth = false;
-    bool any_attack = false;
-    for (const SpecBenchmark *b : spec.suite) {
-        any_synth = any_synth || isSynthWorkload(b->name);
-        any_attack = any_attack || isAttackBenchmark(b->name);
-    }
-    for (const auto &[key, value] : opt.cfg.entries()) {
-        if (!any_attack && key.rfind("attack.", 0) == 0) {
-            std::fprintf(stderr,
-                         "%s has no effect here (no attack replay "
-                         "benchmark in this harness's suite consumes "
-                         "attack.* knobs)\n",
-                         key.c_str());
-            std::exit(2);
-        }
-        if (!any_synth && key.rfind("workload.", 0) == 0) {
-            std::fprintf(stderr,
-                         "%s has no effect here (no synthetic "
-                         "workload in this harness's suite consumes "
-                         "workload.* knobs)\n",
-                         key.c_str());
-            std::exit(2);
-        }
-        if (key.rfind("fleet.", 0) == 0) {
-            std::fprintf(stderr,
-                         "%s has no effect here (only the fleet "
-                         "engine consumes fleet.* knobs)\n",
-                         key.c_str());
-            std::exit(2);
-        }
-        if (exp::gridOwnedKey(key)) {
-            std::fprintf(stderr,
-                         "%s is owned by this harness's grid and "
-                         "would be silently overridden; it is not a "
-                         "base config knob here\n",
-                         key.c_str());
-            std::exit(2);
-        }
-    }
+    if (exp::suiteScope(spec.suite, "this harness's grid", true)
+            .reportInert(opt.cfg, opt.prog))
+        std::exit(2);
     spec.base.scale = opt.scale;
     spec.layoutSeeds = opt.layoutSeeds();
     // Registry overrides land after the harness's own base tweaks, so

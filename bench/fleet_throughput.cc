@@ -24,6 +24,7 @@
 #include "bench/common.hh"
 #include "fleet/engine.hh"
 #include "fleet/report.hh"
+#include "workload/synth.hh"
 
 using namespace califorms;
 

@@ -50,6 +50,9 @@ int
 main(int argc, char **argv)
 {
     const Options opt = Options::parse(argc, argv);
+    // Nothing here reads opt.cfg, so every config key is inert.
+    if (config::KeyScope{0, "this harness"}.reportInert(opt.cfg, opt.prog))
+        return 2;
     bench::banner("Section 7.3 - derandomization attack analysis",
                   "(1-P/N)^O scan survival; 1/7^n span guessing", opt);
 

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 
@@ -128,17 +129,15 @@ std::string
 Config::serialize(bool only_non_default) const
 {
     std::ostringstream os;
-    std::string domain;
+    unsigned domain = 0;
     for (const ParamSpec &spec : ParamRegistry::instance().specs()) {
         const bool explicit_set = isSet(spec.key);
         if (only_non_default && !explicit_set)
             continue;
-        const std::string prefix =
-            spec.key.substr(0, spec.key.find('.'));
-        if (prefix != domain) {
-            if (!domain.empty())
+        if (spec.ns != domain) {
+            if (domain)
                 os << "\n";
-            domain = prefix;
+            domain = spec.ns;
         }
         os << spec.key << " = "
            << renderValue(explicit_set ? *get(spec.key) : spec.def);
@@ -169,6 +168,48 @@ Config::fromRunConfig(const RunConfig &rc)
             cfg.values_[spec.key] = std::move(value);
     }
     return cfg;
+}
+
+std::optional<std::string>
+KeyScope::firstInert(const Config &base,
+                     const std::vector<std::string> &axes) const
+{
+    const auto inert =
+        [&](const std::string &key) -> std::optional<std::string> {
+        const ParamSpec *spec = ParamRegistry::instance().find(key);
+        if (spec && (spec->ns & namespaces))
+            return std::nullopt;
+        std::string only;
+        for (std::size_t n = 0; n < std::size(kNamespaceNames); ++n)
+            if (namespaces & (1u << n))
+                only += (only.empty() ? "" : ", ") +
+                        std::string(kNamespaceNames[n]) + ".*";
+        return key + " has no effect on " + target +
+               (only.empty() ? " (no config key applies)"
+                             : " (only " + only + " apply)");
+    };
+    for (const auto &[key, value] : base.entries()) {
+        if (auto error = inert(key))
+            return error;
+        if (gridOwned && gridOwned(key))
+            return key + " is owned by " + target +
+                   " (its policy, span and seed axes); a base set "
+                   "would be silently overridden";
+    }
+    for (const std::string &key : axes)
+        if (auto error = inert(key))
+            return error;
+    return std::nullopt;
+}
+
+bool
+KeyScope::reportInert(const Config &base, const char *prog,
+                      const std::vector<std::string> &axes) const
+{
+    const auto error = firstInert(base, axes);
+    if (error)
+        std::fprintf(stderr, "%s: %s\n", prog, error->c_str());
+    return error.has_value();
 }
 
 CliArg

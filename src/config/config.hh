@@ -97,6 +97,43 @@ class Config
     std::map<std::string, ParamValue> values_;
 };
 
+/**
+ * The key namespaces one consumer applies, and what it calls the thing
+ * the keys configure. Each consumer declares one: the fixed sets are
+ * below; exp::suiteScope and fleet::baseScope/overlayScope compute the
+ * input-dependent ones. A key outside the scope is rejected, never
+ * silently ignored.
+ */
+struct KeyScope
+{
+    unsigned namespaces = 0; //!< ns:: bits whose keys take effect
+    std::string target;      //!< e.g. "a trace replay"
+    /** Keys a campaign grid assigns to every cell (exp::gridOwnedKey),
+     *  so a base set of one would be overridden; null off a grid. */
+    bool (*gridOwned)(const std::string &key) = nullptr;
+
+    /** The diagnostic for the first key of @p base, then of @p axes,
+     *  that cannot take effect ("<key> has no effect on <target> (only
+     *  mem.*, core.* apply)"; a grid-owned key is inert only as a base
+     *  set), or std::nullopt when every key applies. */
+    std::optional<std::string>
+    firstInert(const Config &base,
+               const std::vector<std::string> &axes = {}) const;
+
+    /** firstInert() printed as "<prog>: <diagnostic>" to stderr; true
+     *  when a key was reported. */
+    bool reportInert(const Config &base, const char *prog,
+                     const std::vector<std::string> &axes = {}) const;
+};
+
+/** describeParams() and `califorms trace run`: the machine model. */
+inline constexpr unsigned kMachineScope = ns::Mem | ns::Core;
+/** `califorms trace gen --workload` (without --workload none). */
+inline constexpr unsigned kTraceGenScope = ns::Workload;
+/** `califorms attack`: machine, victim layout, heap, scenario. */
+inline constexpr unsigned kAttackScope =
+    ns::Mem | ns::Core | ns::Layout | ns::Heap | ns::Attack;
+
 /** Result of offering one CLI argument to parseCliArg. */
 enum class CliArg
 {

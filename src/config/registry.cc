@@ -1,5 +1,6 @@
 #include "config/registry.hh"
 
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -807,10 +808,18 @@ ParamRegistry::ParamRegistry()
 
     // Defaults are captured from a default RunConfig through each
     // spec's own accessor: the registry cannot disagree with the
-    // params structs about what the Table 3 machine is.
+    // params structs about what the Table 3 machine is. Namespaces
+    // are derived from the key prefixes, never written per knob.
     const RunConfig defaults{};
-    for (ParamSpec &spec : specs_)
+    for (ParamSpec &spec : specs_) {
         spec.def = spec.read(defaults);
+        const std::string prefix = spec.key.substr(0, spec.key.find('.'));
+        for (std::size_t n = 0; n < std::size(kNamespaceNames); ++n)
+            if (prefix == kNamespaceNames[n])
+                spec.ns = 1u << n;
+        if (!spec.ns)
+            throw std::logic_error(spec.key + " is in no known namespace");
+    }
 }
 
 const ParamSpec *

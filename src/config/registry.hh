@@ -110,6 +110,30 @@ class EnumTable
     std::vector<Entry> entries_;
 };
 
+/** The key namespaces, one bit each, in kNamespaceNames order. The
+ *  registry derives each key's bit from its prefix at registration;
+ *  an unknown prefix fails it. */
+namespace ns
+{
+enum : unsigned
+{
+    Mem = 1u << 0,
+    Core = 1u << 1,
+    Layout = 1u << 2,
+    Heap = 1u << 3,
+    Stack = 1u << 4,
+    Run = 1u << 5,
+    Workload = 1u << 6,
+    Attack = 1u << 7,
+    Fleet = 1u << 8,
+};
+} // namespace ns
+
+/** The key prefix of namespace bit n ("mem" for ns::Mem). */
+inline constexpr const char *kNamespaceNames[] = {
+    "mem", "core", "layout", "heap", "stack",
+    "run", "workload", "attack", "fleet"};
+
 /** The value space of a registered parameter. */
 enum class ParamType
 {
@@ -127,6 +151,7 @@ using ParamValue =
 struct ParamSpec
 {
     std::string key;  //!< dotted name, e.g. "mem.l2_size_kb"
+    unsigned ns = 0;  //!< the key prefix's ns:: bit
     ParamType type = ParamType::UInt;
     ParamValue def{}; //!< captured from a default RunConfig
     std::uint64_t minU = 0, maxU = 0;   //!< UInt bounds (inclusive)

@@ -5,8 +5,9 @@
 #include <stdexcept>
 #include <thread>
 
-#include "config/config.hh"
 #include "layout/policy.hh"
+#include "security/scenarios.hh"
+#include "workload/synth.hh"
 
 namespace califorms::exp
 {
@@ -24,6 +25,23 @@ gridOwnedKey(const std::string &key)
 {
     return key == "layout.policy" || key == "layout.seed" ||
            key == "layout.max_span" || key == "layout.fixed_span";
+}
+
+config::KeyScope
+suiteScope(const std::vector<const SpecBenchmark *> &suite,
+           std::string target, bool grid)
+{
+    namespace ns = config::ns;
+    config::KeyScope scope{
+        ns::Mem | ns::Core | ns::Layout | ns::Heap | ns::Stack | ns::Run,
+        std::move(target), grid ? gridOwnedKey : nullptr};
+    for (const SpecBenchmark *b : suite) {
+        if (isSynthWorkload(b->name))
+            scope.namespaces |= ns::Workload;
+        if (isAttackBenchmark(b->name))
+            scope.namespaces |= ns::Attack;
+    }
+    return scope;
 }
 
 std::vector<std::uint64_t>

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "config/config.hh"
 #include "workload/runner.hh"
 
 namespace califorms::exp
@@ -95,6 +96,16 @@ bool policyUsesSpans(InsertionPolicy policy);
  * axis (Variant::sets) still works.
  */
 bool gridOwnedKey(const std::string &key);
+
+/**
+ * The key scope of a benchmark suite (`califorms run` and `sweep`, the
+ * campaign bench harnesses): mem, core, layout, heap, stack and run,
+ * plus workload.* if any entry is a synthetic workload and attack.* if
+ * any is the attack replay. A @p grid also rejects base sets of the
+ * gridOwnedKey() keys.
+ */
+config::KeyScope suiteScope(const std::vector<const SpecBenchmark *> &suite,
+                            std::string target, bool grid);
 
 /** One expanded grid cell, tagged with its position. */
 struct RunUnit

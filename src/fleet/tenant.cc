@@ -4,7 +4,6 @@
 #include <set>
 #include <sstream>
 
-#include "config/config.hh"
 #include "workload/synth.hh"
 
 namespace califorms::fleet
@@ -25,28 +24,6 @@ TenantSpec::overlaySets(const std::string &key) const
             return true;
     return false;
 }
-
-namespace
-{
-
-/** The overlay families a tenant can consume (see the file comment). */
-std::optional<std::string>
-checkOverlayKey(const TenantSpec &tenant, const std::string &key)
-{
-    const bool is_mem = key.rfind("mem.", 0) == 0;
-    const bool is_workload = key.rfind("workload.", 0) == 0;
-    if (!is_mem && !is_workload)
-        return "tenant '" + tenant.id + "': overlay key '" + key +
-               "' is not a tenant knob (only mem.* and workload.* "
-               "apply per tenant)";
-    if (is_workload && tenant.workload.empty())
-        return "tenant '" + tenant.id + "': '" + key +
-               "' cannot take effect on a trace tenant (the trace "
-               "already fixes the stream)";
-    return std::nullopt;
-}
-
-} // namespace
 
 std::optional<std::string>
 parseTenantSpec(const std::string &line, TenantSpec &out)
@@ -83,8 +60,8 @@ parseTenantSpec(const std::string &line, TenantSpec &out)
     }
 
     // Overlay: registry-validated key=value pairs, restricted to the
-    // tenant-consumable families. A scratch Config performs the value
-    // validation so diagnostics match --set exactly.
+    // tenant's scope. A scratch Config performs the value validation
+    // so diagnostics match --set exactly.
     config::Config scratch;
     while (ss >> token) {
         const std::size_t eq = token.find('=');
@@ -93,13 +70,11 @@ parseTenantSpec(const std::string &line, TenantSpec &out)
                    token + "'";
         const std::string key = token.substr(0, eq);
         const std::string value = token.substr(eq + 1);
-        if (auto error = checkOverlayKey(out, key))
-            return error;
         if (auto error = scratch.set(key, value))
             return "tenant '" + out.id + "': " + *error;
         out.sets.emplace_back(key, value);
     }
-    return std::nullopt;
+    return overlayScope(out).firstInert(scratch);
 }
 
 std::optional<std::string>
@@ -133,6 +108,25 @@ loadManifest(const std::string &path, std::vector<TenantSpec> &out)
     std::ostringstream text;
     text << is.rdbuf();
     return parseManifest(text.str(), out);
+}
+
+config::KeyScope
+baseScope(const std::vector<TenantSpec> &tenants)
+{
+    config::KeyScope scope{config::ns::Mem | config::ns::Fleet,
+                           "a fleet replay"};
+    for (const TenantSpec &tenant : tenants)
+        if (!tenant.workload.empty())
+            scope.namespaces |= config::ns::Workload;
+    return scope;
+}
+
+config::KeyScope
+overlayScope(const TenantSpec &tenant)
+{
+    return {config::ns::Mem |
+                (tenant.workload.empty() ? 0u : config::ns::Workload),
+            "tenant '" + tenant.id + "'"};
 }
 
 std::optional<std::string>

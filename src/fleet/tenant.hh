@@ -12,12 +12,9 @@
  *
  * The id must be unique across the fleet (it keys the tenant's block
  * in the merged report). The overlay keys are validated against the
- * config ParamRegistry at parse time and are restricted to the two
- * families a tenant can actually consume — mem.* (its private
- * machine) and workload.* (its generator; rejected on trace tenants,
- * where the trace already fixes the stream). Anything else — core.*,
- * layout.*, fleet.* itself — is rejected with a diagnostic rather
- * than silently ignored, the registry-wide convention.
+ * config ParamRegistry at parse time and restricted to what a tenant
+ * can consume (overlayScope below); any other key is rejected with a
+ * diagnostic rather than silently ignored.
  */
 
 #ifndef CALIFORMS_FLEET_TENANT_HH
@@ -27,6 +24,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "config/config.hh"
 
 namespace califorms::fleet
 {
@@ -63,6 +62,15 @@ parseManifest(const std::string &text, std::vector<TenantSpec> &out);
 /** Load a manifest file from disk. */
 std::optional<std::string>
 loadManifest(const std::string &path, std::vector<TenantSpec> &out);
+
+/** The key scope of the fleet base --set/--config: mem.* (every
+ *  tenant's machine) and fleet.*, plus workload.* when some tenant is
+ *  a generator. */
+config::KeyScope baseScope(const std::vector<TenantSpec> &tenants);
+
+/** The key scope of one tenant's overlay: mem.*, plus workload.* on
+ *  a generator tenant (a trace already fixes the stream). */
+config::KeyScope overlayScope(const TenantSpec &tenant);
 
 /** Fleet-level validation: at least one tenant, unique ids. */
 std::optional<std::string>

@@ -207,10 +207,7 @@ describeParams(const MachineParams &params)
           "Table 3 defaults; * = non-default)\n";
     for (const config::ParamSpec &spec :
          config::ParamRegistry::instance().specs()) {
-        const bool machine_knob =
-            spec.key.rfind("mem.", 0) == 0 ||
-            spec.key.rfind("core.", 0) == 0;
-        if (!machine_knob)
+        if (!(spec.ns & config::kMachineScope))
             continue;
         const config::ParamValue value = spec.read(rc);
         std::string cell =

@@ -722,7 +722,7 @@ synthSuite()
     // The classic five only: the workload-suite / multicore / memlp
     // bench baselines iterate this suite, so growing it would change
     // their committed grids. The adversarial stressors form their own
-    // suite below (bench_repl_policies / BENCH_repl.json).
+    // suite below (`bench_anchor repl` / BENCH_repl.json).
     static const std::vector<SpecBenchmark> suite = [] {
         std::vector<SpecBenchmark> benches;
         const auto &names = synthWorkloadNames();

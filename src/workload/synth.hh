@@ -102,7 +102,7 @@ makeSynthStreams(const std::string &name, const SynthParams &params,
 const std::vector<SpecBenchmark> &synthSuite();
 
 /** The adversarial replacement stressors (thrash, scan, mixed) as
- *  campaign benchmarks — the workload axis of bench_repl_policies.
+ *  campaign benchmarks — the workload axis of `bench_anchor repl`.
  *  Kept out of synthSuite() so the historical bench baselines keep
  *  their exact grids. */
 const std::vector<SpecBenchmark> &adversarialSuite();

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -23,6 +24,7 @@
 #include "config/config.hh"
 #include "exp/campaign.hh"
 #include "exp/report.hh"
+#include "fleet/tenant.hh"
 #include "sim/machine.hh"
 #include "util/parse.hh"
 
@@ -349,8 +351,7 @@ TEST(Config, DescribeParamsRendersEveryMachineKnob)
     // knob set.
     const std::string listing = describeParams(MachineParams{});
     for (const ParamSpec &spec : ParamRegistry::instance().specs()) {
-        if (spec.key.rfind("mem.", 0) == 0 ||
-            spec.key.rfind("core.", 0) == 0) {
+        if (spec.ns & config::kMachineScope) {
             EXPECT_NE(listing.find(spec.key), std::string::npos)
                 << spec.key;
         }
@@ -360,6 +361,138 @@ TEST(Config, DescribeParamsRendersEveryMachineKnob)
     tweaked.mem.wbQueueEntries = 8;
     EXPECT_NE(describeParams(tweaked).find("* mem.wb_queue_entries"),
               std::string::npos);
+}
+
+TEST(Config, KeyScopeMatrixPinsEveryConsumer)
+{
+    // Every key's namespace is derived from its prefix, one bit each.
+    for (const ParamSpec &spec : ParamRegistry::instance().specs()) {
+        ASSERT_TRUE(std::has_single_bit(spec.ns)) << spec.key;
+        EXPECT_EQ(spec.key.substr(0, spec.key.find('.')),
+                  config::kNamespaceNames[std::countr_zero(spec.ns)]);
+    }
+
+    // One key per namespace, in ns:: bit order. layout.min_span is a
+    // layout key no campaign grid owns.
+    const char *const keys[] = {
+        "mem.levels",   "core.mlp",     "layout.min_span",
+        "heap.use_cform", "stack.use_cform", "run.scale",
+        "workload.ops", "attack.seeds", "fleet.shards"};
+    ASSERT_EQ(std::size(keys), std::size(config::kNamespaceNames));
+
+    const auto suite = [](std::initializer_list<const char *> names) {
+        std::vector<const SpecBenchmark *> out;
+        for (const char *name : names)
+            out.push_back(&findBenchmark(name));
+        return out;
+    };
+    fleet::TenantSpec gen;
+    gen.id = "web";
+    gen.workload = "zipf";
+    fleet::TenantSpec trace;
+    trace.id = "db";
+    trace.tracePath = "db.trc";
+
+    // consumer -> the namespaces it applies, as its diagnostic lists
+    // them. Each row is the declaration the consumer itself uses.
+    struct Row
+    {
+        const char *consumer;
+        config::KeyScope scope;
+        std::string only;
+    };
+    const auto fixed = [](unsigned namespaces, const char *target) {
+        return config::KeyScope{namespaces, target};
+    };
+    const std::string machine = "mem.*, core.*";
+    const std::string bench =
+        "mem.*, core.*, layout.*, heap.*, stack.*, run.*";
+    const Row rows[] = {
+        {"run mcf", exp::suiteScope(suite({"mcf"}), "benchmark 'mcf'", false),
+         bench},
+        {"run zipf",
+         exp::suiteScope(suite({"zipf"}), "benchmark 'zipf'", false),
+         bench + ", workload.*"},
+        {"run attack",
+         exp::suiteScope(suite({"attack"}), "benchmark 'attack'", false),
+         bench + ", attack.*"},
+        {"sweep/bench grid",
+         exp::suiteScope(suite({"mcf", "gcc"}), "the sweep grid", true),
+         bench},
+        {"sweep/bench grid with synthetic and attack entries",
+         exp::suiteScope(suite({"mcf", "scan", "attack"}),
+                         "this harness's grid", true),
+         bench + ", workload.*, attack.*"},
+        {"harness without a config", fixed(0, "this harness"), ""},
+        {"trace run", fixed(config::kMachineScope, "a trace replay"), machine},
+        {"trace gen --workload",
+         fixed(config::kTraceGenScope, "trace generation"), "workload.*"},
+        {"trace gen", fixed(0, "trace generation without --workload"), ""},
+        {"attack", fixed(config::kAttackScope, "the attack scenarios"),
+         "mem.*, core.*, layout.*, heap.*, attack.*"},
+        {"fleet base with a generator tenant",
+         fleet::baseScope({trace, gen}), "mem.*, workload.*, fleet.*"},
+        {"fleet base with trace tenants only", fleet::baseScope({trace}),
+         "mem.*, fleet.*"},
+        {"generator tenant overlay", fleet::overlayScope(gen),
+         "mem.*, workload.*"},
+        {"trace tenant overlay", fleet::overlayScope(trace), "mem.*"},
+        {"describeParams", fixed(config::kMachineScope, "describeParams"),
+         machine},
+    };
+
+    const std::string listing = describeParams(MachineParams{});
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.consumer);
+        for (std::size_t n = 0; n < std::size(keys); ++n) {
+            const std::string key = keys[n];
+            SCOPED_TRACE(key);
+            const bool applies =
+                (", " + row.only + ",")
+                    .find(", " + std::string(config::kNamespaceNames[n]) +
+                          ".*,") != std::string::npos;
+            EXPECT_EQ((row.scope.namespaces >> n) & 1u, applies ? 1u : 0u);
+            Config base;
+            ASSERT_FALSE(base.set(
+                key, config::renderValue(
+                         ParamRegistry::instance().find(key)->def)));
+            const auto as_base = row.scope.firstInert(base);
+            const auto as_axis = row.scope.firstInert(Config{}, {key});
+            if (applies) {
+                EXPECT_FALSE(as_base) << *as_base;
+                EXPECT_FALSE(as_axis) << *as_axis;
+            } else {
+                const std::string expected =
+                    key + " has no effect on " + row.scope.target +
+                    (row.only.empty() ? " (no config key applies)"
+                                      : " (only " + row.only + " apply)");
+                EXPECT_EQ(as_base.value_or(""), expected);
+                EXPECT_EQ(as_axis.value_or(""), expected);
+            }
+            if (std::string(row.consumer) == "describeParams") {
+                EXPECT_EQ(listing.find("  " + key + " ") !=
+                              std::string::npos,
+                          applies);
+            }
+        }
+    }
+
+    // A grid owns policy, spans and seeds: a base set is rejected, an
+    // axis over one is how it is swept. Elsewhere they are plain keys.
+    Config owned;
+    ASSERT_FALSE(owned.set("layout.seed", "9"));
+    const config::KeyScope grid =
+        exp::suiteScope(suite({"mcf"}), "this harness's grid", true);
+    EXPECT_EQ(grid.firstInert(owned).value_or(""),
+              "layout.seed is owned by this harness's grid (its policy, "
+              "span and seed axes); a base set would be silently "
+              "overridden");
+    EXPECT_FALSE(grid.firstInert(Config{}, {"layout.seed"}));
+    EXPECT_FALSE(exp::suiteScope(suite({"mcf"}), "benchmark 'mcf'", false)
+                     .firstInert(owned));
+    const config::KeyScope attack{config::kAttackScope,
+                                  "the attack scenarios"};
+    EXPECT_FALSE(attack.firstInert(owned));
 }
 
 TEST(ConfigGolden, SchemaMatchesCheckedInExpectation)

@@ -216,25 +216,11 @@ cmdAttack(int argc, char **argv)
         }
     }
 
-    // The scenarios consume the machine model, the victim layout, the
-    // heap discipline, and the attack.* knobs; stack.*, run.*, and the
-    // other subsystem keys have no effect on an attack replay, so
-    // reject them rather than silently ignoring them.
-    bool scenario_key_set = false;
-    for (const auto &[key, value] : cfg.entries()) {
-        if (key == "attack.scenario")
-            scenario_key_set = true;
-        if (key.rfind("mem.", 0) != 0 && key.rfind("core.", 0) != 0 &&
-            key.rfind("layout.", 0) != 0 &&
-            key.rfind("heap.", 0) != 0 && key.rfind("attack.", 0) != 0) {
-            std::fprintf(stderr,
-                         "%s: %s has no effect on the attack "
-                         "scenarios (only mem.*, core.*, layout.*, "
-                         "heap.*, and attack.* knobs apply)\n",
-                         prog, key.c_str());
-            return 2;
-        }
-    }
+    const config::KeyScope scope{config::kAttackScope,
+                                 "the attack scenarios"};
+    if (scope.reportInert(cfg, prog))
+        return 2;
+    const bool scenario_key_set = cfg.isSet("attack.scenario");
     if (!scenario.empty() && scenario_key_set) {
         std::fprintf(stderr,
                      "%s: give the scenario positionally ('%s') or via "

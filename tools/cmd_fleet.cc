@@ -134,19 +134,8 @@ cmdFleet(int argc, char **argv)
         }
     }
 
-    // The fleet base consumes exactly three key families; anything
-    // else (core.*, layout.*, run.*, ...) cannot take effect on a
-    // tenant replay and is rejected rather than ignored.
-    for (const auto &[key, value] : cfg.entries()) {
-        if (key.rfind("mem.", 0) && key.rfind("workload.", 0) &&
-            key.rfind("fleet.", 0)) {
-            std::fprintf(stderr,
-                         "%s: %s has no effect on a fleet replay "
-                         "(base keys: mem.*, workload.*, fleet.*)\n",
-                         prog, key.c_str());
-            return 2;
-        }
-    }
+    if (fleet::baseScope(tenants).reportInert(cfg, prog))
+        return 2;
 
     if (auto error = fleet::validateTenants(tenants)) {
         std::fprintf(stderr, "%s: %s\n", prog, error->c_str());

@@ -14,7 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "security/scenarios.hh"
+#include "exp/campaign.hh"
 #include "sim/stats_dump.hh"
 #include "workload/runner.hh"
 #include "workload/synth.hh"
@@ -182,47 +182,17 @@ cmdRun(int argc, char **argv)
         return 2;
     }
 
-    // fleet.* knobs configure only the `califorms fleet` serving
-    // engine; on a single run they would be a silent no-op.
-    for (const auto &[key, value] : cfg.entries()) {
-        if (key.rfind("fleet.", 0) == 0) {
-            std::fprintf(stderr,
-                         "califorms run: %s has no effect here (only "
-                         "`califorms fleet` consumes fleet.* knobs)\n",
-                         key.c_str());
-            return 2;
-        }
+    std::vector<const SpecBenchmark *> suite;
+    if (bench_name == "all") {
+        for (const auto &b : spec2006Suite())
+            suite.push_back(&b);
+    } else {
+        suite.push_back(&findBenchmark(bench_name));
     }
-
-    // attack.* knobs drive only the attack replay benchmark; on
-    // anything else they would be a silent no-op, so reject them.
-    if (!isAttackBenchmark(bench_name)) {
-        for (const auto &[key, value] : cfg.entries()) {
-            if (key.rfind("attack.", 0) == 0) {
-                std::fprintf(stderr,
-                             "califorms run: %s has no effect on "
-                             "benchmark '%s' (only the attack replay "
-                             "benchmark consumes attack.* knobs)\n",
-                             key.c_str(), bench_name.c_str());
-                return 2;
-            }
-        }
-    }
-
-    // workload.* knobs drive only the synthetic generator benchmarks;
-    // on anything else they would be a silent no-op, so reject them.
-    if (!isSynthWorkload(bench_name)) {
-        for (const auto &[key, value] : cfg.entries()) {
-            if (key.rfind("workload.", 0) == 0) {
-                std::fprintf(stderr,
-                             "califorms run: %s has no effect on "
-                             "benchmark '%s' (only the synthetic "
-                             "workloads consume workload.* knobs)\n",
-                             key.c_str(), bench_name.c_str());
-                return 2;
-            }
-        }
-    }
+    const config::KeyScope scope =
+        exp::suiteScope(suite, "benchmark '" + bench_name + "'", false);
+    if (scope.reportInert(cfg, prog))
+        return 2;
 
     RunConfig config;
     config.scale = 0.5;
@@ -241,12 +211,8 @@ cmdRun(int argc, char **argv)
         return 2;
     }
 
-    if (bench_name == "all") {
-        for (const auto &b : spec2006Suite())
-            report(runBenchmark(b, config), config);
-        return 0;
-    }
-    report(runBenchmark(findBenchmark(bench_name), config), config);
+    for (const SpecBenchmark *b : suite)
+        report(runBenchmark(*b, config), config);
     return 0;
 }
 

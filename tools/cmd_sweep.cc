@@ -25,7 +25,6 @@
 
 #include "exp/campaign.hh"
 #include "exp/report.hh"
-#include "security/scenarios.hh"
 #include "util/table.hh"
 #include "workload/runner.hh"
 #include "workload/synth.hh"
@@ -237,59 +236,6 @@ cmdSweep(int argc, char **argv)
         }
     }
 
-    // The sweep grid owns the layout axis: policy comes from
-    // --policies, spans from --maxspans, seeds from --seeds, so a
-    // base-level set of those keys would be silently overwritten by
-    // the grid. Reject it rather than no-op (same contract as trace
-    // run's foreign-key guard). Likewise workload.* keys when no
-    // synthetic benchmark is in the suite.
-    const bool any_synth =
-        bench_name == "synthetic" || isSynthWorkload(bench_name);
-    const bool any_attack = isAttackBenchmark(bench_name);
-    // attack.* keys (as base sets or grid axes) only reach the attack
-    // replay benchmark; anywhere else they would be a silent no-op.
-    for (const auto &[key, values] : axes) {
-        if (!any_attack && key.rfind("attack.", 0) == 0) {
-            std::fprintf(stderr,
-                         "%s: --axis %s has no effect here (only "
-                         "`--bench attack` consumes attack.* knobs)\n",
-                         prog, key.c_str());
-            return 2;
-        }
-    }
-    for (const auto &[key, value] : cfg.entries()) {
-        if (!any_attack && key.rfind("attack.", 0) == 0) {
-            std::fprintf(stderr,
-                         "%s: %s has no effect here (only `--bench "
-                         "attack` consumes attack.* knobs)\n",
-                         prog, key.c_str());
-            return 2;
-        }
-        if (!any_synth && key.rfind("workload.", 0) == 0) {
-            std::fprintf(stderr,
-                         "%s: %s has no effect here (no synthetic "
-                         "workload in the suite consumes workload.* "
-                         "knobs)\n",
-                         prog, key.c_str());
-            return 2;
-        }
-        if (key.rfind("fleet.", 0) == 0) {
-            std::fprintf(stderr,
-                         "%s: %s has no effect here (only `califorms "
-                         "fleet` consumes fleet.* knobs)\n",
-                         prog, key.c_str());
-            return 2;
-        }
-        if (exp::gridOwnedKey(key)) {
-            std::fprintf(stderr,
-                         "%s: %s is owned by the sweep grid "
-                         "(--policies / --maxspans / --seeds); a base "
-                         "config set would be silently overridden\n",
-                         prog, key.c_str());
-            return 2;
-        }
-    }
-
     // A single-depth --levels was folded into cfg during parsing; the
     // grid (and the table shape) only grows for a real comma-list axis.
     RunConfig base;
@@ -310,6 +256,17 @@ cmdSweep(int argc, char **argv)
     } else {
         spec.suite.push_back(&findBenchmark(bench_name));
     }
+
+    // Every base and axis key must reach some suite entry. The grid
+    // owns policy (--policies), spans (--maxspans) and seeds
+    // (--seeds), so a base set of those would be silently overwritten.
+    std::vector<std::string> axis_keys;
+    for (const auto &[key, values] : axes)
+        axis_keys.push_back(key);
+    const config::KeyScope scope =
+        exp::suiteScope(spec.suite, "the sweep grid", true);
+    if (scope.reportInert(cfg, prog, axis_keys))
+        return 2;
 
     // Variant 0 is always the baseline the slowdown column divides by,
     // even when the user's --policies list omits 'none'; the row order

@@ -232,19 +232,14 @@ traceGen(int argc, char **argv)
         }
     }
 
-    // Generation consumes only the workload generator knobs; machine
-    // and layout keys would be silent no-ops here (the machine is
-    // chosen at replay time), so reject them.
-    for (const auto &[key, value] : cfg.entries()) {
-        if (key.rfind("workload.", 0) != 0 || workload.empty()) {
-            std::fprintf(stderr,
-                         "califorms trace: %s has no effect on trace "
-                         "generation (only workload.* knobs apply, "
-                         "with --workload)\n",
-                         key.c_str());
-            return 2;
-        }
-    }
+    // The machine is chosen at replay time, so generation consumes
+    // only the generator's knobs.
+    const config::KeyScope scope =
+        workload.empty()
+            ? config::KeyScope{0, "trace generation without --workload"}
+            : config::KeyScope{config::kTraceGenScope, "trace generation"};
+    if (scope.reportInert(cfg, "califorms trace"))
+        return 2;
 
     std::ofstream file;
     std::ostream *const os = openOutput(out, file);
@@ -334,20 +329,10 @@ traceRun(int argc, char **argv)
         return 2;
     }
 
-    // A trace replay consumes only the machine model: every other
-    // domain (run.*, layout.*, heap.*, stack.*, workload.*) is decided
-    // by the trace itself, so accepting such a key would be a silent
-    // no-op.
-    for (const auto &[key, value] : cfg.entries()) {
-        if (key.rfind("mem.", 0) != 0 && key.rfind("core.", 0) != 0) {
-            std::fprintf(stderr,
-                         "califorms trace: %s has no effect on a "
-                         "trace replay (only mem.* and core.* knobs "
-                         "apply)\n",
-                         key.c_str());
-            return 2;
-        }
-    }
+    // The trace itself decides everything but the machine model.
+    const config::KeyScope scope{config::kMachineScope, "a trace replay"};
+    if (scope.reportInert(cfg, "califorms trace"))
+        return 2;
 
     Machine machine(cfg.makeRunConfig().machine);
     if (paths.size() != machine.coreCount()) {

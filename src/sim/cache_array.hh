@@ -2,9 +2,10 @@
  * @file cache_array.hh
  * A generic set-associative cache array parameterized on the stored
  * line payload. The L1 data cache stores BitVectorLine payloads
- * (califorms-bitvector); L2 and L3 store SentinelLine payloads
- * (califorms-sentinel). Timing lives in the hierarchy (memsys.hh);
- * this class is purely the tag/data array.
+ * (califorms-bitvector); the tag-only L2 and L3 store just the
+ * califormed bit of each sentinel-format line, whose data lives in
+ * SharedMemory's one store (shared_mem.hh). Timing lives in the
+ * hierarchy (memsys.hh); this class is purely the tag/data array.
  *
  * The array is three parallel vectors indexed set * ways + way: tags,
  * dirty bytes and payloads. A lookup scans only the set's contiguous

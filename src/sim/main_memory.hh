@@ -9,6 +9,10 @@
  * page's 64 lines plus a presence mask. The page table is an
  * open-addressed LineMap keyed by page number, so a line access costs
  * one or two probes of a flat key array and no per-line allocation.
+ *
+ * SharedMemory keeps its data here: its L2 and LLC hold only tags, so
+ * between flushes this store holds the newest value of each line below
+ * the private caches, not just what has reached DRAM.
  */
 
 #ifndef CALIFORMS_SIM_MAIN_MEMORY_HH
@@ -28,12 +32,11 @@ namespace califorms
 class MainMemory : public LineStore
 {
   public:
-    /** Read the line at @p line_addr (zero/clean if never written).
-     *  Counted: mutates the read counter, so demand paths need a
-     *  non-const memory — no counter writes hide behind const. */
+    /** Read the line at @p line_addr (zero/clean if never written),
+     *  counting it in reads(): the LineStore view the swap path uses. */
     SentinelLine readLine(Addr line_addr) override;
 
-    /** Uncounted lookup for functional (untimed) inspection paths. */
+    /** Uncounted lookup: SharedMemory's demand and functional reads. */
     SentinelLine peekLine(Addr line_addr) const;
 
     /** Write a full line including its ECC califormed bit. */

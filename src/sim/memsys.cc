@@ -22,8 +22,8 @@ MemorySystem::MemorySystem(const MemSysParams &params,
 MemorySystem::MemorySystem(const MemSysParams &params,
                            ExceptionUnit &exceptions, SharedMemory &shared)
     : params_(params), exceptions_(exceptions),
-      l1_(params.l1Size, params.l1Ways, resolvedReplPolicy(params, 1)), shared_(&shared),
-      mshr_(params.mshrEntries)
+      l1_(params.l1Size, params.l1Ways, resolvedReplPolicy(params, 1)),
+      shared_(&shared), mshr_(params.mshrEntries)
 {
     coreId_ = shared_->attachPeer(*this);
 }

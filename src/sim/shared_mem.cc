@@ -15,13 +15,13 @@ SharedMemory::SharedMemory(const MemSysParams &params)
         throw std::invalid_argument("SharedMemory: levels must be 1..3");
     if (params.levels >= 2 && params.l2Size)
         below_.push_back(Level{
-            CacheArray<SentinelLine>(params.l2Size, params.l2Ways,
-                                     resolvedReplPolicy(params, 2)),
+            CacheArray<SharedTag>(params.l2Size, params.l2Ways,
+                                  resolvedReplPolicy(params, 2)),
             params.l2Latency, 2});
     if (params.levels >= 3 && params.l3Size)
         below_.push_back(Level{
-            CacheArray<SentinelLine>(params.l3Size, params.l3Ways,
-                                     resolvedReplPolicy(params, 3)),
+            CacheArray<SharedTag>(params.l3Size, params.l3Ways,
+                                  resolvedReplPolicy(params, 3)),
             params.l3Latency, 3});
 }
 
@@ -136,8 +136,7 @@ SharedMemory::fetchLine(Addr line_addr, Cycles &latency, unsigned core,
     std::size_t hit = below_.size();
     for (std::size_t k = 0; k < below_.size(); ++k) {
         latency += below_[k].latency + params_.extraL2L3Latency;
-        if (const auto p = below_[k].array.access(line_addr)) {
-            out.line = *p;
+        if (below_[k].array.access(line_addr)) {
             hit = k;
             break;
         }
@@ -156,17 +155,20 @@ SharedMemory::fetchLine(Addr line_addr, Cycles &latency, unsigned core,
             latency += params_.dramLatency;
         }
         ++stats_.dramAccesses;
-        out.line = memory_.readLine(line_addr);
         // The long DRAM service is the requester's write-back drain
         // window: one queued write-back rides the otherwise idle bus.
         // Short L2/LLC hits give no such slack, so eviction-heavy
         // traffic that stays on-chip genuinely pressures the queue.
+        // The drained line is never this one: a queued copy is a
+        // write-back-queue hit before the fetch reaches this side.
         peers_[core]->drainOneWriteBack();
     }
+    out.line = memory_.peekLine(line_addr);
     // Fill the levels above the hit on the way up, deepest first
     // (mostly-inclusive hierarchy).
+    const SharedTag tag{out.line.califormed};
     for (std::size_t j = hit; j-- > 0;) {
-        auto ev = below_[j].array.insert(line_addr, out.line, false);
+        auto ev = below_[j].array.insert(line_addr, tag, false);
         if (ev.valid)
             writeBackLevel(j, ev);
     }
@@ -206,21 +208,22 @@ SharedMemory::upgrade(unsigned core, Addr line_addr, Cycles &latency)
 void
 SharedMemory::writeBack(Addr line_addr, const SentinelLine &line)
 {
+    memory_.writeLine(line_addr, line);
     if (below_.empty()) {
         ++stats_.dramAccesses;
         if (dram_.enabled())
             dram_.occupy(line_addr);
-        memory_.writeLine(line_addr, line);
         return;
     }
-    auto ev = below_[0].array.insert(line_addr, line, true);
+    const SharedTag tag{line.califormed};
+    auto ev = below_[0].array.insert(line_addr, tag, true);
     if (ev.valid)
         writeBackLevel(0, ev);
 }
 
 void
 SharedMemory::writeBackLevel(std::size_t level,
-                             const CacheArray<SentinelLine>::Evicted &ev)
+                             const CacheArray<SharedTag>::Evicted &ev)
 {
     if (!ev.dirty)
         return;
@@ -233,7 +236,6 @@ SharedMemory::writeBackLevel(std::size_t level,
         ++stats_.dramAccesses;
         if (dram_.enabled())
             dram_.occupy(ev.lineAddr);
-        memory_.writeLine(ev.lineAddr, ev.line);
     }
 }
 
@@ -264,25 +266,19 @@ SharedMemory::prefetchInto(Addr line_addr)
         if (d && d->owner >= 0)
             return; // a core owns it modified; never prefetch over it
     }
-    SentinelLine pf;
-    std::size_t found = below_.size();
-    for (std::size_t k = 1; k < below_.size(); ++k) {
-        if (SentinelLine *p = below_[k].array.peek(line_addr)) {
-            pf = *p;
-            found = k;
-            break;
-        }
-    }
+    std::size_t found = 1;
+    while (found < below_.size() && !below_[found].array.peek(line_addr))
+        ++found;
     if (found == below_.size()) {
         ++stats_.dramAccesses;
         // Prefetches hide their latency but still occupy a bank (and
         // can move the open row under the demand stream).
         if (dram_.enabled())
             dram_.occupy(line_addr);
-        pf = memory_.readLine(line_addr);
     }
+    const SharedTag tag{memory_.peekLine(line_addr).califormed};
     for (std::size_t j = found; j-- > 0;) {
-        auto ev = below_[j].array.insert(line_addr, pf, false);
+        auto ev = below_[j].array.insert(line_addr, tag, false);
         if (ev.valid)
             writeBackLevel(j, ev);
     }
@@ -291,59 +287,42 @@ SharedMemory::prefetchInto(Addr line_addr)
 void
 SharedMemory::flushLevels()
 {
-    // Cascade each level into the next; the deepest level writes its
-    // dirty lines straight to DRAM (device traffic after the
-    // measurement window — not counted, matching writeBackLevel's
-    // callers' view of demand traffic only).
+    // Cascade each level's dirty tags into the next; the deepest
+    // level's dirty lines go to DRAM, whose contents the store already
+    // holds (device traffic after the measurement window — not counted,
+    // matching writeBackLevel's callers' view of demand traffic only).
     for (std::size_t j = 0; j + 1 < below_.size(); ++j) {
         below_[j].array.forEachLine(
-            [this, j](Addr la, SentinelLine &line, bool dirty) {
+            [this, j](Addr la, const SharedTag &tag, bool dirty) {
                 if (!dirty)
                     return;
-                auto ev = below_[j + 1].array.insert(la, line, true);
+                auto ev = below_[j + 1].array.insert(la, tag, true);
                 if (ev.valid)
                     writeBackLevel(j + 1, ev);
             });
         below_[j].array.reset();
     }
-    if (!below_.empty()) {
-        below_.back().array.forEachLine(
-            [this](Addr la, SentinelLine &line, bool dirty) {
-                if (dirty)
-                    memory_.writeLine(la, line);
-            });
+    if (!below_.empty())
         below_.back().array.reset();
-    }
-}
-
-const SentinelLine *
-SharedMemory::peekLevels(Addr line_addr) const
-{
-    for (const Level &level : below_)
-        if (const SentinelLine *p = level.array.peek(line_addr))
-            return p;
-    return nullptr;
 }
 
 SentinelLine
 SharedMemory::functionalRead(Addr line_addr) const
 {
-    if (const SentinelLine *p = peekLevels(line_addr))
-        return *p;
     return memory_.peekLine(line_addr);
 }
 
 void
 SharedMemory::functionalWrite(Addr line_addr, const SentinelLine &line)
 {
+    memory_.writeLine(line_addr, line);
     for (Level &level : below_) {
         if (const auto p = level.array.find(line_addr)) {
-            *p = line;
+            p->califormed = line.califormed;
             p.markDirty();
             return;
         }
     }
-    memory_.writeLine(line_addr, line);
 }
 
 MemSysStats

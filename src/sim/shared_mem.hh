@@ -34,6 +34,15 @@
  * With CoherenceKind::None (the default) no directory is kept and no
  * probes are sent; the private L1s are independent islands exactly as
  * in the historical single-core machine.
+ *
+ * The shared levels are tag-only: each keeps a line's tag, dirty bit
+ * and califormed bit, which drive replacement, write-back traffic and
+ * the level counters. The data of every line below the private sides
+ * lives in one sentinel-format store (memory()). That is exact because
+ * a deeper level is never newer than a shallower level holding the
+ * same line: a deeper level is only written by an eviction that moves
+ * the line out of the level above it. So the first level that hits
+ * always held the store's value.
  */
 
 #ifndef CALIFORMS_SIM_SHARED_MEM_HH
@@ -129,8 +138,9 @@ class SharedMemory
     void upgrade(unsigned core, Addr line_addr, Cycles &latency);
 
     /** Accept a dirty encoded line from a private side (write-back or
-     *  flush): insert into the first shared level, or DRAM when the
-     *  hierarchy has no levels below the L1s. */
+     *  flush): write it to the store and insert its tag dirty into the
+     *  first shared level, or count a DRAM write when the hierarchy has
+     *  no levels below the L1s. */
     void writeBack(Addr line_addr, const SentinelLine &line);
 
     /** The private side of @p core no longer holds @p line_addr (clean
@@ -148,11 +158,10 @@ class SharedMemory
     void flushLevels();
 
     // Functional (untimed) access below the private sides.
-    /** Lookup in the shared levels only; null when absent. */
-    const SentinelLine *peekLevels(Addr line_addr) const;
-    /** Line content seen from the shared side (levels, then DRAM). */
+    /** Line content seen from the shared side (the store). */
     SentinelLine functionalRead(Addr line_addr) const;
-    /** Write-through to wherever the line lives on the shared side. */
+    /** Write the store and mark the first level holding the line
+     *  dirty, so it is written back as a demand write would be. */
     void functionalWrite(Addr line_addr, const SentinelLine &line);
 
     /** The shared-side counters (L2/L3, DRAM, coherence); every
@@ -163,6 +172,10 @@ class SharedMemory
     /** Lines moved to or from DRAM (the bandwidth roofline quantity). */
     std::uint64_t dramAccesses() const { return stats_.dramAccesses; }
 
+    /** The newest shared-side value of every line: what a fetch below
+     *  the private sides returns. It equals DRAM contents after
+     *  flushAll() (MemorySystem or Machine), which empties the private
+     *  sides and the shared levels. */
     MainMemory &memory() { return memory_; }
     const MainMemory &memory() const { return memory_; }
     const MemSysParams &params() const { return params_; }
@@ -187,10 +200,17 @@ class SharedMemory
     }
 
   private:
-    /** One sentinel-format shared cache level. */
+    /** Per-way payload of a shared level: only the califormed (spare
+     *  ECC) bit, which the replacement hooks and cformEvictions read. */
+    struct SharedTag
+    {
+        bool califormed = false;
+    };
+
+    /** One tag-only shared cache level. */
     struct Level
     {
-        CacheArray<SentinelLine> array;
+        CacheArray<SharedTag> array;
         Cycles latency;
         unsigned id; //!< 2 = L2, 3 = LLC; selects the stats slot
     };
@@ -209,13 +229,14 @@ class SharedMemory
                       Cycles &latency, SentinelLine &recalled);
 
     /** Cascade a dirty eviction from @p level into the next enabled
-     *  level or DRAM. */
+     *  level or DRAM (tags and traffic only; the data is already in
+     *  memory_). */
     void writeBackLevel(std::size_t level,
-                        const CacheArray<SentinelLine>::Evicted &ev);
+                        const CacheArray<SharedTag>::Evicted &ev);
 
     MemSysParams params_;
     std::vector<Level> below_; //!< enabled shared levels, nearest first
-    MainMemory memory_;
+    MainMemory memory_;        //!< the one store of shared-side data
     DramTiming dram_;
     std::vector<CoherencePeer *> peers_;
     LineMap<DirEntry> directory_;

@@ -5,7 +5,8 @@
  * explicit default reproduces the implicit one), conversion counting
  * and latency charging at the L1 boundary, and the dirty write-back
  * queue (victim-buffer hits, forced drains, functional correctness
- * under eviction pressure).
+ * under eviction pressure), and the shared side's one data store
+ * behind its tag-only levels.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 #include <map>
 
 #include "core/cform.hh"
+#include "core/sentinel.hh"
+#include "sim/machine.hh"
 #include "sim/memsys.hh"
 #include "util/rng.hh"
 #include "workload/runner.hh"
@@ -370,6 +373,109 @@ TEST(Hierarchy, RunnerEquivalenceAcrossJobsStyleRepeat)
     EXPECT_TRUE(sameCounters(a, b));
     EXPECT_EQ(a.mem.wbHits, b.mem.wbHits);
     EXPECT_EQ(a.mem.wbEnqueued, b.mem.wbEnqueued);
+}
+
+// ---------------------------------------------------------------------
+// The shared levels keep only tags, dirty and califormed bits; one
+// store holds each line's newest shared-side value. These pin the
+// cases where the store's value is not the one DRAM would hold.
+
+/** A private side that holds nothing, so SharedMemory can be driven
+ *  directly. */
+struct NullPeer : CoherencePeer
+{
+    Surrender surrenderLine(Addr, bool) override { return {}; }
+    void drainOneWriteBack() override {}
+};
+
+/** An encoded line told apart by its first byte (the shared side never
+ *  decodes it). */
+SentinelLine
+lineWith(std::uint8_t first, bool califormed = false)
+{
+    SentinelLine line;
+    line.raw[0] = first;
+    line.califormed = califormed;
+    return line;
+}
+
+// tinyParams: the L2 has 32 sets of 2 ways and the LLC 64 sets of 4, so
+// lines 2 KiB apart share an L2 set and lines 4 KiB apart share both.
+
+TEST(SharedStore, DirtyL2LineShadowingAStaleLlcCopyReadsNewest)
+{
+    SharedMemory shared(tinyParams());
+    NullPeer peer;
+    shared.attachPeer(peer);
+    const Addr a = 0x100000;
+    Cycles latency = 0;
+    shared.fetchLine(a, latency, 0, false); // clean in the L2 and LLC
+    shared.writeBack(a, lineWith(0x5a));    // dirty in the L2 only
+    EXPECT_EQ(shared.functionalRead(a).raw[0], 0x5a);
+    EXPECT_EQ(shared.fetchLine(a, latency, 0, false).line.raw[0], 0x5a);
+    EXPECT_EQ(shared.stats().l2.hits, 1u);
+
+    // Two more lines in a's L2 set push it out dirty; it replaces the
+    // stale LLC copy, which then serves the next fetch.
+    shared.fetchLine(a + 2048, latency, 0, false);
+    shared.fetchLine(a + 4096, latency, 0, false);
+    EXPECT_EQ(shared.stats().l2.dirtyEvictions, 1u);
+    EXPECT_EQ(shared.functionalRead(a).raw[0], 0x5a);
+    const std::uint64_t dram = shared.dramAccesses();
+    EXPECT_EQ(shared.fetchLine(a, latency, 0, false).line.raw[0], 0x5a);
+    EXPECT_EQ(shared.stats().l3.hits, 1u);
+    EXPECT_EQ(shared.dramAccesses(), dram);
+
+    shared.flushLevels();
+    EXPECT_EQ(shared.memory().peekLine(a).raw[0], 0x5a);
+    EXPECT_EQ(shared.functionalRead(a).raw[0], 0x5a);
+    EXPECT_EQ(shared.fetchLine(a, latency, 0, false).line.raw[0], 0x5a);
+    EXPECT_EQ(shared.dramAccesses(), dram + 1);
+}
+
+TEST(SharedStore, MsiReadRecallIsTheSharedValue)
+{
+    MachineParams p;
+    p.core.count = 2;
+    p.mem.coherence = CoherenceKind::Msi;
+    Machine m(p);
+    const Addr line = 0x60000;
+    m.storeOn(0, line, 8, 0x1122334455667788ull); // modified in core 0
+    const std::uint64_t dram = m.sharedMemory().dramAccesses();
+    EXPECT_EQ(m.loadOn(1, line, 8), 0x1122334455667788ull);
+    EXPECT_EQ(m.memStats().dirtyRecalls, 1u);
+    // The recall was deposited in the L2, which served core 1: no DRAM
+    // access, yet the shared side already reads the recalled data.
+    EXPECT_EQ(m.sharedMemory().dramAccesses(), dram);
+    const BitVectorLine shared =
+        fillLine(m.sharedMemory().functionalRead(line));
+    EXPECT_EQ(shared.data[0], 0x88);
+    EXPECT_EQ(shared.data[7], 0x11);
+    m.flushAll();
+    EXPECT_EQ(fillLine(m.sharedMemory().memory().peekLine(line)).data[0],
+              0x88);
+}
+
+TEST(SharedStore, CaliformedBitFollowsTheTagIntoTheLlc)
+{
+    SharedMemory shared(tinyParams());
+    NullPeer peer;
+    shared.attachPeer(peer);
+    const Addr a = 0x100000;
+    shared.writeBack(a, lineWith(0x11, /*califormed=*/true));
+    shared.writeBack(a + 2048, lineWith(0x22)); // an uncaliformed line
+    // Under LRU, a leaves the full L2 set on the first fetch and the
+    // LLC on the fifth; the LLC's other two victims are clean and
+    // uncaliformed.
+    Cycles latency = 0;
+    for (Addr k = 1; k <= 6; ++k)
+        shared.fetchLine(a + k * 4096, latency, 0, false);
+    const MemSysStats s = shared.stats();
+    EXPECT_EQ(s.l2.cformEvictions, 1u);
+    EXPECT_EQ(s.l3.evictions, 3u);
+    EXPECT_EQ(s.l3.dirtyEvictions, 1u);
+    EXPECT_EQ(s.l3.cformEvictions, 1u);
+    EXPECT_TRUE(shared.memory().peekLine(a).califormed);
 }
 
 } // namespace

@@ -4,12 +4,14 @@
  * reference model. Random interleavings of loads, stores, CFORMs,
  * flushes and swaps must always agree with an oracle that tracks data
  * bytes and security masks directly — regardless of cache pressure,
- * eviction order, or conversion round trips.
+ * eviction order, or conversion round trips. The grid varies cache
+ * sizes, hierarchy depth, the write-back queue and next-line prefetch.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "os/swap.hh"
 #include "sim/memsys.hh"
@@ -41,13 +43,20 @@ struct Oracle
     }
 };
 
+/** One fuzzed machine. gtest prints a parameter's raw bytes into each
+ *  test's listed name, so it has no padding bytes (whose garbage would
+ *  change the names from build to build). */
 struct FuzzParam
 {
     std::uint64_t seed;
-    std::size_t l1Size;
-    std::size_t l2Size;
-    std::size_t l3Size;
+    std::uint32_t l1Size;
+    std::uint32_t l2Size;
+    std::uint32_t l3Size;
+    std::uint32_t levels = 3;
+    std::uint32_t wbQueueEntries = 0;
+    std::uint32_t nextLinePrefetch = 0; //!< 0 or 1
 };
+static_assert(sizeof(FuzzParam) == 32);
 
 class MemSysFuzz : public ::testing::TestWithParam<FuzzParam>
 {
@@ -63,6 +72,9 @@ TEST_P(MemSysFuzz, AgreesWithOracle)
     p.l2Ways = 2;
     p.l3Size = param.l3Size;
     p.l3Ways = 4;
+    p.levels = param.levels;
+    p.wbQueueEntries = param.wbQueueEntries;
+    p.nextLinePrefetch = param.nextLinePrefetch != 0;
 
     ExceptionUnit exceptions;
     MemorySystem mem(p, exceptions);
@@ -169,10 +181,25 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzParam{3, 512, 2048, 8192},
                       FuzzParam{4, 2048, 8192, 32768},
                       FuzzParam{5, 512, 4096, 32768},
-                      FuzzParam{6, 1024, 2048, 8192}),
+                      FuzzParam{6, 1024, 2048, 8192},
+                      FuzzParam{7, 1024, 4096, 16384, 1},
+                      FuzzParam{8, 1024, 4096, 16384, 2},
+                      FuzzParam{9, 1024, 0, 16384},
+                      FuzzParam{10, 1024, 4096, 16384, 3, 4},
+                      FuzzParam{11, 1024, 4096, 16384, 3, 0, 1}),
     [](const ::testing::TestParamInfo<FuzzParam> &info) {
-        return "seed" + std::to_string(info.param.seed) + "_l1_" +
-               std::to_string(info.param.l1Size);
+        const FuzzParam &f = info.param;
+        std::string name = "seed" + std::to_string(f.seed) + "_l1_" +
+                           std::to_string(f.l1Size);
+        if (f.levels != 3)
+            name += "_levels" + std::to_string(f.levels);
+        if (f.l2Size == 0)
+            name += "_no_l2";
+        if (f.wbQueueEntries)
+            name += "_wbq" + std::to_string(f.wbQueueEntries);
+        if (f.nextLinePrefetch)
+            name += "_prefetch";
+        return name;
     });
 
 TEST(MemSysSwapFuzz, SwapRoundTripUnderRandomState)

@@ -151,10 +151,9 @@ findSentinel(const BitVectorLine &line)
     return static_cast<std::uint8_t>(free_idx);
 }
 
-SentinelLine
-spillLine(const BitVectorLine &line)
+void
+spillLine(const BitVectorLine &line, SentinelLine &out)
 {
-    SentinelLine out;
     out.raw = line.data;
     // Decode-once metadata: the encoder knows the mask it is encoding,
     // so the fill side never has to re-derive it (memoized, see
@@ -164,7 +163,7 @@ spillLine(const BitVectorLine &line)
     // Algorithm 1 lines 1-3: OR of the metadata decides the format.
     if (line.mask == 0) {
         out.califormed = false;
-        return out;
+        return;
     }
     out.califormed = true;
 
@@ -201,19 +200,16 @@ spillLine(const BitVectorLine &line)
         word |= static_cast<std::uint32_t>(sentinel) << 26;
     for (unsigned j = 0; j < hdr; ++j)
         out.raw[j] = static_cast<std::uint8_t>((word >> (8 * j)) & 0xff);
-
-    return out;
 }
 
-BitVectorLine
-fillLine(const SentinelLine &line)
+void
+fillLine(const SentinelLine &line, BitVectorLine &out)
 {
-    BitVectorLine out;
     // Algorithm 2 lines 1-3.
     if (!line.califormed) {
         out.data = line.raw;
         out.mask = 0;
-        return out;
+        return;
     }
 
     const unsigned code = line.raw[0] & 0x3;
@@ -235,7 +231,6 @@ fillLine(const SentinelLine &line)
 
     // Security bytes read as zero (Algorithm 2 line 10).
     out.canonicalize();
-    return out;
 }
 
 SecurityMask

@@ -29,7 +29,9 @@
  * eight 64-bit lanes (the software analogue of the Figure 9 comparator
  * bank), and spillLine memoizes the decoded mask in the SentinelLine so
  * fillLine/decodeMask skip the header decode entirely on the common
- * spill-then-fill round trip.
+ * spill-then-fill round trip. Both conversions write into a line the
+ * caller names (the hierarchy passes the L1 way, store slot or queue
+ * entry the result lives in); the by-value forms wrap them.
  */
 
 #ifndef CALIFORMS_CORE_SENTINEL_HH
@@ -51,18 +53,38 @@ namespace califorms
 std::optional<std::uint8_t> findSentinel(const BitVectorLine &line);
 
 /**
- * Algorithm 1 — spill: convert an L1 line to the L2+ sentinel format.
- * Lines without security bytes are copied verbatim with the califormed
- * bit clear.
+ * Algorithm 1 — spill: convert an L1 line to the L2+ sentinel format,
+ * writing every field of @p out (a store slot or queue entry, so the
+ * encoded line is built where it is kept). Lines without security
+ * bytes are copied verbatim with the califormed bit clear.
  */
-SentinelLine spillLine(const BitVectorLine &line);
+void spillLine(const BitVectorLine &line, SentinelLine &out);
+
+/** spillLine into a new line. */
+inline SentinelLine
+spillLine(const BitVectorLine &line)
+{
+    SentinelLine out;
+    spillLine(line, out);
+    return out;
+}
 
 /**
  * Algorithm 2 — fill: convert an L2+ line back to the L1 bit vector
- * format. Security byte data slots read zero after conversion. Exact
- * inverse of spillLine on canonical lines.
+ * format, writing every field of @p out (an L1 way, so the decoded line
+ * is built where it is kept). Security byte data slots read zero after
+ * conversion. Exact inverse of spillLine on canonical lines.
  */
-BitVectorLine fillLine(const SentinelLine &line);
+void fillLine(const SentinelLine &line, BitVectorLine &out);
+
+/** fillLine into a new line. */
+inline BitVectorLine
+fillLine(const SentinelLine &line)
+{
+    BitVectorLine out;
+    fillLine(line, out);
+    return out;
+}
 
 /**
  * Critical-word-first support (Section 5.2): the security byte locations

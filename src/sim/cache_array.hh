@@ -14,6 +14,13 @@
  * a power of two and a modulo otherwise, so non-power-of-two LLC sizes
  * stay legal.
  *
+ * Lines enter through one primitive, insertInPlace(): it hands the
+ * victim's payload and dirty bit to the caller before overwriting the
+ * way, lets the caller write the new payload straight into the way,
+ * and returns the resident line. The L1 uses it to encode each victim
+ * and decode each fill with no intermediate copy; insert() wraps it
+ * with a copied payload and a by-value victim.
+ *
  * Victim selection is delegated to a pluggable ReplacementPolicy
  * (sim/repl/policy.hh): the array owns tags, payloads, and dirty bits;
  * the policy owns all recency/prediction state and is driven through
@@ -105,8 +112,8 @@ class CacheArray
     }
 
     /** A resident line: its payload and a handle on its dirty bit.
-     *  Null on a miss. Valid until the next insert(), extract() or
-     *  reset(). */
+     *  Null on a miss. Valid until the next insert(), insertInPlace(),
+     *  extract() or reset(). */
     class Ref
     {
       public:
@@ -175,13 +182,22 @@ class CacheArray
         return i != kNone ? &lines_[i] : nullptr;
     }
 
-    /** Insert a line, evicting the policy's victim if the set is full.
-     *  An existing copy of the same line is overwritten in place with
-     *  the dirty bits merged; the overwrite counts as a reference
-     *  (onHit), so an upgrade-write refreshes recency under every
-     *  policy. */
-    Evicted
-    insert(Addr line_addr, const LineT &line, bool dirty)
+    /**
+     * Install @p line_addr with dirty bit @p dirty, building its payload
+     * in place. When the set is full the policy's victim goes first:
+     * @p on_victim(victim_addr, victim_payload, victim_dirty) runs while
+     * the way still holds it, and the eviction counters are bumped.
+     * Then @p write(payload) writes the new payload into the way, the
+     * policy sees onInsert, and the resident line is returned. An
+     * existing copy of the same line is overwritten in place with the
+     * dirty bits merged (no victim); the overwrite counts as a
+     * reference (onHit), so an upgrade-write refreshes recency under
+     * every policy.
+     */
+    template <typename VictimFn, typename WriteFn>
+    Ref
+    insertInPlace(Addr line_addr, bool dirty, VictimFn &&on_victim,
+                  WriteFn &&write)
     {
         const std::size_t set = setIndex(line_addr);
         const std::size_t base = set * ways_;
@@ -190,9 +206,9 @@ class CacheArray
             const Addr tag = tags_[base + w];
             if (tag == line_addr) {
                 dirty_[base + w] |= dirty;
-                lines_[base + w] = line;
+                write(lines_[base + w]);
                 repl_->onHit(set, w, metaOf(base + w));
-                return {};
+                return refAt(base + w);
             }
             if (tag == kInvalidTag && invalid == ways_)
                 invalid = w;
@@ -204,22 +220,35 @@ class CacheArray
             throw std::logic_error(
                 "ReplacementPolicy: victim way out of range");
         const std::size_t i = base + way;
-        Evicted out;
         if (invalid == ways_) {
-            out.valid = true;
-            out.dirty = dirty_[i];
-            out.lineAddr = tags_[i];
-            out.line = lines_[i];
+            const bool victim_dirty = dirty_[i];
             ++stats_.evictions;
-            if (out.dirty)
+            if (victim_dirty)
                 ++stats_.dirtyEvictions;
-            if (lineCaliformed(out.line))
+            if (lineCaliformed(lines_[i]))
                 ++stats_.cformEvictions;
+            on_victim(tags_[i], static_cast<const LineT &>(lines_[i]),
+                      victim_dirty);
         }
         tags_[i] = line_addr;
         dirty_[i] = dirty;
-        lines_[i] = line;
+        write(lines_[i]);
         repl_->onInsert(set, way, metaOf(i));
+        return refAt(i);
+    }
+
+    /** insertInPlace with a copied payload; the victim, if any, comes
+     *  back by value. */
+    Evicted
+    insert(Addr line_addr, const LineT &line, bool dirty)
+    {
+        Evicted out;
+        insertInPlace(
+            line_addr, dirty,
+            [&out](Addr victim, const LineT &payload, bool victim_dirty) {
+                out = {true, victim_dirty, victim, payload};
+            },
+            [&line](LineT &payload) { payload = line; });
         return out;
     }
 

@@ -46,15 +46,22 @@ MainMemory::readLine(Addr line_addr)
     return line ? *line : SentinelLine{};
 }
 
-SentinelLine
+const SentinelLine &
 MainMemory::peekLine(Addr line_addr) const
 {
+    static const SentinelLine zero{};
     const SentinelLine *line = find(line_addr, "peek");
-    return line ? *line : SentinelLine{};
+    return line ? *line : zero;
 }
 
 void
 MainMemory::writeLine(Addr line_addr, const SentinelLine &line)
+{
+    writeSlot(line_addr) = line;
+}
+
+SentinelLine &
+MainMemory::writeSlot(Addr line_addr)
 {
     checkAligned(line_addr, "write");
     ++writes_;
@@ -67,7 +74,7 @@ MainMemory::writeLine(Addr line_addr, const SentinelLine &line)
         page->present |= bit;
         ++backed_;
     }
-    page->lines[slot] = line;
+    return page->lines[slot];
 }
 
 std::size_t

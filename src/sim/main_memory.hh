@@ -36,11 +36,20 @@ class MainMemory : public LineStore
      *  counting it in reads(): the LineStore view the swap path uses. */
     SentinelLine readLine(Addr line_addr) override;
 
-    /** Uncounted lookup: SharedMemory's demand and functional reads. */
-    SentinelLine peekLine(Addr line_addr) const;
+    /** Uncounted lookup: SharedMemory's demand and functional reads.
+     *  The reference stays valid until the line is next written (pages
+     *  are never freed); a line never written reads as a shared zero
+     *  line. */
+    const SentinelLine &peekLine(Addr line_addr) const;
 
     /** Write a full line including its ECC califormed bit. */
     void writeLine(Addr line_addr, const SentinelLine &line) override;
+
+    /** In-place form of writeLine: counts the write and backs the line
+     *  exactly as writeLine does, then returns the line's slot for the
+     *  caller to overwrite whole (the L1 encodes a victim straight into
+     *  it). */
+    SentinelLine &writeSlot(Addr line_addr);
 
     /** Number of lines ever written (for memory footprint stats). */
     std::size_t backedLines() const { return backed_; }

@@ -70,7 +70,7 @@ MemorySystem::l2HitLatency() const
     return params_.l1Latency + shared_->firstLevelLatency();
 }
 
-SentinelLine
+const SentinelLine &
 MemorySystem::fetchBelowL1(Addr line_addr, Cycles &latency, bool &dirty,
                            bool for_write, Cycles *bank_wait)
 {
@@ -83,18 +83,20 @@ MemorySystem::fetchBelowL1(Addr line_addr, Cycles &latency, bool &dirty,
     if (const WbEntry *e = wbqFind(line_addr)) {
         latency += params_.wbHitLatency;
         ++stats_.wbHits;
-        SentinelLine line = e->line;
+        // Erasing may pop the entry off the queue, so its line moves
+        // to the buffer first.
+        fetchBuf_ = e->line;
         wbqErase(line_addr);
         dirty = true;
-        return line;
+        return fetchBuf_;
     }
 
-    const auto fetched =
-        shared_->fetchLine(line_addr, latency, coreId_, for_write, now_);
+    const auto fetched = shared_->fetchLine(line_addr, latency, coreId_,
+                                            for_write, fetchBuf_, now_);
     dirty = fetched.dirtyHandoff;
     if (bank_wait)
         *bank_wait = fetched.bankQueueWait;
-    return fetched.line;
+    return *fetched.line;
 }
 
 MemorySystem::L1Ref
@@ -124,32 +126,41 @@ MemorySystem::refillL1(Addr line_addr, Cycles &latency, bool for_write)
 
     bool dirty = false;
     Cycles bank_wait = 0;
-    const SentinelLine below =
+    const SentinelLine &below =
         fetchBelowL1(line_addr, latency, dirty, for_write, &bank_wait);
     if (below.califormed) {
         ++stats_.fills;
         stats_.fillConvCycles += params_.fillConvLatency;
         latency += params_.fillConvLatency;
     }
-    BitVectorLine line = fillLine(below);
 
-    // Appendix A variants store the L1 line in a denser format; route
-    // the fill through the corresponding codec (a functional identity,
-    // exercising the encode/decode path under real traffic).
-    switch (params_.l1Format) {
-    case L1Format::BitVector8B:
-        break;
-    case L1Format::Cal4B:
-        line = decodeCal4B(encodeCal4B(line));
-        break;
-    case L1Format::Cal1B:
-        line = decodeCal1B(encodeCal1B(line));
-        break;
-    }
-
-    auto ev = l1_.insert(line_addr, line, dirty);
-    if (ev.valid)
-        writeBackL1(ev.lineAddr, ev.line, ev.dirty, &latency);
+    // The victim is written back before the fill lands in its way. That
+    // touches only the shared side, the queue and the directory, never
+    // this L1 nor @c below: the line being filled missed in both the L1
+    // and the queue, so no write-back writes its store slot.
+    const L1Ref resident = l1_.insertInPlace(
+        line_addr, dirty,
+        [this, &latency](Addr victim, const BitVectorLine &line,
+                         bool victim_dirty) {
+            writeBackL1(victim, line, victim_dirty, &latency);
+        },
+        [this, &below](BitVectorLine &way) {
+            fillLine(below, way);
+            // Appendix A variants store the L1 line in a denser format;
+            // route the fill through the corresponding codec (a
+            // functional identity, exercising the encode/decode path
+            // under real traffic).
+            switch (params_.l1Format) {
+            case L1Format::BitVector8B:
+                break;
+            case L1Format::Cal4B:
+                way = decodeCal4B(encodeCal4B(way));
+                break;
+            case L1Format::Cal1B:
+                way = decodeCal1B(encodeCal1B(way));
+                break;
+            }
+        });
 
     // Simplified hardware streamer: on a demand miss, pull the next
     // line into the first level below the L1 as well. Latency is hidden
@@ -176,8 +187,6 @@ MemorySystem::refillL1(Addr line_addr, Cycles &latency, bool for_write)
             lastMissReady_ = fill_done;
     }
 
-    const L1Ref resident = l1_.find(line_addr);
-    assert(resident && "line must be resident after refill");
     return resident;
 }
 
@@ -198,40 +207,34 @@ MemorySystem::writeBackL1(Addr line_addr, const BitVectorLine &line,
         if (latency)
             *latency += params_.spillConvLatency;
     }
-    const SentinelLine encoded = spillLine(line);
     if (params_.wbQueueEntries)
-        enqueueWriteBack(line_addr, encoded);
+        spillLine(line, enqueueWriteBack(line_addr));
     else
-        spillBelowNow(line_addr, encoded);
+        spillBelowNow(line_addr, line);
 }
 
-void
-MemorySystem::spillBelowNow(Addr line_addr, const SentinelLine &line)
-{
-    shared_->writeBack(line_addr, line);
-    shared_->noteDropped(coreId_, line_addr);
-}
-
-void
-MemorySystem::enqueueWriteBack(Addr line_addr, const SentinelLine &line)
+SentinelLine &
+MemorySystem::enqueueWriteBack(Addr line_addr)
 {
     // A line can be pushed below twice without an intervening fetch
     // (the non-temporal CFORM path); the newer copy supersedes the
     // queued one.
-    if (WbEntry *e = wbqFind(line_addr)) {
-        e->line = line;
-        return;
-    }
+    if (WbEntry *e = wbqFind(line_addr))
+        return e->line;
     wbqIndex_[line_addr] = wbqHeadSeq_ + wbq_.size();
-    wbq_.push_back({line_addr, line, true});
+    WbEntry &entry = wbq_.emplace_back(WbEntry{line_addr, {}, true});
     ++wbqLive_;
     ++stats_.wbEnqueued;
     if (wbqLive_ > stats_.wbPeakOccupancy)
         stats_.wbPeakOccupancy = wbqLive_;
     if (wbqLive_ > params_.wbQueueEntries) {
+        // Over capacity means at least one older live entry, so the
+        // drain pops that one; popping the front of a deque leaves
+        // references to the other entries valid.
         ++stats_.wbForcedDrains;
         drainOneWriteBack();
     }
+    return entry.line;
 }
 
 void
@@ -240,12 +243,14 @@ MemorySystem::drainOneWriteBack()
     wbqTrimFront();
     if (wbq_.empty())
         return;
-    WbEntry entry = std::move(wbq_.front());
+    // The spill reaches only the shared side, so the entry is read in
+    // place and popped afterwards.
+    const WbEntry &entry = wbq_.front();
+    spillBelowNow(entry.lineAddr, entry.line);
     wbqIndex_.erase(entry.lineAddr);
     wbq_.pop_front();
     ++wbqHeadSeq_;
     --wbqLive_;
-    spillBelowNow(entry.lineAddr, entry.line);
 }
 
 CoherencePeer::Surrender
@@ -268,7 +273,7 @@ MemorySystem::surrenderLine(Addr line_addr, bool invalidate)
                 ++stats_.spills;
                 s.converted = true;
             }
-            s.line = spillLine(*line);
+            spillLine(*line, s.line);
         }
         if (invalidate) {
             BitVectorLine dropped;
@@ -477,7 +482,7 @@ MemorySystem::cform(const CformOp &op)
         // Non-temporal variant: update the line beneath the L1 without
         // polluting the L1 (footnote 3 of Section 6.1).
         bool dirty = false;
-        const SentinelLine below =
+        const SentinelLine &below =
             fetchBelowL1(op.lineAddr, res.latency, dirty, true);
         BitVectorLine decoded = fillLine(below);
         if (auto fault = applyCform(decoded, op)) {
@@ -491,7 +496,7 @@ MemorySystem::cform(const CformOp &op)
             if (!dirty)
                 shared_->noteDropped(coreId_, op.lineAddr);
             else if (params_.wbQueueEntries)
-                enqueueWriteBack(op.lineAddr, below);
+                enqueueWriteBack(op.lineAddr) = below;
             else
                 spillBelowNow(op.lineAddr, below);
             return res;
@@ -539,12 +544,11 @@ MemorySystem::functionalWrite(Addr line_addr, const BitVectorLine &line)
         l1.markDirty();
         return;
     }
-    const SentinelLine encoded = spillLine(line);
     if (WbEntry *e = wbqFind(line_addr)) {
-        e->line = encoded;
+        spillLine(line, e->line);
         return;
     }
-    shared_->functionalWrite(line_addr, encoded);
+    shared_->functionalWrite(line_addr, spillLine(line));
 }
 
 bool
@@ -568,9 +572,8 @@ MemorySystem::pokePrivateLine(Addr line_addr, const BitVectorLine &line)
         *l1 = line;
         return true;
     }
-    const SentinelLine encoded = spillLine(line);
     if (WbEntry *e = wbqFind(line_addr)) {
-        e->line = encoded;
+        spillLine(line, e->line);
         return true;
     }
     return false;
@@ -632,7 +635,7 @@ MemorySystem::flushPrivate()
         // uncounted DRAM writes below).
         if (line.califormed())
             ++stats_.spills;
-        spillBelowNow(la, spillLine(line));
+        spillBelowNow(la, line);
     });
     l1_.reset();
 }

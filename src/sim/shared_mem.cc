@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "core/sentinel.hh"
 #include "sim/memsys.hh"
 
 namespace califorms
@@ -108,18 +109,18 @@ SharedMemory::probeHolders(Addr line_addr, unsigned core, bool for_write,
 
 SharedMemory::FetchResult
 SharedMemory::fetchLine(Addr line_addr, Cycles &latency, unsigned core,
-                        bool for_write, Cycles issue_time)
+                        bool for_write, SentinelLine &handoff,
+                        Cycles issue_time)
 {
     FetchResult out;
     const Cycles entry_latency = latency;
 
     if (coherent()) {
-        SentinelLine recalled;
-        if (probeHolders(line_addr, core, for_write, latency, recalled)) {
+        if (probeHolders(line_addr, core, for_write, latency, handoff)) {
             if (for_write) {
                 // The recall is the only up-to-date copy; hand it
                 // straight to the requester, which must keep it dirty.
-                out.line = recalled;
+                out.line = &handoff;
                 out.dirtyHandoff = true;
                 DirEntry &d = directory_[line_addr];
                 d.sharers = 1u << core;
@@ -129,7 +130,7 @@ SharedMemory::fetchLine(Addr line_addr, Cycles &latency, unsigned core,
             // Read recall: deposit the dirty data into the shared side
             // so the downgraded owner and the requester can both hold
             // clean copies that match the hierarchy below them.
-            writeBack(line_addr, recalled);
+            writeBack(line_addr, handoff);
         }
     }
 
@@ -163,10 +164,10 @@ SharedMemory::fetchLine(Addr line_addr, Cycles &latency, unsigned core,
         // write-back-queue hit before the fetch reaches this side.
         peers_[core]->drainOneWriteBack();
     }
-    out.line = memory_.peekLine(line_addr);
+    out.line = &memory_.peekLine(line_addr);
     // Fill the levels above the hit on the way up, deepest first
     // (mostly-inclusive hierarchy).
-    const SharedTag tag{out.line.califormed};
+    const SharedTag tag{out.line->califormed};
     for (std::size_t j = hit; j-- > 0;) {
         auto ev = below_[j].array.insert(line_addr, tag, false);
         if (ev.valid)
@@ -209,13 +210,26 @@ void
 SharedMemory::writeBack(Addr line_addr, const SentinelLine &line)
 {
     memory_.writeLine(line_addr, line);
+    writeBackTag(line_addr, line.califormed);
+}
+
+void
+SharedMemory::writeBack(Addr line_addr, const BitVectorLine &line)
+{
+    spillLine(line, memory_.writeSlot(line_addr));
+    writeBackTag(line_addr, line.califormed());
+}
+
+void
+SharedMemory::writeBackTag(Addr line_addr, bool califormed)
+{
     if (below_.empty()) {
         ++stats_.dramAccesses;
         if (dram_.enabled())
             dram_.occupy(line_addr);
         return;
     }
-    const SharedTag tag{line.califormed};
+    const SharedTag tag{califormed};
     auto ev = below_[0].array.insert(line_addr, tag, true);
     if (ev.valid)
         writeBackLevel(0, ev);

@@ -105,7 +105,10 @@ class SharedMemory
     /** Result of a below-L1 fetch. */
     struct FetchResult
     {
-        SentinelLine line{};
+        /** The fetched line, read in place: the store's slot, or the
+         *  caller's handoff buffer for a dirty recall handoff. A store
+         *  slot stays valid until that line is next written. */
+        const SentinelLine *line = nullptr;
         /** The line is a dirty recall handed directly to the requester:
          *  it is the only copy and must stay dirty in the new L1. */
         bool dirtyHandoff = false;
@@ -120,14 +123,16 @@ class SharedMemory
      * Fetch a line for core @p core: coherence probes first, then the
      * shared levels, then DRAM (filling the levels on the way up, and
      * opening the requester's write-back drain window on a DRAM
-     * service). Latency accumulates into @p latency. @p issue_time is
+     * service). Latency accumulates into @p latency. A dirty recall
+     * handed to the requester lands in @p handoff. @p issue_time is
      * the requester's absolute clock when the fetch entered the shared
      * side; banked DRAM timing (mem.dram_banks > 0) uses it to place
      * the access on the bank timeline. The flat model ignores it, so
      * untimed callers can leave it 0.
      */
     FetchResult fetchLine(Addr line_addr, Cycles &latency, unsigned core,
-                          bool for_write, Cycles issue_time = 0);
+                          bool for_write, SentinelLine &handoff,
+                          Cycles issue_time = 0);
 
     /**
      * Make @p core the exclusive modified owner of a line it already
@@ -142,6 +147,10 @@ class SharedMemory
      *  first shared level, or count a DRAM write when the hierarchy has
      *  no levels below the L1s. */
     void writeBack(Addr line_addr, const SentinelLine &line);
+
+    /** writeBack of an L1 line: encode it (Algorithm 1) straight into
+     *  its store slot. */
+    void writeBack(Addr line_addr, const BitVectorLine &line);
 
     /** The private side of @p core no longer holds @p line_addr (clean
      *  eviction, write-back drain, or flush). */
@@ -227,6 +236,11 @@ class SharedMemory
      *  modified owner. A recalled dirty line lands in @p recalled. */
     bool probeHolders(Addr line_addr, unsigned core, bool for_write,
                       Cycles &latency, SentinelLine &recalled);
+
+    /** The tag side of a write-back whose data is already in the
+     *  store: insert the tag dirty into the first shared level, or
+     *  count a DRAM write when there is none. */
+    void writeBackTag(Addr line_addr, bool califormed);
 
     /** Cascade a dirty eviction from @p level into the next enabled
      *  level or DRAM (tags and traffic only; the data is already in

@@ -1,8 +1,8 @@
 /**
  * @file test_cache_array.cc
  * Tests for the set-associative cache array: geometry and set mapping,
- * LRU replacement, dirty tracking, eviction reporting, and the in-place
- * overwrite rules.
+ * LRU replacement, dirty tracking, eviction reporting, the in-place
+ * overwrite rules, and the insertInPlace primitive insert() wraps.
  */
 
 #include <gtest/gtest.h>
@@ -205,6 +205,102 @@ TEST(CacheArray, HoldsLinePayloads)
     ASSERT_NE(got, nullptr);
     EXPECT_EQ(got->mask, 0xf0u);
     EXPECT_EQ(got->data[0], 7);
+}
+
+TEST(CacheArray, InsertInPlaceHandsOverTheVictimBeforeTheOverwrite)
+{
+    CacheArray<BitVectorLine> c(2 * 64, 2); // 1 set, 2 ways
+    BitVectorLine old_line;
+    old_line.mask = 0x3;
+    old_line.data[5] = 0x55;
+    c.insert(0, old_line, true);
+    c.insert(64, BitVectorLine{}, false);
+    ASSERT_TRUE(c.access(64)); // line 0 is now the LRU victim
+
+    BitVectorLine new_line;
+    new_line.data[9] = 0x99;
+    int victims = 0;
+    const auto ref = c.insertInPlace(
+        128, false,
+        [&](Addr victim, const BitVectorLine &payload, bool dirty) {
+            ++victims;
+            EXPECT_EQ(victim, 0u);
+            EXPECT_TRUE(dirty);
+            EXPECT_EQ(payload, old_line);
+            // The way still holds the victim; the new line is not in.
+            EXPECT_EQ(c.peek(0), &payload);
+            EXPECT_EQ(c.peek(128), nullptr);
+        },
+        [&](BitVectorLine &way) {
+            EXPECT_EQ(c.peek(0), nullptr); // the victim is gone
+            way = new_line;
+        });
+    EXPECT_EQ(victims, 1);
+    ASSERT_TRUE(ref);
+    EXPECT_EQ(&*ref, c.peek(128));
+    EXPECT_EQ(*ref, new_line);
+    EXPECT_FALSE(c.dirtyAt(128));
+    ref.markDirty();
+    EXPECT_TRUE(c.dirtyAt(128));
+    EXPECT_EQ(c.stats().evictions, 1u);
+    EXPECT_EQ(c.stats().dirtyEvictions, 1u);
+    EXPECT_EQ(c.stats().cformEvictions, 1u);
+
+    // Overwriting a resident line merges the dirty bit and evicts
+    // nothing.
+    const auto again = c.insertInPlace(
+        128, false,
+        [&](Addr, const BitVectorLine &, bool) { ++victims; },
+        [&](BitVectorLine &way) { way.data[9] = 0x11; });
+    EXPECT_EQ(victims, 1);
+    EXPECT_EQ(&*again, &*ref);
+    EXPECT_EQ(again->data[9], 0x11);
+    EXPECT_TRUE(c.dirtyAt(128));
+}
+
+TEST(CacheArray, InsertMatchesInsertInPlace)
+{
+    // The same random stream through insert() and insertInPlace():
+    // every victim, every counter and every resident line agree.
+    CacheArray<BitVectorLine> a(4 * 2 * 64, 2); // 4 sets x 2 ways
+    CacheArray<BitVectorLine> b(4 * 2 * 64, 2);
+    std::uint64_t state = 12345;
+    const auto next = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state >> 33;
+    };
+    for (int step = 0; step < 2000; ++step) {
+        const Addr la = (next() % 24) * 64;
+        BitVectorLine line;
+        line.mask = next() % 3 == 0 ? next() : 0;
+        line.data[0] = static_cast<std::uint8_t>(next());
+        const bool dirty = next() % 2 == 0;
+        if (next() % 4 == 0) {
+            a.access(la);
+            b.access(la);
+        }
+        const auto ev = a.insert(la, line, dirty);
+        CacheArray<BitVectorLine>::Evicted got;
+        const auto ref = b.insertInPlace(
+            la, dirty,
+            [&got](Addr victim, const BitVectorLine &payload, bool d) {
+                got = {true, d, victim, payload};
+            },
+            [&line](BitVectorLine &way) { way = line; });
+        ASSERT_EQ(ev.valid, got.valid) << "step " << step;
+        EXPECT_EQ(ev.dirty, got.dirty);
+        EXPECT_EQ(ev.lineAddr, got.lineAddr);
+        EXPECT_EQ(ev.line, got.line);
+        EXPECT_EQ(&*ref, b.peek(la));
+        EXPECT_EQ(*a.peek(la), *ref);
+        EXPECT_EQ(a.dirtyAt(la), b.dirtyAt(la));
+    }
+    EXPECT_GT(a.stats().evictions, 0u);
+    EXPECT_EQ(a.stats().evictions, b.stats().evictions);
+    EXPECT_EQ(a.stats().dirtyEvictions, b.stats().dirtyEvictions);
+    EXPECT_EQ(a.stats().cformEvictions, b.stats().cformEvictions);
+    EXPECT_EQ(a.stats().hits, b.stats().hits);
+    EXPECT_EQ(a.stats().misses, b.stats().misses);
 }
 
 TEST(CacheStatsTest, MissRate)

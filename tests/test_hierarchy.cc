@@ -409,27 +409,32 @@ TEST(SharedStore, DirtyL2LineShadowingAStaleLlcCopyReadsNewest)
     shared.attachPeer(peer);
     const Addr a = 0x100000;
     Cycles latency = 0;
-    shared.fetchLine(a, latency, 0, false); // clean in the L2 and LLC
-    shared.writeBack(a, lineWith(0x5a));    // dirty in the L2 only
+    SentinelLine handoff;
+    // The first byte of a's line as a demand fetch reads it.
+    const auto fetchFirstByte = [&] {
+        return shared.fetchLine(a, latency, 0, false, handoff).line->raw[0];
+    };
+    fetchFirstByte();                    // clean in the L2 and LLC
+    shared.writeBack(a, lineWith(0x5a)); // dirty in the L2 only
     EXPECT_EQ(shared.functionalRead(a).raw[0], 0x5a);
-    EXPECT_EQ(shared.fetchLine(a, latency, 0, false).line.raw[0], 0x5a);
+    EXPECT_EQ(fetchFirstByte(), 0x5a);
     EXPECT_EQ(shared.stats().l2.hits, 1u);
 
     // Two more lines in a's L2 set push it out dirty; it replaces the
     // stale LLC copy, which then serves the next fetch.
-    shared.fetchLine(a + 2048, latency, 0, false);
-    shared.fetchLine(a + 4096, latency, 0, false);
+    shared.fetchLine(a + 2048, latency, 0, false, handoff);
+    shared.fetchLine(a + 4096, latency, 0, false, handoff);
     EXPECT_EQ(shared.stats().l2.dirtyEvictions, 1u);
     EXPECT_EQ(shared.functionalRead(a).raw[0], 0x5a);
     const std::uint64_t dram = shared.dramAccesses();
-    EXPECT_EQ(shared.fetchLine(a, latency, 0, false).line.raw[0], 0x5a);
+    EXPECT_EQ(fetchFirstByte(), 0x5a);
     EXPECT_EQ(shared.stats().l3.hits, 1u);
     EXPECT_EQ(shared.dramAccesses(), dram);
 
     shared.flushLevels();
     EXPECT_EQ(shared.memory().peekLine(a).raw[0], 0x5a);
     EXPECT_EQ(shared.functionalRead(a).raw[0], 0x5a);
-    EXPECT_EQ(shared.fetchLine(a, latency, 0, false).line.raw[0], 0x5a);
+    EXPECT_EQ(fetchFirstByte(), 0x5a);
     EXPECT_EQ(shared.dramAccesses(), dram + 1);
 }
 
@@ -468,8 +473,9 @@ TEST(SharedStore, CaliformedBitFollowsTheTagIntoTheLlc)
     // LLC on the fifth; the LLC's other two victims are clean and
     // uncaliformed.
     Cycles latency = 0;
+    SentinelLine handoff;
     for (Addr k = 1; k <= 6; ++k)
-        shared.fetchLine(a + k * 4096, latency, 0, false);
+        shared.fetchLine(a + k * 4096, latency, 0, false, handoff);
     const MemSysStats s = shared.stats();
     EXPECT_EQ(s.l2.cformEvictions, 1u);
     EXPECT_EQ(s.l3.evictions, 3u);

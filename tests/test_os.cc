@@ -286,5 +286,31 @@ TEST(MainMemoryTest, CountsReadsAndWritesButNotPeeks)
     EXPECT_EQ(memory.reads(), 2u);
 }
 
+TEST(MainMemoryTest, WriteSlotCountsLikeWriteLine)
+{
+    MainMemory memory;
+    memory.writeSlot(0x40) = lineWithByte(7, true);
+    memory.writeSlot(0x40).raw[0] = 8; // a rewrite in place
+    EXPECT_EQ(memory.writes(), 2u);
+    EXPECT_EQ(memory.backedLines(), 1u);
+    EXPECT_EQ(memory.califormedLines(), 1u);
+    EXPECT_EQ(memory.peekLine(0x40).raw[0], 8);
+    EXPECT_THROW(memory.writeSlot(0x41), std::invalid_argument);
+    EXPECT_EQ(memory.writes(), 2u);
+}
+
+TEST(MainMemoryTest, LineReferencesSurvivePageTableGrowth)
+{
+    // The L1 reads a fetched line in place while its victim's
+    // write-back may back new pages; pages are never moved or freed.
+    MainMemory memory;
+    memory.writeLine(0x40, lineWithByte(5));
+    const SentinelLine &held = memory.peekLine(0x40);
+    for (Addr page = 1; page <= 512; ++page)
+        memory.writeSlot(page * pageBytes) = lineWithByte(1);
+    EXPECT_EQ(&held, &memory.peekLine(0x40));
+    EXPECT_EQ(held.raw[0], 5);
+}
+
 } // namespace
 } // namespace califorms

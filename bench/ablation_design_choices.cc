@@ -23,15 +23,14 @@ using bench::Options;
 namespace
 {
 
+/** One ablation point: the intelligent policy with one heap.* key
+ *  set, so every other heap knob keeps the user's --set/--config. */
 exp::Variant
-heapVariant(std::string label, HeapParams heap)
+heapVariant(std::string label, const char *key, const std::string &value)
 {
-    exp::Variant v;
-    v.label = std::move(label);
-    v.policy = InsertionPolicy::Intelligent;
-    v.randomized = false;
-    v.tweak = [heap](RunConfig &c) { c.heap = heap; };
-    return v;
+    return exp::Variant{std::move(label), InsertionPolicy::Intelligent, 0,
+                        0, std::nullopt, false}
+        .withSet(key, value);
 }
 
 } // namespace
@@ -54,26 +53,20 @@ main(int argc, char **argv)
     spec.name = "ablation_design_choices";
     spec.suite = {&findBenchmark("perlbench")};
     for (const double frac : fractions) {
-        HeapParams heap;
-        heap.quarantineFraction = frac;
+        const std::string text = TextTable::num(frac, 2);
         spec.variants.push_back(heapVariant(
-            "quarantine/" + TextTable::num(frac, 2), heap));
+            "quarantine/" + text, "heap.quarantine_fraction", text));
     }
     const std::size_t nt_base = spec.variants.size();
-    spec.variants.push_back(heapVariant("regular CFORM", HeapParams{}));
-    {
-        HeapParams heap;
-        heap.nonTemporalCform = true;
-        spec.variants.push_back(
-            heapVariant("non-temporal CFORM", heap));
-    }
+    spec.variants.push_back(heapVariant(
+        "regular CFORM", "heap.non_temporal_cform", "false"));
+    spec.variants.push_back(heapVariant(
+        "non-temporal CFORM", "heap.non_temporal_cform", "true"));
     const std::size_t guard_base = spec.variants.size();
-    for (const std::size_t g : guard_sizes) {
-        HeapParams heap;
-        heap.guardBytes = g;
-        spec.variants.push_back(
-            heapVariant("guard/" + std::to_string(g), heap));
-    }
+    for (const std::size_t g : guard_sizes)
+        spec.variants.push_back(heapVariant("guard/" + std::to_string(g),
+                                            "heap.guard_bytes",
+                                            std::to_string(g)));
 
     const auto result = bench::runCampaign(opt, spec);
 

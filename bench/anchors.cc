@@ -13,16 +13,21 @@
  * Every anchor is the same experiment shape: a suite crossed with
  * registry-key axes, run as one campaign through bench::runCampaign,
  * and printed as one table row per (benchmark, variant) cell with
- * every value averaged over the cell's layout seeds. A row declares
- * only what differs between anchors, so a new grid is a new row, not
- * a new harness.
+ * every value averaged over the cell's layout seeds. The paper's
+ * figures (fig04, fig10, fig11, fig12, appa) pivot that table: one row
+ * per benchmark, one slowdown column per variant, then AVG/min/max
+ * summary rows and the paper's values. A row declares only what
+ * differs between anchors, so a new grid is a new row, not a new
+ * harness.
  */
 
+#include <algorithm>
 #include <string_view>
 
 #include "bench/common.hh"
 #include "security/scenarios.hh"
 #include "sim/stats_dump.hh"
+#include "util/stats.hh"
 #include "workload/synth.hh"
 
 using namespace califorms;
@@ -64,8 +69,13 @@ struct Anchor
      *  --set/--config, so user values still win. */
     std::vector<std::string> sets = {};
     std::vector<exp::Variant> variants; //!< base variants
-    std::vector<Axis> axes;             //!< crossed in order
-    std::vector<Column> columns;
+    std::vector<Axis> axes = {};        //!< crossed in order
+    /** Empty for a paper figure: one row per benchmark and one
+     *  slowdown column per variant after the first (the baseline). */
+    std::vector<Column> columns = {};
+    /** A figure's `paper` row: the paper's value for each slowdown
+     *  column, printed under the AVG/min/max rows; empty = no row. */
+    std::vector<const char *> paperRow = {};
 };
 
 std::vector<const SpecBenchmark *>
@@ -266,6 +276,135 @@ anchors()
                         {"bytesTouched"},
                         {"detectionLatencyCycles"}},
         },
+        {
+            .name = "fig04",
+            .campaign = "fig04_padding_sweep",
+            .title = "Figure 4 - fixed padding size sweep (no CFORM)",
+            .paper = "avg slowdown 3.0% @1B ... 7.6% @7B on SPEC CPU2006",
+            .note = "our substrate is a simulated Westmere (Table 3) with "
+                    "a DRAM bandwidth\nroofline; the paper measured a "
+                    "Skylake Xeon with a 19MB LLC, so absolute\n"
+                    "percentages run higher here while the monotonic "
+                    "shape is preserved.\n",
+            .suite = bench::fullSuite(),
+            // Every field padded by a fixed 1..7 bytes: no randomness,
+            // so no bar is averaged over layout seeds.
+            .variants = {{"base", InsertionPolicy::None, 0, 0, false,
+                          false},
+                         {"1B", InsertionPolicy::FullFixed, 0, 1, false,
+                          false},
+                         {"2B", InsertionPolicy::FullFixed, 0, 2, false,
+                          false},
+                         {"3B", InsertionPolicy::FullFixed, 0, 3, false,
+                          false},
+                         {"4B", InsertionPolicy::FullFixed, 0, 4, false,
+                          false},
+                         {"5B", InsertionPolicy::FullFixed, 0, 5, false,
+                          false},
+                         {"6B", InsertionPolicy::FullFixed, 0, 6, false,
+                          false},
+                         {"7B", InsertionPolicy::FullFixed, 0, 7, false,
+                          false}},
+            .paperRow = {"3.0%", "5.4%", "5.8%", "6.0%", "6.2%", "7.0%",
+                         "7.6%"},
+        },
+        {
+            .name = "fig10",
+            .campaign = "fig10_extra_latency",
+            .title = "Figure 10 - +1 cycle L2/L3 access latency",
+            .paper = "slowdown 0.24%..1.37%, average 0.83%",
+            .note = "paper: min 0.24% (hmmer), max 1.37% (xalancbmk). "
+                    "`califorms config --describe`\nlists the Table 3 "
+                    "machine both columns run on.\n",
+            .suite = bench::fullSuite(),
+            // Original binaries both times; only the cache latency
+            // differs.
+            .variants = {{"base", InsertionPolicy::None, 0, 0, false,
+                          false},
+                         exp::Variant{"+1cyc L2/L3", InsertionPolicy::None,
+                                      0, 0, false, false}
+                             .withSet("mem.extra_l2l3_latency", "1")},
+            .paperRow = {"0.83%"},
+        },
+        {
+            .name = "fig11",
+            .campaign = "fig11_full_policy",
+            .title = "Figure 11 - opportunistic & full insertion policies",
+            .paper = "avg: opportunistic+CFORM 6.2%..7.9%, full+CFORM "
+                     "14.2%; libquantum >80%",
+            .note = "paper: libquantum is clipped at >80%; the "
+                    "opportunistic+CFORM bar averages 6.2%,\n7.9% in the "
+                    "text for its CFORM-only component.\n",
+            .suite = bench::softwareEvalSuite(),
+            // The uninstrumented baseline, then the Figure 11 bars left
+            // to right.
+            .variants = {{"base", InsertionPolicy::None, 0, 0, false,
+                          false},
+                         {"1-3B", InsertionPolicy::Full, 3, 0, false, true},
+                         {"1-5B", InsertionPolicy::Full, 5, 0, false, true},
+                         {"1-7B", InsertionPolicy::Full, 7, 0, false, true},
+                         {"Opportunistic CFORM",
+                          InsertionPolicy::Opportunistic, 0, 0, true,
+                          false},
+                         {"1-3B CFORM", InsertionPolicy::Full, 3, 0, true,
+                          true},
+                         {"1-5B CFORM", InsertionPolicy::Full, 5, 0, true,
+                          true},
+                         {"1-7B CFORM", InsertionPolicy::Full, 7, 0, true,
+                          true}},
+            .paperRow = {"5.5%", "5.6%", "6.5%", "7.9%", "14.0-14.2%",
+                         "14.0-14.2%", "14.0-14.2%"},
+        },
+        {
+            .name = "fig12",
+            .campaign = "fig12_intelligent_policy",
+            .title = "Figure 12 - intelligent insertion policy",
+            .paper = "avg ~0.2% without CFORM, 1.5-2.0% with CFORM; gobmk "
+                     "16.1%, perlbench 7.2%",
+            .note = "paper: with CFORM no benchmark but gobmk (16.1%) and "
+                    "perlbench (7.2%) exceeds 5%.\n",
+            .suite = bench::softwareEvalSuite(),
+            .variants = {{"base", InsertionPolicy::None, 0, 0, false,
+                          false},
+                         {"1-3B", InsertionPolicy::Intelligent, 3, 0,
+                          false},
+                         {"1-5B", InsertionPolicy::Intelligent, 5, 0,
+                          false},
+                         {"1-7B", InsertionPolicy::Intelligent, 7, 0,
+                          false},
+                         {"1-3B CFORM", InsertionPolicy::Intelligent, 3, 0,
+                          true},
+                         {"1-5B CFORM", InsertionPolicy::Intelligent, 5, 0,
+                          true},
+                         {"1-7B CFORM", InsertionPolicy::Intelligent, 7, 0,
+                          true}},
+            .paperRow = {"~0.2%", "~0.2%", "~0.2%", "1.5-2.0%", "1.5-2.0%",
+                         "1.5-2.0%"},
+        },
+        {
+            .name = "appa",
+            .campaign = "appa_l1_variant_cost",
+            .title = "Appendix A extension - L1 variant performance cost",
+            .paper = "Table 7 delay overheads applied to the L1 hit path",
+            .note = "every L1 hit pays the format's extra decode latency: "
+                    "Table 7's +22% (1B)\nand +49% (4B) hit delay on a "
+                    "4-cycle L1. the 1B variant trades a small uniform\n"
+                    "slowdown for 86% less metadata SRAM than the 8B "
+                    "design.\n",
+            .suite = bench::softwareEvalSuite(),
+            // The recommended deployment (intelligent policy with
+            // CFORM) under each L1 format. Every variant sets the key,
+            // so it wins over a --set mem.l1_format.
+            .variants = {exp::Variant{"califorms-8B (+0 cycles)",
+                                      InsertionPolicy::Intelligent}
+                             .withSet("mem.l1_format", "bitvector"),
+                         exp::Variant{"califorms-1B (+1 cycle)",
+                                      InsertionPolicy::Intelligent}
+                             .withSet("mem.l1_format", "cal1b"),
+                         exp::Variant{"califorms-4B (+2 cycles)",
+                                      InsertionPolicy::Intelligent}
+                             .withSet("mem.l1_format", "cal4b")},
+        },
     };
     return table;
 }
@@ -391,31 +530,55 @@ runAnchor(const Anchor &anchor, const bench::Options &opt)
 
     const auto result = bench::runCampaign(opt, spec);
 
+    // A figure pivots the variants into columns: one row per benchmark
+    // (its baseline cell) and one slowdown column per other variant.
+    // Any other anchor prints a row per cell and a column per Column.
+    const bool figure = anchor.columns.empty();
+    struct Printed
+    {
+        std::string header;
+        Column column;
+        std::size_t shift; //!< variant offset from the row's cell
+    };
+    std::vector<Printed> printed;
+    for (std::size_t v = 1; figure && v < spec.variants.size(); ++v)
+        printed.push_back({spec.variants[v].label, {"slowdown", 2, true}, v});
+    for (const Column &column : anchor.columns)
+        printed.push_back({column.name, column, 0});
+    const auto format = [](const Column &column, double value) {
+        return column.percent ? TextTable::pct(value, column.digits)
+                              : TextTable::num(value, column.digits);
+    };
+
     // Row keys: the benchmark and the base label when there is more
     // than one of each, then every axis in declaration order.
-    const bool by_bench = spec.suite.size() > 1;
+    const bool by_bench = figure || spec.suite.size() > 1;
     const std::size_t bases = anchor.variants.size();
     std::vector<std::string> header;
     if (by_bench)
         header.push_back("benchmark");
-    if (bases > 1)
+    if (bases > 1 && !figure)
         header.push_back("variant");
     for (const Axis &axis : anchor.axes)
         header.push_back(axis.key);
-    for (const Column &column : anchor.columns)
-        header.push_back(column.name);
+    for (const Printed &p : printed)
+        header.push_back(p.header);
 
     TextTable table(header);
+    std::vector<std::vector<double>> values(printed.size());
+    const std::size_t row_variants = figure ? 1 : spec.variants.size();
     for (std::size_t b = 0; b < spec.suite.size(); ++b) {
-        for (std::size_t v = 0; v < spec.variants.size(); ++v) {
+        for (std::size_t row_v = 0; row_v < row_variants; ++row_v) {
             std::vector<std::string> row;
             if (by_bench)
                 row.push_back(spec.suite[b]->name);
-            if (bases > 1)
-                row.push_back(anchor.variants[v % bases].label);
+            if (bases > 1 && !figure)
+                row.push_back(anchor.variants[row_v % bases].label);
             for (const Axis &axis : anchor.axes)
-                row.push_back(axisValue(spec.variants[v], axis));
-            for (const Column &column : anchor.columns) {
+                row.push_back(axisValue(spec.variants[row_v], axis));
+            for (std::size_t c = 0; c < printed.size(); ++c) {
+                const Column &column = printed[c].column;
+                const std::size_t v = row_v + printed[c].shift;
                 const bool slowdown =
                     std::string_view(column.name) == "slowdown";
                 double value =
@@ -426,12 +589,39 @@ runAnchor(const Anchor &anchor, const bench::Options &opt)
                     value = value / cellMean(result, b, v - v % bases,
                                              "cycles") -
                             1.0;
-                row.push_back(
-                    column.percent
-                        ? TextTable::pct(value, column.digits)
-                        : TextTable::num(value, column.digits));
+                values[c].push_back(value);
+                row.push_back(format(column, value));
             }
             table.addRow(std::move(row));
+        }
+    }
+
+    // A figure's summary rows: AVG is averageSlowdown over the
+    // seed-mean cycles, then the extremes and the paper's values.
+    if (figure) {
+        std::vector<double> base;
+        for (std::size_t b = 0; b < spec.suite.size(); ++b)
+            base.push_back(cellMean(result, b, 0, "cycles"));
+        std::vector<std::string> avg = {"AVG"}, lo = {"min"}, hi = {"max"};
+        for (std::size_t c = 0; c < printed.size(); ++c) {
+            const Printed &p = printed[c];
+            std::vector<double> with;
+            for (std::size_t b = 0; b < spec.suite.size(); ++b)
+                with.push_back(cellMean(result, b, p.shift, "cycles"));
+            const auto [least, most] =
+                std::minmax_element(values[c].begin(), values[c].end());
+            avg.push_back(format(p.column, averageSlowdown(base, with)));
+            lo.push_back(format(p.column, *least));
+            hi.push_back(format(p.column, *most));
+        }
+        table.addRow(std::move(avg));
+        table.addRow(std::move(lo));
+        table.addRow(std::move(hi));
+        if (!anchor.paperRow.empty()) {
+            std::vector<std::string> paper = {"paper"};
+            paper.insert(paper.end(), anchor.paperRow.begin(),
+                         anchor.paperRow.end());
+            table.addRow(std::move(paper));
         }
     }
     std::printf("%s\n%s", table.render().c_str(), anchor.note);

@@ -202,8 +202,9 @@ runCampaign(const Options &opt, exp::CampaignSpec spec)
         std::exit(2);
     spec.base.scale = opt.scale;
     spec.layoutSeeds = opt.layoutSeeds();
-    // Registry overrides land after the harness's own base tweaks, so
-    // --set / --config / alias flags win over per-harness defaults.
+    // Registry overrides land after the harness's own base settings,
+    // so --set / --config / alias flags win over per-harness defaults
+    // (a variant's own key sets still win over both).
     opt.cfg.applyTo(spec.base);
     try {
         return exp::runCampaignWithReports(spec, opt.jobs,

@@ -185,8 +185,6 @@ CampaignSpec::expand() const
                                 *error);
                     cfg.applyTo(unit.config);
                 }
-                if (variant.tweak)
-                    variant.tweak(unit.config);
                 units.push_back(std::move(unit));
             }
         }

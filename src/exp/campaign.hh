@@ -35,16 +35,14 @@ namespace califorms::exp
 struct Variant
 {
     Variant() = default;
-    /** The classic seven-field shape every harness spells out; the
+    /** The classic six-field shape every harness spells out; the
      *  hierarchy axis fields start at their keep-the-base defaults. */
     Variant(std::string label_, InsertionPolicy policy_,
             std::size_t maxSpan_ = 0, std::size_t fixedSpan_ = 0,
             std::optional<bool> cform_ = std::nullopt,
-            bool randomized_ = true,
-            std::function<void(RunConfig &)> tweak_ = {})
+            bool randomized_ = true)
         : label(std::move(label_)), policy(policy_), maxSpan(maxSpan_),
-          fixedSpan(fixedSpan_), cform(cform_), randomized(randomized_),
-          tweak(std::move(tweak_))
+          fixedSpan(fixedSpan_), cform(cform_), randomized(randomized_)
     {}
 
     std::string label;
@@ -56,13 +54,9 @@ struct Variant
     /** False: layout randomization is irrelevant (e.g. the baseline or
      *  a fixed-span policy) — run only the first layout seed. */
     bool randomized = true;
-    /** Escape hatch for knobs the declarative fields do not cover
-     *  (L1 format, extra latency, heap parameters, ...). Applied last,
-     *  during expand(), never concurrently. */
-    std::function<void(RunConfig &)> tweak;
 
     // Hierarchy grid axis (califorms-campaign/v2): overrides of the
-    // base machine's memory hierarchy, applied before tweak.
+    // base machine's memory hierarchy.
     unsigned levels = 0;              //!< 0 = keep the base depth
     std::optional<std::size_t> l2Kb;  //!< L2 capacity in KB; 0 disables
     std::optional<std::size_t> llcKb; //!< LLC capacity in KB; 0 disables
@@ -73,9 +67,11 @@ struct Variant
      * crossKey()/withSet(); applied during expand() after the
      * declarative fields and the seed-list assignment (so a
      * layout.seed override really applies — note the campaign seed
-     * axis then repeats the same seed), before tweak. Reports embed
-     * these as the variant's resolved non-default config (v2 only;
-     * variants without sets serialize exactly as before).
+     * axis then repeats the same seed). Every knob the declarative
+     * fields do not cover (L1 format, extra latency, heap parameters,
+     * ...) is a set. Reports embed these as the variant's resolved
+     * non-default config (v2 only; variants without sets serialize
+     * exactly as before).
      */
     std::vector<std::pair<std::string, std::string>> sets;
 

@@ -27,10 +27,9 @@ smallSpec()
     spec.name = "test";
     spec.suite = {&findBenchmark("mcf"), &findBenchmark("perlbench")};
     spec.variants = {
-        {"base", InsertionPolicy::None, 0, 0, false, false, {}},
-        {"full/3", InsertionPolicy::Full, 3, 0, true, true, {}},
-        {"intelligent/5", InsertionPolicy::Intelligent, 5, 0, true,
-         true, {}},
+        {"base", InsertionPolicy::None, 0, 0, false, false},
+        {"full/3", InsertionPolicy::Full, 3, 0, true, true},
+        {"intelligent/5", InsertionPolicy::Intelligent, 5, 0, true, true},
     };
     spec.layoutSeeds = {1000, 1001};
     spec.base.scale = 0.02;
@@ -157,20 +156,6 @@ TEST(GridExpansion, FixedSpanPolicyIsNotRandomized)
     EXPECT_FALSE(variants[1].randomized);
 }
 
-TEST(GridExpansion, TweakAppliesLast)
-{
-    CampaignSpec spec = smallSpec();
-    spec.variants = {{"tweaked", InsertionPolicy::Full, 3, 0, true,
-                      false, [](RunConfig &c) {
-                          c.machine.mem.extraL2L3Latency = 1;
-                          c.policyParams.maxSpan = 6;
-                      }}};
-    const auto units = spec.expand();
-    ASSERT_EQ(units.size(), 2u);
-    EXPECT_EQ(units[0].config.machine.mem.extraL2L3Latency, 1u);
-    EXPECT_EQ(units[0].config.policyParams.maxSpan, 6u);
-}
-
 TEST(GridExpansion, LevelsAxisCrossesEveryVariant)
 {
     CampaignSpec spec = smallSpec();
@@ -189,23 +174,24 @@ TEST(GridExpansion, LevelsAxisCrossesEveryVariant)
     EXPECT_EQ(units[5].config.machine.mem.levels, 3u);
 }
 
-TEST(GridExpansion, HierarchyOverridesApplyBeforeTweak)
+TEST(GridExpansion, HierarchyOverridesAndSetsLandInUnit)
 {
     CampaignSpec spec = smallSpec();
-    Variant v("shrunk", InsertionPolicy::Full, 3, 0, true, false,
-              [](RunConfig &c) {
-                  // tweak sees the axis overrides already applied
-                  c.machine.mem.l2Size *= 2;
-              });
+    Variant v("shrunk", InsertionPolicy::Full, 3, 0, true, false);
     v.levels = 2;
     v.l2Kb = 64;
     v.llcKb = 0;
+    v.withSet("mem.extra_l2l3_latency", "1");
     spec.variants = {v};
     const auto units = spec.expand();
     ASSERT_EQ(units.size(), 2u);
-    EXPECT_EQ(units[0].config.machine.mem.levels, 2u);
-    EXPECT_EQ(units[0].config.machine.mem.l2Size, 2u * 64u * 1024u);
-    EXPECT_EQ(units[0].config.machine.mem.l3Size, 0u);
+    for (const RunUnit &unit : units) {
+        EXPECT_EQ(unit.config.machine.mem.levels, 2u);
+        EXPECT_EQ(unit.config.machine.mem.l2Size, 64u * 1024u);
+        EXPECT_EQ(unit.config.machine.mem.l3Size, 0u);
+        EXPECT_EQ(unit.config.machine.mem.extraL2L3Latency, 1u);
+        EXPECT_EQ(unit.config.policyParams.maxSpan, 3u);
+    }
 }
 
 TEST(Engine, LevelsAxisIsJobCountInvariant)
@@ -275,8 +261,7 @@ TEST(Engine, WorkerExceptionPropagates)
     spec.suite = {&bomb};
     // Four units so jobs=4 exercises the pool path, not the inline
     // single-worker fallback.
-    spec.variants = {
-        {"base", InsertionPolicy::None, 0, 0, false, true, {}}};
+    spec.variants = {{"base", InsertionPolicy::None, 0, 0, false, true}};
     spec.layoutSeeds = {1, 2, 3, 4};
     EXPECT_THROW(exp::runCampaign(spec, 1), std::runtime_error);
     EXPECT_THROW(exp::runCampaign(spec, 4), std::runtime_error);

@@ -529,8 +529,8 @@ TEST(CampaignAxis, CrossKeySweepsAKnobWithNoDedicatedAxis)
     spec.suite = {&findBenchmark("mcf")};
     spec.base.scale = 0.02;
     spec.variants = exp::CampaignSpec::crossKey(
-        {{"base", InsertionPolicy::None, 0, 0, false, false, {}},
-         {"full/3", InsertionPolicy::Full, 3, 0, true, true, {}}},
+        {{"base", InsertionPolicy::None, 0, 0, false, false},
+         {"full/3", InsertionPolicy::Full, 3, 0, true, true}},
         "core.mlp", {"1", "12"});
     ASSERT_EQ(spec.variants.size(), 4u);
     EXPECT_EQ(spec.variants[0].label, "base@core.mlp=1");
@@ -566,8 +566,7 @@ TEST(CampaignAxis, LayoutSeedOverrideBeatsTheSeedList)
     exp::CampaignSpec spec;
     spec.suite = {&findBenchmark("mcf")};
     spec.layoutSeeds = {1000, 1001};
-    exp::Variant pinned{"pinned", InsertionPolicy::Full, 3, 0, true,
-                        true, {}};
+    exp::Variant pinned{"pinned", InsertionPolicy::Full, 3, 0, true, true};
     pinned.withSet("layout.seed", "42");
     spec.variants = {pinned};
     for (const exp::RunUnit &unit : spec.expand())
@@ -577,7 +576,7 @@ TEST(CampaignAxis, LayoutSeedOverrideBeatsTheSeedList)
 TEST(CampaignAxis, CrossKeyAndWithSetRejectBadInput)
 {
     const std::vector<exp::Variant> base = {
-        {"base", InsertionPolicy::None, 0, 0, false, false, {}}};
+        {"base", InsertionPolicy::None, 0, 0, false, false}};
     EXPECT_THROW(exp::CampaignSpec::crossKey(base, "nope.key", {"1"}),
                  std::invalid_argument);
     EXPECT_THROW(

@@ -33,8 +33,8 @@ goldenSpec()
     spec.name = "golden_quick";
     spec.suite = {&findBenchmark("mcf")};
     spec.variants = {
-        {"base", InsertionPolicy::None, 0, 0, false, false, {}},
-        {"full/3 CFORM", InsertionPolicy::Full, 3, 0, true, true, {}},
+        {"base", InsertionPolicy::None, 0, 0, false, false},
+        {"full/3 CFORM", InsertionPolicy::Full, 3, 0, true, true},
     };
     spec.layoutSeeds = {1000, 1001};
     spec.base.scale = 0.05;

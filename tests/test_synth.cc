@@ -251,8 +251,7 @@ TEST(SynthCampaign, JobsInvariantForEveryWorkload)
     for (const auto &b : adversarialSuite())
         spec.suite.push_back(&b);
     spec.variants = exp::CampaignSpec::crossLevels(
-        {{"base", InsertionPolicy::None, 0, 0, std::nullopt, false,
-          {}}},
+        {{"base", InsertionPolicy::None, 0, 0, std::nullopt, false}},
         {1, 3});
     spec.base.scale = 1.0;
     spec.base.synth.ops = 3000;

@@ -271,8 +271,8 @@ cmdSweep(int argc, char **argv)
     // Variant 0 is always the baseline the slowdown column divides by,
     // even when the user's --policies list omits 'none'; the row order
     // below follows the user's list.
-    spec.variants = {{"none", InsertionPolicy::None, 0, 0,
-                      std::nullopt, false, {}}};
+    spec.variants = {
+        {"none", InsertionPolicy::None, 0, 0, std::nullopt, false}};
     struct Row
     {
         std::size_t variant;

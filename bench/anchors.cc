@@ -46,14 +46,16 @@ struct Axis
     std::vector<std::string> values;
 };
 
-/** One printed column: a kRunFields entry, a counter-table row
- *  (statValue), or "slowdown" (cycles relative to the first base
- *  variant at the same axis point). */
+/** One printed column: a counter-table row, headed by its run-record
+ *  key, or "slowdown" (cycles relative to the first base variant at
+ *  the same axis point). */
 struct Column
 {
     const char *name;
     int digits = 0;
     bool percent = false;
+    /** Print the value as a share of this row's (at least 1). */
+    const char *per = nullptr;
 };
 
 /** One CI anchor. */
@@ -120,7 +122,7 @@ anchors()
                          {"full/3 CFORM", InsertionPolicy::Full, 3, 0,
                           true, true}},
             .axes = {{"mem.levels", {"1", "2", "3"}}},
-            .columns = {{"cycles"},
+            .columns = {{"core.cycles"},
                         {"slowdown", 2, true},
                         {"califorms.fills"},
                         {"califorms.spills"},
@@ -142,8 +144,8 @@ anchors()
             .suite = suiteOf(synthSuite()),
             .variants = {layoutFree()},
             .axes = {{"mem.levels", {"1", "2", "3"}}},
-            .columns = {{"cycles"},
-                        {"ipc", 3},
+            .columns = {{"core.cycles"},
+                        {"core.ipc", 3},
                         {"l1d.missRate", 2, true},
                         {"dram.accesses"},
                         {"califorms.cformOps"},
@@ -167,8 +169,8 @@ anchors()
             .variants = {layoutFree()},
             .axes = {{"core.count", {"1", "2", "4"}},
                      {"mem.coherence", {"none", "msi"}}},
-            .columns = {{"cycles"},
-                        {"ipc", 3},
+            .columns = {{"core.cycles"},
+                        {"core.ipc", 3},
                         {"dram.accesses"},
                         {"coherence.invalidations"},
                         {"coherence.dirtyRecalls"},
@@ -195,8 +197,8 @@ anchors()
             .variants = {layoutFree()},
             .axes = {{"mem.mshr_entries", {"0", "4", "16"}},
                      {"mem.dram_banks", {"0", "8"}}},
-            .columns = {{"cycles"},
-                        {"ipc", 3},
+            .columns = {{"core.cycles"},
+                        {"core.ipc", 3},
                         {"mshr.stallCycles"},
                         {"mshr.coalesced"},
                         {"dram.rowHits"},
@@ -223,8 +225,8 @@ anchors()
             .axes = {{"mem.levels", {"2", "3"}},
                      {"mem.repl_policy",
                       {"lru", "random", "dip", "drrip", "ship"}}},
-            .columns = {{"cycles"},
-                        {"ipc", 3},
+            .columns = {{"core.cycles"},
+                        {"core.ipc", 3},
                         {"l2.missRate", 2, true},
                         {"l3.missRate", 2, true},
                         {"repl.l1d.cformEvictions"},
@@ -245,7 +247,7 @@ anchors()
                     "under full/\nintelligent insertion the same loops "
                     "trip a security byte within a handful\nof probes: "
                     "successProbability collapses while "
-                    "detectProbability saturates,\nand "
+                    "detections/trials saturates,\nand "
                     "detectionLatencyCycles records how few cycles "
                     "each attacker life had.\nthe exceptions prove the "
                     "paper's point - brop still wins because these\n"
@@ -269,12 +271,13 @@ anchors()
                          {"intelligent", InsertionPolicy::Intelligent, 7,
                           0, std::nullopt, true}},
             .axes = {{"attack.scenario", attackScenarioNames()}},
-            .columns = {{"successProbability", 2},
-                        {"detectProbability", 2},
-                        {"probes"},
-                        {"crashes"},
-                        {"bytesTouched"},
-                        {"detectionLatencyCycles"}},
+            .columns = {{"security.successProbability", 2},
+                        {"security.detections", 2, false,
+                         "security.trials"},
+                        {"security.probes"},
+                        {"security.crashes"},
+                        {"security.bytesTouched"},
+                        {"security.detectionLatencyCycles"}},
         },
         {
             .name = "fig04",
@@ -409,72 +412,16 @@ anchors()
     return table;
 }
 
-/** Per-run values that are not memory-system counter rows. */
-struct RunField
+/** @p column's header: its row's run-record key ("key/key" for a
+ *  share), or "slowdown". */
+std::string
+headerOf(const Column &column)
 {
-    const char *name;
-    double (*value)(const RunResult &);
-};
-
-template <std::uint64_t SecurityRunStats::*field>
-double
-security(const RunResult &r)
-{
-    return static_cast<double>(r.security.*field);
-}
-
-/** A security counter as a share of the cell's attack trials. */
-template <std::uint64_t SecurityRunStats::*field>
-double
-perTrial(const RunResult &r)
-{
-    return security<field>(r) /
-           static_cast<double>(r.security.trials ? r.security.trials : 1);
-}
-
-using S = SecurityRunStats;
-
-constexpr RunField kRunFields[] = {
-    {"cycles",
-     [](const RunResult &r) { return static_cast<double>(r.cycles); }},
-    {"ipc",
-     [](const RunResult &r) {
-         return r.cycles ? static_cast<double>(r.instructions) /
-                               static_cast<double>(r.cycles)
-                         : 0.0;
-     }},
-    {"successProbability", perTrial<&S::successes>},
-    {"detectProbability", perTrial<&S::detections>},
-    {"probes", security<&S::probes>},
-    {"crashes", security<&S::crashes>},
-    {"bytesTouched", security<&S::bytesTouched>},
-    {"detectionLatencyCycles", security<&S::detectionLatencyCycles>},
-};
-
-double
-runValue(const RunResult &r, std::string_view name)
-{
-    for (const RunField &field : kRunFields)
-        if (name == field.name)
-            return field.value(r);
-    return statValue(r.mem, name);
-}
-
-/** @p name averaged over the layout seeds of one (benchmark, variant)
- *  cell, summed in unit order (so it is job-count independent). */
-double
-cellMean(const exp::CampaignResult &result, std::size_t b, std::size_t v,
-         std::string_view name)
-{
-    double sum = 0;
-    std::size_t n = 0;
-    for (const exp::RunUnit &unit : result.units) {
-        if (unit.benchIndex != b || unit.variantIndex != v)
-            continue;
-        sum += runValue(result.results[unit.index], name);
-        ++n;
-    }
-    return sum / static_cast<double>(n);
+    if (std::string_view(column.name) == "slowdown")
+        return column.name;
+    std::string out(statRow(column.name).key());
+    return column.per ? out + "/" + std::string(statRow(column.per).key())
+                      : out;
 }
 
 /** The value @p axis assigned to the expanded variant @p v. */
@@ -544,7 +491,7 @@ runAnchor(const Anchor &anchor, const bench::Options &opt)
     for (std::size_t v = 1; figure && v < spec.variants.size(); ++v)
         printed.push_back({spec.variants[v].label, {"slowdown", 2, true}, v});
     for (const Column &column : anchor.columns)
-        printed.push_back({column.name, column, 0});
+        printed.push_back({headerOf(column), column, 0});
     const auto format = [](const Column &column, double value) {
         return column.percent ? TextTable::pct(value, column.digits)
                               : TextTable::num(value, column.digits);
@@ -564,6 +511,17 @@ runAnchor(const Anchor &anchor, const bench::Options &opt)
     for (const Printed &p : printed)
         header.push_back(p.header);
 
+    // A cell's value: its row's mean over the layout seeds, as a share
+    // of another row's, or a slowdown over the first base variant at
+    // the same axis point (crossing keeps the base variants innermost,
+    // so that is v - v % bases).
+    const auto cell = [&](std::size_t b, std::size_t v, const Column &c) {
+        if (std::string_view(c.name) == "slowdown")
+            return result.mean(b, v) / result.mean(b, v - v % bases) - 1.0;
+        const double value = result.mean(b, v, c.name);
+        return c.per ? value / std::max(1.0, result.mean(b, v, c.per))
+                     : value;
+    };
     TextTable table(header);
     std::vector<std::vector<double>> values(printed.size());
     const std::size_t row_variants = figure ? 1 : spec.variants.size();
@@ -578,17 +536,8 @@ runAnchor(const Anchor &anchor, const bench::Options &opt)
                 row.push_back(axisValue(spec.variants[row_v], axis));
             for (std::size_t c = 0; c < printed.size(); ++c) {
                 const Column &column = printed[c].column;
-                const std::size_t v = row_v + printed[c].shift;
-                const bool slowdown =
-                    std::string_view(column.name) == "slowdown";
-                double value =
-                    cellMean(result, b, v, slowdown ? "cycles" : column.name);
-                // Crossing keeps the base variants innermost, so the
-                // first base at this axis point is v - v % bases.
-                if (slowdown)
-                    value = value / cellMean(result, b, v - v % bases,
-                                             "cycles") -
-                            1.0;
+                const double value =
+                    cell(b, row_v + printed[c].shift, column);
                 values[c].push_back(value);
                 row.push_back(format(column, value));
             }
@@ -601,13 +550,13 @@ runAnchor(const Anchor &anchor, const bench::Options &opt)
     if (figure) {
         std::vector<double> base;
         for (std::size_t b = 0; b < spec.suite.size(); ++b)
-            base.push_back(cellMean(result, b, 0, "cycles"));
+            base.push_back(result.mean(b, 0));
         std::vector<std::string> avg = {"AVG"}, lo = {"min"}, hi = {"max"};
         for (std::size_t c = 0; c < printed.size(); ++c) {
             const Printed &p = printed[c];
             std::vector<double> with;
             for (std::size_t b = 0; b < spec.suite.size(); ++b)
-                with.push_back(cellMean(result, b, p.shift, "cycles"));
+                with.push_back(result.mean(b, p.shift));
             const auto [least, most] =
                 std::minmax_element(values[c].begin(), values[c].end());
             avg.push_back(format(p.column, averageSlowdown(base, with)));

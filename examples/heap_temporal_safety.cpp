@@ -56,7 +56,7 @@ main()
     // The program frees it...
     heap.free(session);
     std::printf("freed; quarantined bytes: %zu\n",
-                heap.stats().quarantinedBytes);
+                heap.quarantinedBytes());
 
     // ...but a stale pointer dereferences it (use after free).
     const std::uint64_t leaked =

@@ -45,30 +45,10 @@ void
 runOne(const SpecBenchmark &bench, const RunConfig &config)
 {
     const RunResult r = runBenchmark(bench, config);
-    std::printf("\n=== %s  policy=%s  cform=%s ===\n",
+    std::printf("\n=== %s  policy=%s  cform=%s ===\n%s",
                 bench.name.c_str(), policyName(config.policy).c_str(),
-                config.heap.useCform ? "on" : "off");
-    std::printf("cycles=%llu instructions=%llu ipc=%.2f\n",
-                static_cast<unsigned long long>(r.cycles),
-                static_cast<unsigned long long>(r.instructions),
-                r.cycles ? static_cast<double>(r.instructions) /
-                               static_cast<double>(r.cycles)
-                         : 0.0);
-    std::printf("l1 miss%%=%.2f l2 miss%%=%.2f l3 miss%%=%.2f "
-                "dram lines=%llu\n",
-                100.0 * r.mem.l1.missRate(),
-                100.0 * r.mem.l2.missRate(),
-                100.0 * r.mem.l3.missRate(),
-                static_cast<unsigned long long>(r.mem.dramAccesses));
-    std::printf("allocs=%llu frees=%llu cforms=%llu spills=%llu "
-                "fills=%llu\n",
-                static_cast<unsigned long long>(r.heap.allocs),
-                static_cast<unsigned long long>(r.heap.frees),
-                static_cast<unsigned long long>(r.mem.cformOps),
-                static_cast<unsigned long long>(r.mem.spills),
-                static_cast<unsigned long long>(r.mem.fills));
-    std::printf("exceptions delivered=%zu suppressed=%zu\n",
-                r.exceptionsDelivered, r.exceptionsSuppressed);
+                config.heap.useCform ? "on" : "off",
+                dumpStats(r.record(), config.machine).c_str());
 }
 
 } // namespace

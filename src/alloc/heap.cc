@@ -107,9 +107,9 @@ HeapAllocator::carve(std::size_t footprint)
     const Addr base = bump_;
     bump_ += footprint;
     stats_.peakHeapBytes =
-        std::max<std::size_t>(stats_.peakHeapBytes,
-                              bump_ - lineBase(params_.heapBase +
-                                               lineBytes - 1));
+        std::max<std::uint64_t>(stats_.peakHeapBytes,
+                                bump_ - lineBase(params_.heapBase +
+                                                 lineBytes - 1));
     return base;
 }
 
@@ -141,7 +141,7 @@ HeapAllocator::allocate(std::shared_ptr<const SecureLayout> layout,
 
     ++stats_.allocs;
     stats_.bytesAllocated += block.payloadBytes;
-    stats_.liveBytes += block.payloadBytes;
+    liveBytes_ += block.payloadBytes;
     live_.emplace(block.payload, block);
     return block.payload;
 }
@@ -168,7 +168,7 @@ HeapAllocator::allocateRaw(std::size_t bytes)
 
     ++stats_.allocs;
     stats_.bytesAllocated += bytes;
-    stats_.liveBytes += bytes;
+    liveBytes_ += bytes;
     live_.emplace(block.payload, block);
     return block.payload;
 }
@@ -185,8 +185,8 @@ HeapAllocator::free(Addr addr)
     califormFree(block);
 
     ++stats_.frees;
-    stats_.liveBytes -= block.payloadBytes;
-    stats_.quarantinedBytes += block.footprint;
+    liveBytes_ -= block.payloadBytes;
+    quarantinedBytes_ += block.footprint;
     quarantine_.push_back(std::move(block));
 
     // Recycle the oldest quarantined blocks once the quarantine exceeds
@@ -194,10 +194,10 @@ HeapAllocator::free(Addr addr)
     const auto limit = static_cast<std::size_t>(
         params_.quarantineFraction *
         static_cast<double>(stats_.peakHeapBytes));
-    while (!quarantine_.empty() && stats_.quarantinedBytes > limit) {
+    while (!quarantine_.empty() && quarantinedBytes_ > limit) {
         Block old = std::move(quarantine_.front());
         quarantine_.pop_front();
-        stats_.quarantinedBytes -= old.footprint;
+        quarantinedBytes_ -= old.footprint;
         freeLists_[old.footprint].push_back(std::move(old));
     }
 }

@@ -47,7 +47,8 @@ struct HeapParams
     bool nonTemporalCform = false;  //!< use the streaming CFORM variant
 };
 
-/** Allocation/free counters. */
+/** Allocation/free counters: a run's "heap" rollup, each field one
+ *  row of the counter table (sim/stats_dump). */
 struct HeapStats
 {
     std::uint64_t allocs = 0;
@@ -55,9 +56,7 @@ struct HeapStats
     std::uint64_t reuses = 0;          //!< allocations served from free list
     std::uint64_t cformsIssued = 0;
     std::uint64_t bytesAllocated = 0;  //!< cumulative payload bytes
-    std::size_t liveBytes = 0;
-    std::size_t quarantinedBytes = 0;
-    std::size_t peakHeapBytes = 0;     //!< high-water mark of the arena
+    std::uint64_t peakHeapBytes = 0;   //!< high-water mark of the arena
 };
 
 class HeapAllocator
@@ -97,6 +96,9 @@ class HeapAllocator
     bool isLive(Addr addr) const;
 
     const HeapStats &stats() const { return stats_; }
+    std::size_t liveBytes() const { return liveBytes_; } //!< payload
+    /** Footprint of the freed blocks held in quarantine. */
+    std::size_t quarantinedBytes() const { return quarantinedBytes_; }
     const HeapParams &params() const { return params_; }
     Machine &machine() { return machine_; }
 
@@ -132,6 +134,8 @@ class HeapAllocator
     HeapParams params_;
     Addr bump_;
     HeapStats stats_;
+    std::size_t liveBytes_ = 0;
+    std::size_t quarantinedBytes_ = 0;
     std::unordered_map<Addr, Block> live_;
     std::deque<Block> quarantine_;
     std::unordered_map<std::size_t, std::vector<Block>> freeLists_;

@@ -366,8 +366,8 @@ runUnits(const std::vector<RunUnit> &units, unsigned jobs)
 }
 
 double
-CampaignResult::meanCycles(std::size_t bench_idx,
-                           std::size_t variant_idx) const
+CampaignResult::mean(std::size_t bench_idx, std::size_t variant_idx,
+                     std::string_view row) const
 {
     double sum = 0;
     std::size_t n = 0;
@@ -375,7 +375,7 @@ CampaignResult::meanCycles(std::size_t bench_idx,
         if (unit.benchIndex != bench_idx ||
             unit.variantIndex != variant_idx)
             continue;
-        sum += static_cast<double>(results[unit.index].cycles);
+        sum += statValue(results[unit.index].record(), row);
         ++n;
     }
     if (!n)

@@ -20,6 +20,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "config/config.hh"
@@ -196,11 +197,11 @@ struct CampaignResult
     std::vector<RunUnit> units;
     std::vector<RunResult> results; //!< results[i] is for units[i]
 
-    /** Mean cycles over the layout seeds of one (benchmark, variant)
-     *  cell, summed in seed order (so the value is job-count
-     *  independent). */
-    double meanCycles(std::size_t bench_idx,
-                      std::size_t variant_idx) const;
+    /** The counter-table row @p row averaged over the layout seeds of
+     *  one (benchmark, variant) cell, summed in seed order (so the
+     *  value is job-count independent). */
+    double mean(std::size_t bench_idx, std::size_t variant_idx,
+                std::string_view row = "core.cycles") const;
 
     /** The single result of one fully-indexed cell (throws if the cell
      *  was not part of the grid). */

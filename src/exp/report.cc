@@ -1,12 +1,11 @@
 #include "exp/report.hh"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "config/config.hh"
 #include "layout/policy.hh"
@@ -18,12 +17,6 @@ namespace califorms::exp
 
 namespace
 {
-
-std::string
-u64(std::uint64_t v)
-{
-    return std::to_string(v);
-}
 
 /** RFC 4180 quoting for fields that may carry delimiters. */
 std::string
@@ -69,75 +62,23 @@ variantConfigJson(const Variant &variant)
     return out;
 }
 
-void
-runJson(std::ostringstream &os, const RunUnit &unit,
-        const RunResult &r, const CampaignSpec &spec)
-{
-    const Variant &variant = spec.variants[unit.variantIndex];
-    os << "    {\"benchmark\": " << jsonString(r.benchmark)
-       << ", \"variant\": " << jsonString(variant.label)
-       << ", \"variantIndex\": " << unit.variantIndex
-       << ", \"layoutSeed\": " << u64(unit.config.layoutSeed)
-       << ", \"levels\": " << unit.config.machine.mem.levels
-       << ",\n     \"cycles\": " << u64(r.cycles)
-       << ", \"instructions\": " << u64(r.instructions)
-       << ", \"ipc\": "
-       << jsonNumber(r.cycles ? static_cast<double>(r.instructions) /
-                                    static_cast<double>(r.cycles)
-                              : 0.0);
-    for (const StatBlock block : kStatBlocks) {
-        const std::string json =
-            statBlockJson(r.mem, unit.config.machine, block);
-        if (!json.empty())
-            os << ",\n     " << json;
-        // Multi-core runs follow the coherence block with a per-core
-        // private breakdown (r.cores is empty on single-core runs).
-        if (block != StatBlock::Coherence || r.cores.empty())
-            continue;
-        os << ",\n     \"cores\": [";
-        for (std::size_t c = 0; c < r.cores.size(); ++c) {
-            const CoreRunStats &core = r.cores[c];
-            os << (c ? ",\n               " : "") << "{\"core\": " << c
-               << ", \"cycles\": " << u64(core.cycles)
-               << ", \"instructions\": " << u64(core.instructions)
-               << ", \"l1dHits\": " << u64(core.mem.l1.hits)
-               << ", \"l1dMisses\": " << u64(core.mem.l1.misses)
-               << ", \"spills\": " << u64(core.mem.spills)
-               << ", \"fills\": " << u64(core.mem.fills)
-               << ", \"cformOps\": " << u64(core.mem.cformOps)
-               << ", \"securityFaults\": "
-               << u64(core.mem.securityFaults) << "}";
-        }
-        os << "]";
-    }
-    // Attack replay runs carry the scenario rollup; every other
-    // benchmark leaves trials at 0 and omits the block under the same
-    // byte-identity convention.
-    if (r.security.trials > 0) {
-        os << ",\n     \"security\": {\"scenario\": "
-           << jsonString(r.security.scenario)
-           << ", \"trials\": " << u64(r.security.trials)
-           << ", \"successes\": " << u64(r.security.successes)
-           << ", \"successProbability\": "
-           << jsonNumber(static_cast<double>(r.security.successes) /
-                         static_cast<double>(r.security.trials))
-           << ", \"detections\": " << u64(r.security.detections)
-           << ", \"probes\": " << u64(r.security.probes)
-           << ", \"bytesTouched\": " << u64(r.security.bytesTouched)
-           << ", \"crashes\": " << u64(r.security.crashes)
-           << ", \"detectionLatencyCycles\": "
-           << u64(r.security.detectionLatencyCycles) << "}";
-    }
-    os << ",\n     \"heap\": {\"allocs\": " << u64(r.heap.allocs)
-       << ", \"frees\": " << u64(r.heap.frees)
-       << ", \"reuses\": " << u64(r.heap.reuses)
-       << ", \"cformsIssued\": " << u64(r.heap.cformsIssued)
-       << ", \"bytesAllocated\": " << u64(r.heap.bytesAllocated)
-       << ", \"peakHeapBytes\": " << u64(r.heap.peakHeapBytes)
-       << "},\n     \"exceptions\": {\"delivered\": "
-       << u64(r.exceptionsDelivered)
-       << ", \"suppressed\": " << u64(r.exceptionsSuppressed) << "}}";
-}
+/** The CSV columns after the six unit columns: a header and the
+ *  counter-table row it prints; a null row is the run's depth. v2
+ *  columns follow the v1 set so positional consumers keep working. */
+constexpr std::pair<const char *, const char *> kCsvColumns[] = {
+    {"cycles", "core.cycles"}, {"instructions", "core.instructions"},
+    {"l1dMisses", "l1d.misses"}, {"l2Misses", "l2.misses"},
+    {"l3Misses", "l3.misses"}, {"dramAccesses", "dram.accesses"},
+    {"spills", "califorms.spills"}, {"fills", "califorms.fills"},
+    {"cformOps", "califorms.cformOps"},
+    {"securityFaults", "califorms.securityFaults"},
+    {"heapAllocs", "heap.allocs"}, {"heapCformsIssued", "heap.cformsIssued"},
+    {"peakHeapBytes", "heap.peakHeapBytes"},
+    {"exceptionsDelivered", "exceptions.delivered"},
+    {"exceptionsSuppressed", "exceptions.suppressed"}, {"levels", nullptr},
+    {"fillConvCycles", "califorms.fillConvCycles"},
+    {"spillConvCycles", "califorms.spillConvCycles"},
+    {"wbqHits", "wbq.hits"}};
 
 } // namespace
 
@@ -165,7 +106,7 @@ campaignJson(const CampaignResult &result, const ReportTiming &timing)
        << ", \"wbQueueEntries\": " << mem.wbQueueEntries << "},\n";
     os << "  \"layoutSeeds\": [";
     for (std::size_t i = 0; i < spec.layoutSeeds.size(); ++i)
-        os << (i ? ", " : "") << u64(spec.layoutSeeds[i]);
+        os << (i ? ", " : "") << spec.layoutSeeds[i];
     os << "],\n";
     os << "  \"benchmarks\": [";
     for (std::size_t i = 0; i < spec.suite.size(); ++i)
@@ -207,8 +148,16 @@ campaignJson(const CampaignResult &result, const ReportTiming &timing)
     }
     os << "  \"runs\": [\n";
     for (std::size_t i = 0; i < result.units.size(); ++i) {
-        runJson(os, result.units[i], result.results[i], spec);
-        os << (i + 1 < result.units.size() ? "," : "") << "\n";
+        const RunUnit &unit = result.units[i];
+        const RunResult &r = result.results[i];
+        os << "    {\"benchmark\": " << jsonString(r.benchmark)
+           << ", \"variant\": "
+           << jsonString(spec.variants[unit.variantIndex].label)
+           << ", \"variantIndex\": " << unit.variantIndex
+           << ", \"layoutSeed\": " << unit.config.layoutSeed
+           << ", \"levels\": " << unit.config.machine.mem.levels
+           << ",\n     " << runJson(r.record(), unit.config.machine) << "}"
+           << (i + 1 < result.units.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
     return os.str();
@@ -218,35 +167,22 @@ std::string
 campaignCsv(const CampaignResult &result)
 {
     std::ostringstream os;
-    // v2 columns are appended after the v1 set so positional consumers
-    // of the old header keep working.
-    os << "benchmark,variant,policy,maxSpan,fixedSpan,layoutSeed,cycles,"
-          "instructions,l1dMisses,l2Misses,l3Misses,dramAccesses,"
-          "spills,fills,cformOps,securityFaults,heapAllocs,"
-          "heapCformsIssued,peakHeapBytes,exceptionsDelivered,"
-          "exceptionsSuppressed,levels,fillConvCycles,spillConvCycles,"
-          "wbqHits\n";
+    os << "benchmark,variant,policy,maxSpan,fixedSpan,layoutSeed";
+    for (const auto &[header, row] : kCsvColumns)
+        os << ',' << header;
+    os << '\n';
     for (std::size_t i = 0; i < result.units.size(); ++i) {
         const RunUnit &unit = result.units[i];
         const RunResult &r = result.results[i];
         const Variant &v = result.spec.variants[unit.variantIndex];
         os << csvField(r.benchmark) << ',' << csvField(v.label) << ','
            << policyName(v.policy) << ',' << v.maxSpan << ','
-           << v.fixedSpan << ','
-           << u64(unit.config.layoutSeed) << ',' << u64(r.cycles) << ','
-           << u64(r.instructions) << ',' << u64(r.mem.l1.misses) << ','
-           << u64(r.mem.l2.misses) << ',' << u64(r.mem.l3.misses) << ','
-           << u64(r.mem.dramAccesses) << ',' << u64(r.mem.spills) << ','
-           << u64(r.mem.fills) << ',' << u64(r.mem.cformOps) << ','
-           << u64(r.mem.securityFaults) << ',' << u64(r.heap.allocs)
-           << ',' << u64(r.heap.cformsIssued) << ','
-           << u64(r.heap.peakHeapBytes) << ','
-           << u64(r.exceptionsDelivered) << ','
-           << u64(r.exceptionsSuppressed) << ','
-           << unit.config.machine.mem.levels << ','
-           << u64(r.mem.fillConvCycles) << ','
-           << u64(r.mem.spillConvCycles) << ','
-           << u64(r.mem.wbHits) << '\n';
+           << v.fixedSpan << ',' << unit.config.layoutSeed;
+        for (const auto &[header, row] : kCsvColumns)
+            os << ','
+               << (row ? jsonNumber(statValue(r.record(), row))
+                       : std::to_string(unit.config.machine.mem.levels));
+        os << '\n';
     }
     return os.str();
 }

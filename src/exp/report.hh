@@ -1,12 +1,12 @@
 /**
  * @file report.hh
  * Machine-readable campaign reports: JSON (schema
- * "califorms-campaign/v2") and CSV, one record per run. The per-run
- * "mem", "coherence", "memlp" and "repl" objects are rendered from the
- * sim/stats_dump counter table (statBlockJson) under the canonical
- * dump names (l1d.hits, califorms.cformOps, ...), so a JSON trajectory
- * diffs against a text stats dump key for key, and a block appears
- * only when the run's machine configuration emits it. Numeric output is
+ * "califorms-campaign/v2") and CSV, one record per run. Every per-run
+ * value is a sim/stats_dump counter-table row: each JSON run record is
+ * its unit keys plus runJson (counter blocks under the canonical dump
+ * names, so a JSON trajectory diffs against a text stats dump key for
+ * key; a block appears only when its gate opens), and each CSV column
+ * names one row. Numeric output is
  * deterministic: the simulator's counters are integers and every ratio
  * is formatted with a fixed shortest-round-trip rule, so two runs of
  * the same campaign produce byte-identical reports regardless of

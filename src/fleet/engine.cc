@@ -50,10 +50,6 @@ replayTenant(const FleetSpec &spec, std::size_t index)
     const TenantSpec &tenant = spec.tenants[index];
     const RunConfig config = resolveTenantConfig(spec, index);
 
-    TenantResult result;
-    result.id = tenant.id;
-    result.source = tenant.source();
-
     Machine machine(config.machine, ExceptionUnit::Policy::Record);
     // Trace tenants take durationOps as a cap; generator tenants are
     // built to produce exactly their budget.
@@ -75,15 +71,8 @@ replayTenant(const FleetSpec &spec, std::size_t index)
         reader = makeSynthGenerator(tenant.workload, config.synth, ops);
     }
     TraceReader *const stream = reader.get();
-    result.replay = replayStreams(machine, {&stream, 1}, cap);
-
-    result.cycles = machine.cycles();
-    result.instructions = machine.instructions();
-    result.mem = machine.memStats();
-    result.exceptionsDelivered = machine.exceptions().deliveredCount();
-    result.exceptionsSuppressed =
-        machine.exceptions().suppressedCount();
-    return result;
+    const ReplayStats replay = replayStreams(machine, {&stream, 1}, cap);
+    return {snapshot(machine), tenant.id, tenant.source(), replay};
 }
 
 } // namespace

@@ -44,17 +44,13 @@ struct FleetSpec
     std::uint64_t durationOps = 0;
 };
 
-/** One tenant's merged block. */
-struct TenantResult
+/** One tenant's merged block: its machine's snapshot plus the replay
+ *  totals. */
+struct TenantResult : RunStats
 {
     std::string id;
     std::string source; //!< "workload=..." or "trace=..."
     ReplayStats replay{};
-    Cycles cycles = 0;
-    std::uint64_t instructions = 0;
-    MemSysStats mem{};
-    std::size_t exceptionsDelivered = 0;
-    std::size_t exceptionsSuppressed = 0;
 };
 
 /** The merged fleet: per-tenant blocks plus the throughput facts. */

@@ -2,10 +2,9 @@
  * @file report.hh
  * The merged fleet report: "califorms-campaign/v2" JSON with one run
  * block per tenant (keyed benchmark=source, variant=tenant id, so the
- * bench_gate counter comparison works unchanged, and carrying the
- * counter-table blocks — "mem", plus "memlp"/"repl" — that the
- * tenant's resolved config emits) plus the first-class
- * "throughput" object — opsReplayed / shards / tenants are
+ * bench_gate comparison works unchanged, and carrying the replay
+ * totals and the counter-table record runJson renders) plus the
+ * first-class "throughput" object — opsReplayed / shards / tenants are
  * deterministic and exact-gated; opsPerSec is derived from the wall
  * clock and only emitted when timing is included, keeping the
  * timing-free report byte-identical at any --jobs value.

@@ -35,36 +35,8 @@ runBenchmark(const SpecBenchmark &bench, const RunConfig &config)
 
     bench.run(ctx);
 
-    RunResult result;
-    result.benchmark = bench.name;
-    result.cycles = machine.cycles();
-    result.instructions = machine.instructions();
-    result.mem = machine.memStats();
-    result.heap = heap.stats();
-    result.exceptionsDelivered = machine.exceptions().deliveredCount();
-    result.exceptionsSuppressed = machine.exceptions().suppressedCount();
-    result.security = ctx.securityResult();
-    if (machine.coreCount() > 1) {
-        result.cores.reserve(machine.coreCount());
-        for (unsigned c = 0; c < machine.coreCount(); ++c) {
-            CoreRunStats core;
-            core.cycles = machine.coreCycles(c);
-            core.instructions = machine.coreInstructions(c);
-            core.mem = machine.coreMemStats(c);
-            result.cores.push_back(core);
-        }
-    }
-    return result;
-}
-
-double
-slowdownVs(const RunResult &baseline, const RunResult &result)
-{
-    if (baseline.cycles == 0)
-        return 0.0;
-    return static_cast<double>(result.cycles) /
-               static_cast<double>(baseline.cycles) -
-           1.0;
+    return {snapshot(machine), bench.name, heap.stats(),
+            ctx.securityResult(), coreSnapshots(machine)};
 }
 
 } // namespace califorms

@@ -50,30 +50,18 @@ struct RunConfig
     RunConfig &withCform(bool on);
 };
 
-/** One core's share of a multi-core run. */
-struct CoreRunStats
-{
-    Cycles cycles = 0;             //!< this core's OoO critical path
-    std::uint64_t instructions = 0;
-    MemSysStats mem{};             //!< private side only (shared zero)
-};
-
-/** Everything measured in one run. */
-struct RunResult
+/** Everything measured in one run: the machine snapshot plus its
+ *  rollups. security.trials stays 0 for every benchmark but the attack
+ *  replay; cores is coreSnapshots (empty on one core). */
+struct RunResult : RunStats
 {
     std::string benchmark;
-    Cycles cycles = 0;
-    std::uint64_t instructions = 0;
-    MemSysStats mem{};
     HeapStats heap{};
-    std::size_t exceptionsDelivered = 0;
-    std::size_t exceptionsSuppressed = 0;
-    /** Per-core breakdown; filled only when core.count > 1 (empty on
-     *  single-core runs, keeping their reports byte-identical). */
-    std::vector<CoreRunStats> cores;
-    /** Attack-scenario rollup; trials stays 0 for every benchmark but
-     *  the attack replay, keeping other reports byte-identical. */
     SecurityRunStats security{};
+    std::vector<RunStats> cores;
+
+    /** What the counter table's rows read for this run. */
+    RunRecord record() const { return {*this, cores, &heap, &security}; }
 };
 
 /** Run @p bench under @p config on a fresh machine. Throws
@@ -82,9 +70,6 @@ struct RunResult
  *  a multi-core machine single-threaded would misreport scaling). */
 RunResult runBenchmark(const SpecBenchmark &bench,
                        const RunConfig &config);
-
-/** Slowdown of @p result relative to @p baseline (0.03 = 3% slower). */
-double slowdownVs(const RunResult &baseline, const RunResult &result);
 
 } // namespace califorms
 

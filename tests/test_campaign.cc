@@ -247,8 +247,8 @@ TEST(Engine, MeanCyclesIsSeedAverage)
         (static_cast<double>(result.at(0, 1, 0).cycles) +
          static_cast<double>(result.at(0, 1, 1).cycles)) /
         2.0;
-    EXPECT_DOUBLE_EQ(result.meanCycles(0, 1), expected);
-    EXPECT_THROW(result.meanCycles(0, 99), std::out_of_range);
+    EXPECT_DOUBLE_EQ(result.mean(0, 1), expected);
+    EXPECT_THROW(result.mean(0, 99), std::out_of_range);
     EXPECT_THROW(result.at(0, 0, 1), std::out_of_range);
 }
 

@@ -546,7 +546,7 @@ TEST(CampaignAxis, CrossKeySweepsAKnobWithNoDedicatedAxis)
     // An MLP-1 machine exposes every miss serially; the same workload
     // must be slower than at the default MLP of 12.
     const exp::CampaignResult result = exp::runCampaign(spec, 2);
-    EXPECT_GT(result.meanCycles(0, 0), result.meanCycles(0, 2));
+    EXPECT_GT(result.mean(0, 0), result.mean(0, 2));
 
     // The v2 report embeds the variant's resolved non-default config.
     exp::ReportTiming timing;

@@ -250,14 +250,14 @@ TEST(Heap, StatsTrackLiveAndQuarantine)
     const auto layout = h.layout(InsertionPolicy::None);
     const Addr a = h.heap.allocate(layout);
     EXPECT_EQ(h.heap.stats().allocs, 1u);
-    EXPECT_EQ(h.heap.stats().liveBytes, layout->size);
+    EXPECT_EQ(h.heap.liveBytes(), layout->size);
     EXPECT_TRUE(h.heap.isLive(a));
     EXPECT_TRUE(h.heap.isLive(a + layout->size - 1));
     EXPECT_FALSE(h.heap.isLive(a + layout->size));
     h.heap.free(a);
     EXPECT_EQ(h.heap.stats().frees, 1u);
-    EXPECT_EQ(h.heap.stats().liveBytes, 0u);
-    EXPECT_GT(h.heap.stats().quarantinedBytes, 0u);
+    EXPECT_EQ(h.heap.liveBytes(), 0u);
+    EXPECT_GT(h.heap.quarantinedBytes(), 0u);
     EXPECT_FALSE(h.heap.isLive(a));
 }
 

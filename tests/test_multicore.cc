@@ -45,8 +45,10 @@ multicoreParams(unsigned cores, CoherenceKind coherence)
 void
 expectStatsEq(const MemSysStats &a, const MemSysStats &b)
 {
+    const RunStats run_a{0, 0, a};
+    const RunStats run_b{0, 0, b};
     for (const StatRow &row : statTable())
-        EXPECT_EQ(row.value(a), row.value(b)) << row.name;
+        EXPECT_EQ(row.value({run_a}), row.value({run_b})) << row.name;
 }
 
 const SpecBenchmark &
@@ -329,7 +331,7 @@ TEST(MulticoreStats, PerCoreStatsSumToMergedPrivateSide)
     ASSERT_EQ(r.cores.size(), 4u);
     MemSysStats sum;
     std::uint64_t instructions = 0;
-    for (const CoreRunStats &core : r.cores) {
+    for (const RunStats &core : r.cores) {
         sum.l1.hits += core.mem.l1.hits;
         sum.l1.misses += core.mem.l1.misses;
         sum.spills += core.mem.spills;

@@ -125,7 +125,7 @@ TEST(AllocChurnTest, PoolStaysBalancedAndClean)
     EXPECT_EQ(h.machine.exceptions().deliveredCount(), 0u);
     // Every allocation was eventually freed.
     EXPECT_EQ(h.heap.stats().allocs, h.heap.stats().frees);
-    EXPECT_EQ(h.heap.stats().liveBytes, 0u);
+    EXPECT_EQ(h.heap.liveBytes(), 0u);
 }
 
 TEST(StackWorkTest, BalancedFramesNoFaults)

@@ -1,9 +1,9 @@
 /**
  * @file test_report.cc
- * Campaign report tests, including the golden-output test: the JSON
- * for a fixed --quick-sized campaign must match the checked-in
- * expectation byte for byte (timing omitted — it is the one
- * non-deterministic part of a report). Regenerate the golden file
+ * Campaign report tests, including the golden-output tests: the JSON
+ * and CSV for a fixed --quick-sized campaign must match the checked-in
+ * expectations byte for byte (timing omitted — it is the one
+ * non-deterministic part of a report). Regenerate the golden files
  * after an intentional schema or simulator change with:
  *
  *   CALIFORMS_REGEN_GOLDEN=1 ./test_report
@@ -107,6 +107,14 @@ TEST(ReportGolden, V2JsonMatchesCheckedInExpectation)
     timing.include = false;
     const std::string json = exp::campaignJson(result, timing);
     expectMatchesGolden(json, "campaign_hierarchy_v2.json");
+}
+
+TEST(ReportGolden, QuickCsvMatchesCheckedInExpectation)
+{
+    // Every CSV column of the default-hierarchy campaign, byte for
+    // byte: the header and each run's row.
+    const auto result = exp::runCampaign(goldenSpec(), 2);
+    expectMatchesGolden(exp::campaignCsv(result), "campaign_quick_v2.csv");
 }
 
 TEST(Report, V2CarriesTheHierarchyAndConversionSurface)

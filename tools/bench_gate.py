@@ -4,9 +4,10 @@
 Compares a freshly produced campaign JSON report (schema
 califorms-campaign/v1 or /v2) against a committed baseline:
 
-  * simulated counters (cycles, instructions, per-run mem stats) are
-    deterministic, so any drift is a hard failure — an intentional
-    model change must regenerate the baseline with --update;
+  * every value of every run record (counter blocks, per-core entries,
+    fleet checksums and op mixes) is deterministic, so any drift is a
+    hard failure — an intentional model change must regenerate the
+    baseline with --update;
   * wall-clock time (the optional "timing" object) is gated with a
     relative threshold: the current elapsedMs may exceed the baseline
     by at most --time-threshold (default 0.15 = +15%); pass
@@ -16,8 +17,8 @@ califorms-campaign/v1 or /v2) against a committed baseline:
     comparison (e.g. when gating wall clock against a previous CI
     run whose counters predate an intentional baseline update);
   * the optional "throughput" object (fleet reports) splits the same
-    way: its deterministic counters (opsReplayed, batchOps, shards,
-    tenants) are exact-matched with the other counters, while the
+    way: its deterministic counters (every member but opsPerSec) are
+    exact-matched with the other counters, while the
     wall-clock-derived opsPerSec is gated as a floor — the current
     rate may fall short of the baseline by at most --ops-threshold
     (default 0.30 = -30%), and is skipped by --no-time alongside the
@@ -64,11 +65,26 @@ def index_runs(report, path):
     return runs
 
 
-def compare_counters(current, baseline):
-    """Exact comparison of the deterministic per-run counters.
+def leaves(value, path=""):
+    """Flatten a run record into {path: value}: members join with "."
+    ("mem.l1d.misses"), list items with [i] ("cores[0].cycles"), and
+    the wall-clock "timing" member is skipped."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else k, v)
+                 for k, v in value.items() if k != "timing"]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return {path: value}
+    return {p: leaf for sub, v in items for p, leaf in leaves(v, sub).items()}
 
-    The compared surface is the intersection of the recorded stats, so
-    a v2 current report still gates cleanly against a v1 baseline.
+
+def compare_counters(current, baseline):
+    """Exact comparison of every value of every run record.
+
+    Every leaf of a baseline run must be present in the current run
+    with the same value; leaves only the current run has are not
+    compared, so a report that gained a counter still gates.
     """
     failures = []
     cur_runs = index_runs(current, "current")
@@ -77,19 +93,14 @@ def compare_counters(current, baseline):
         if key not in cur_runs:
             failures.append(f"run {key} missing from current report")
             continue
-        cur, base = cur_runs[key], base_runs[key]
-        for field in ("cycles", "instructions"):
-            if cur.get(field) != base.get(field):
+        cur = leaves(cur_runs[key])
+        for path, value in leaves(base_runs[key]).items():
+            if path not in cur:
                 failures.append(
-                    f"run {key}: {field} {base.get(field)} -> "
-                    f"{cur.get(field)}")
-        cur_mem = cur.get("mem", {})
-        base_mem = base.get("mem", {})
-        for stat in sorted(set(cur_mem) & set(base_mem)):
-            if cur_mem[stat] != base_mem[stat]:
+                    f"run {key}: {path} missing from current report")
+            elif cur[path] != value:
                 failures.append(
-                    f"run {key}: mem.{stat} {base_mem[stat]} -> "
-                    f"{cur_mem[stat]}")
+                    f"run {key}: {path} {value} -> {cur[path]}")
     for key in sorted(cur_runs, key=repr):
         if key not in base_runs:
             failures.append(
@@ -117,7 +128,8 @@ def compare_time(current, baseline, threshold):
 
 
 def compare_throughput_counters(current, baseline):
-    """Exact comparison of the deterministic throughput counters.
+    """Exact comparison of the deterministic throughput counters: every
+    member but the wall-clock opsPerSec.
 
     Reports without a baseline throughput object (every non-fleet
     harness) are exempt; a baseline that has one pins the shape.
@@ -128,13 +140,9 @@ def compare_throughput_counters(current, baseline):
     cur_tp = current.get("throughput")
     if cur_tp is None:
         return ["throughput object missing from current report"]
-    failures = []
-    for field in ("opsReplayed", "batchOps", "shards", "tenants"):
-        if field in base_tp and cur_tp.get(field) != base_tp[field]:
-            failures.append(
-                f"throughput.{field} {base_tp[field]} -> "
-                f"{cur_tp.get(field)}")
-    return failures
+    return [f"throughput.{field} {value} -> {cur_tp.get(field)}"
+            for field, value in base_tp.items()
+            if field != "opsPerSec" and cur_tp.get(field) != value]
 
 
 def compare_throughput_rate(current, baseline, tolerance):

@@ -346,8 +346,8 @@ cmdSweep(int argc, char **argv)
             // machine configuration (variant block).
             const std::size_t base_variant =
                 row.variant / per_block * per_block;
-            const double baseline = result.meanCycles(b, base_variant);
-            const double cycles = result.meanCycles(b, row.variant);
+            const double baseline = result.mean(b, base_variant);
+            const double cycles = result.mean(b, row.variant);
             std::vector<std::string> cells = {
                 spec.suite[b]->name,
                 policyName(spec.variants[row.variant].policy),

@@ -12,7 +12,8 @@
  *               writes the compact binary format
  *   trace run   replay a trace file ('-' = stdin), auto-detecting
  *               text vs binary, and report the replay checksum plus
- *               the full gem5-style stats dump; the binary path
+ *               every counter-table row the run emits (--stats adds
+ *               the flat gem5-style dump); the binary path
  *               streams, so multi-million-op traces replay in
  *               constant memory
  *   trace conv  convert a trace between the two formats; binary ->
@@ -363,15 +364,14 @@ traceRun(int argc, char **argv)
         std::fprintf(stderr, "califorms trace: %s\n", e.what());
         return 1;
     }
-    std::printf("replayed %llu ops: checksum=%016llx cycles=%llu "
-                "instructions=%llu exceptions=%zu\n",
+    const RunStats run = snapshot(machine);
+    const std::vector<RunStats> cores = coreSnapshots(machine);
+    std::printf("replayed %llu ops: checksum=%016llx\n%s",
                 static_cast<unsigned long long>(replayed),
                 static_cast<unsigned long long>(checksum),
-                static_cast<unsigned long long>(machine.cycles()),
-                static_cast<unsigned long long>(machine.instructions()),
-                machine.exceptions().deliveredCount());
+                statLines({run, cores}, machine.params()).c_str());
     if (stats)
-        std::fputs(dumpStats(machine).c_str(), stdout);
+        std::fputs(dumpStats({run}, machine.params()).c_str(), stdout);
     return 0;
 }
 

@@ -1,8 +1,10 @@
 """Unit tests for bench_gate.py (run as `python3 -m unittest` from
 tools/, wired into ctest as tools.bench_gate.unittest).
 
-Covers the three contract areas of the gate: exact counter comparison
-(any drift fails, grid changes fail in both directions), the relative
+Covers the three contract areas of the gate: exact comparison of every
+run-record value (drift in any block, per-core entry or fleet field
+fails, a vanished value fails, grid changes fail in both directions),
+the relative
 wall-clock threshold (edge-exact passes, above fails, missing timing
 reports), and the usage/IO paths (missing or corrupt baseline exits 2
 via SystemExit, --update rewrites the baseline byte for byte).
@@ -78,6 +80,54 @@ class CompareCountersTest(unittest.TestCase):
         cur = make_report(
             [make_run(mem={"l1d.misses": 7, "wbq.hits": 3})])
         self.assertEqual(bench_gate.compare_counters(cur, base), [])
+
+    def assert_one_drift(self, base_run, cur_run, path):
+        failures = bench_gate.compare_counters(
+            make_report([cur_run]), make_report([base_run]))
+        self.assertEqual(len(failures), 1, failures)
+        self.assertIn(path, failures[0])
+
+    def test_memlp_drift_fails(self):
+        base = make_run()
+        base["memlp"] = {"mshr.allocations": 4, "dram.rowHits": 9}
+        cur = json.loads(json.dumps(base))
+        cur["memlp"]["dram.rowHits"] += 12345
+        self.assert_one_drift(base, cur, "memlp.dram.rowHits")
+
+    def test_cores_drift_fails(self):
+        base = make_run()
+        base["cores"] = [{"core": 0, "cycles": 90, "l1dMisses": 3},
+                         {"core": 1, "cycles": 80, "l1dMisses": 4}]
+        cur = json.loads(json.dumps(base))
+        cur["cores"][0]["l1dMisses"] += 7
+        self.assert_one_drift(base, cur, "cores[0].l1dMisses")
+
+    def test_security_drift_fails(self):
+        base = make_run()
+        base["security"] = {"scenario": "scan", "trials": 8,
+                            "successes": 0, "detections": 8}
+        cur = json.loads(json.dumps(base))
+        cur["security"]["detections"] -= 1
+        self.assert_one_drift(base, cur, "security.detections")
+
+    def test_fleet_checksum_and_op_mix_drift_fail(self):
+        base = make_run()
+        base["checksum"] = "00000000000000ff"
+        base["opsByKind"] = {"loads": 5, "stores": 2}
+        cur = json.loads(json.dumps(base))
+        cur["checksum"] = "00000000000000fe"
+        self.assert_one_drift(base, cur, "checksum")
+        cur = json.loads(json.dumps(base))
+        cur["opsByKind"]["stores"] += 1
+        self.assert_one_drift(base, cur, "opsByKind.stores")
+
+    def test_missing_value_fails(self):
+        # A counter the baseline pins may not vanish from the report.
+        base = make_run()
+        base["heap"] = {"allocs": 2, "frees": 1}
+        cur = json.loads(json.dumps(base))
+        del cur["heap"]["frees"]
+        self.assert_one_drift(base, cur, "heap.frees missing")
 
     def test_missing_run_fails(self):
         base = make_report([make_run(), make_run(variant="full")])

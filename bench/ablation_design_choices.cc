@@ -14,8 +14,12 @@
  * policy), so --jobs parallelizes across the ablation axes.
  */
 
+#include <initializer_list>
+#include <string>
+#include <vector>
+
 #include "bench/common.hh"
-#include "util/stats.hh"
+#include "sim/stats_dump.hh"
 
 using namespace califorms;
 using bench::Options;
@@ -31,6 +35,26 @@ heapVariant(std::string label, const char *key, const std::string &value)
     return exp::Variant{std::move(label), InsertionPolicy::Intelligent, 0,
                         0, std::nullopt, false}
         .withSet(key, value);
+}
+
+/** One table of the counter-table @p rows, headed by their run-record
+ *  keys, with a line per variant in [first, last). */
+void
+printRows(const exp::CampaignResult &result, std::size_t first,
+          std::size_t last, std::initializer_list<const char *> rows)
+{
+    std::vector<std::string> header = {"variant"};
+    for (const char *row : rows)
+        header.emplace_back(statRow(row).key());
+    TextTable table(header);
+    for (std::size_t v = first; v < last; ++v) {
+        const RunRecord record = result.at(0, v).record();
+        std::vector<std::string> line = {result.spec.variants[v].label};
+        for (const char *row : rows)
+            line.push_back(statRow(row).text(record));
+        table.addRow(std::move(line));
+    }
+    std::printf("%s", table.render().c_str());
 }
 
 } // namespace
@@ -73,33 +97,15 @@ main(int argc, char **argv)
     // Quarantine fraction sweep (temporal safety window).
     std::printf("\n-- quarantine fraction (perlbench, intelligent "
                 "policy) --\n");
-    TextTable quarantine({"fraction", "cycles", "reuses",
-                          "peak heap (KB)"});
-    for (std::size_t i = 0; i < std::size(fractions); ++i) {
-        const RunResult &r = result.at(0, i);
-        quarantine.addRow({TextTable::num(fractions[i], 2),
-                           std::to_string(r.cycles),
-                           std::to_string(r.heap.reuses),
-                           std::to_string(r.heap.peakHeapBytes / 1024)});
-    }
-    std::printf("%s", quarantine.render().c_str());
+    printRows(result, 0, nt_base,
+              {"core.cycles", "heap.reuses", "heap.peakHeapBytes"});
     std::printf("(larger fractions hold freed memory blacklisted "
                 "longer — better temporal\nsafety — at the cost of "
                 "heap growth)\n");
 
     // Non-temporal CFORM.
     std::printf("\n-- non-temporal CFORM (footnote 3) --\n");
-    TextTable nt({"mode", "cycles", "L1 misses", "slowdown vs nt"});
-    const RunResult &r_reg = result.at(0, nt_base);
-    const RunResult &r_nt = result.at(0, nt_base + 1);
-    nt.addRow({"regular CFORM", std::to_string(r_reg.cycles),
-               std::to_string(r_reg.mem.l1.misses),
-               TextTable::pct(static_cast<double>(r_reg.cycles) /
-                                  static_cast<double>(r_nt.cycles) -
-                              1.0)});
-    nt.addRow({"non-temporal CFORM", std::to_string(r_nt.cycles),
-               std::to_string(r_nt.mem.l1.misses), "-"});
-    std::printf("%s", nt.render().c_str());
+    printRows(result, nt_base, guard_base, {"core.cycles", "l1d.misses"});
     std::printf("(footnote 3 predicts the streaming variant helps by not "
                 "polluting the L1 with\nfreed lines; in this model the "
                 "sign depends on whether freed lines are touched\nagain "
@@ -107,16 +113,8 @@ main(int argc, char **argv)
 
     // Guard bytes sweep.
     std::printf("\n-- inter-object guard size --\n");
-    TextTable guards({"guard bytes", "cycles", "heap footprint proxy",
-                      "CFORMs"});
-    for (std::size_t i = 0; i < std::size(guard_sizes); ++i) {
-        const RunResult &r = result.at(0, guard_base + i);
-        guards.addRow({std::to_string(guard_sizes[i]),
-                       std::to_string(r.cycles),
-                       std::to_string(r.heap.peakHeapBytes / 1024),
-                       std::to_string(r.heap.cformsIssued)});
-    }
-    std::printf("%s", guards.render().c_str());
+    printRows(result, guard_base, spec.variants.size(),
+              {"core.cycles", "heap.peakHeapBytes", "heap.cformsIssued"});
     std::printf("(REST-style guards: wider guards raise detection "
                 "margin for wild linear\noverflows at a small space "
                 "cost; 8B guards catch every +/-1 overflow)\n");

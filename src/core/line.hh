@@ -72,9 +72,15 @@ struct BitVectorLine
     bool operator==(const BitVectorLine &other) const = default;
 };
 
+struct SentinelView;
+
 /**
  * L2+/memory resident line: encoded payload plus the single califormed
- * metadata bit (stored in spare ECC bits once in DRAM, Section 3).
+ * metadata bit (stored in spare ECC bits once in DRAM, Section 3). This
+ * is the owned form of a line away from the store: write-back queue
+ * entries, coherence surrenders and recall handoffs, and the swap path.
+ * MainMemory keeps no SentinelLine; it splits each line into planes and
+ * hands out SentinelViews.
  *
  * The decoded security mask is memoized alongside the machine state:
  * the spill conversion already knows the mask it encoded, so carrying
@@ -82,7 +88,8 @@ struct BitVectorLine
  * decode + sentinel scan (a pure simulator-speed cache, not part of
  * the architectural line — it never affects results and is ignored by
  * equality). Code that rebuilds @c raw by hand (swap-in, tests) simply
- * leaves @c maskCached false and pays the full decode.
+ * leaves @c maskCached false and pays the full decode, once: view()
+ * decodes, and MainMemory::writeLine keeps the decoded mask.
  */
 struct SentinelLine
 {
@@ -93,12 +100,41 @@ struct SentinelLine
     /** Memoized decodeMask() result, valid iff @c maskCached. */
     SecurityMask cachedMask = 0;
 
+    /** This line as a view, its mask decoded unless memoized
+     *  (sentinel.cc: the decoder lives with the codec). */
+    SentinelView view() const;
+
     bool
     operator==(const SentinelLine &other) const
     {
         // The memo is a simulator-side cache; only the architectural
         // state (payload + ECC bit) defines line identity.
         return raw == other.raw && califormed == other.califormed;
+    }
+};
+
+/**
+ * A sentinel-format line read in place: its encoded payload and its
+ * decoded security mask. MainMemory::peek points @c data into its data
+ * plane; a view stays valid until that line is next written.
+ *
+ * The califormed (ECC) bit is the mask's OR, as Algorithm 1 decides it:
+ * a califormed line has at least one security byte, and an uncaliformed
+ * one reads mask 0. Two words, so a view is passed and returned in
+ * registers.
+ */
+struct SentinelView
+{
+    const LineData *data = nullptr;
+    SecurityMask mask = 0;
+
+    bool califormed() const { return mask != 0; }
+
+    /** An owned copy, the mask carried as its memo. */
+    SentinelLine
+    copy() const
+    {
+        return SentinelLine{*data, califormed(), true, mask};
     }
 };
 

@@ -151,21 +151,13 @@ findSentinel(const BitVectorLine &line)
     return static_cast<std::uint8_t>(free_idx);
 }
 
-void
-spillLine(const BitVectorLine &line, SentinelLine &out)
+bool
+spillLine(const BitVectorLine &line, LineData &out)
 {
-    out.raw = line.data;
-    // Decode-once metadata: the encoder knows the mask it is encoding,
-    // so the fill side never has to re-derive it (memoized, see
-    // SentinelLine).
-    out.maskCached = true;
-    out.cachedMask = line.mask;
+    out = line.data;
     // Algorithm 1 lines 1-3: OR of the metadata decides the format.
-    if (line.mask == 0) {
-        out.califormed = false;
-        return;
-    }
-    out.califormed = true;
+    if (line.mask == 0)
+        return false;
 
     const unsigned count = popcount64(line.mask);
     const unsigned hdr = headerBytes(count);
@@ -174,7 +166,7 @@ spillLine(const BitVectorLine &line, SentinelLine &out)
     // Relocate live header data into security slots beyond the header.
     const Relocation reloc = relocationMap(line.mask, hdr);
     for (unsigned i = 0; i < reloc.n; ++i)
-        out.raw[reloc.target[i]] = line.data[reloc.liveHeader[i]];
+        out[reloc.target[i]] = line.data[reloc.liveHeader[i]];
 
     // Every security byte past the hdr'th (position index >= hdr, only
     // possible in the 4+ case) holds the sentinel.
@@ -183,7 +175,7 @@ spillLine(const BitVectorLine &line, SentinelLine &out)
         for (unsigned skip = 0; skip < hdr; ++skip)
             rest &= rest - 1;
         for (; rest; rest &= rest - 1)
-            out.raw[findFirstOne(rest)] = sentinel;
+            out[findFirstOne(rest)] = sentinel;
     }
 
     // Assemble the header bitstream (Figure 7): 2-bit count code then
@@ -199,35 +191,41 @@ spillLine(const BitVectorLine &line, SentinelLine &out)
     if (count >= 4)
         word |= static_cast<std::uint32_t>(sentinel) << 26;
     for (unsigned j = 0; j < hdr; ++j)
-        out.raw[j] = static_cast<std::uint8_t>((word >> (8 * j)) & 0xff);
+        out[j] = static_cast<std::uint8_t>((word >> (8 * j)) & 0xff);
+    return true;
 }
 
 void
-fillLine(const SentinelLine &line, BitVectorLine &out)
+spillLine(const BitVectorLine &line, SentinelLine &out)
 {
+    out.califormed = spillLine(line, out.raw);
+    // The encoder knows the mask it encoded: keep it as the memo, so
+    // the fill side never re-derives it.
+    out.maskCached = true;
+    out.cachedMask = line.mask;
+}
+
+void
+fillLine(SentinelView line, BitVectorLine &out)
+{
+    const LineData &raw = *line.data;
     // Algorithm 2 lines 1-3.
-    if (!line.califormed) {
-        out.data = line.raw;
+    if (!line.califormed()) {
+        out.data = raw;
         out.mask = 0;
         return;
     }
+    assert(line.mask == decodeCaliformedMask(raw) &&
+           "SentinelView mask disagrees with its encoding");
 
-    const unsigned code = line.raw[0] & 0x3;
-    const unsigned hdr = code + 1;
-
-    const SecurityMask mask = line.maskCached
-                                  ? line.cachedMask
-                                  : decodeCaliformedMask(line.raw);
-    assert(mask == decodeCaliformedMask(line.raw) &&
-           "stale SentinelLine mask memo");
-
-    out.mask = mask;
-    out.data = line.raw;
+    const unsigned hdr = (raw[0] & 0x3) + 1;
+    out.mask = line.mask;
+    out.data = raw;
 
     // Undo the relocation; the map is reconstructed from the mask alone.
-    const Relocation reloc = relocationMap(mask, hdr);
+    const Relocation reloc = relocationMap(line.mask, hdr);
     for (unsigned i = 0; i < reloc.n; ++i)
-        out.data[reloc.liveHeader[i]] = line.raw[reloc.target[i]];
+        out.data[reloc.liveHeader[i]] = raw[reloc.target[i]];
 
     // Security bytes read as zero (Algorithm 2 line 10).
     out.canonicalize();
@@ -241,6 +239,12 @@ decodeMask(const SentinelLine &line)
     if (line.maskCached)
         return line.cachedMask;
     return decodeCaliformedMask(line.raw);
+}
+
+SentinelView
+SentinelLine::view() const
+{
+    return SentinelView{&raw, decodeMask(*this)};
 }
 
 } // namespace califorms

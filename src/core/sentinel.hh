@@ -27,11 +27,13 @@
  * is allocation-free (fixed four-pair relocation map derived from the
  * mask by bit iteration), the 4+ sentinel scan is branch-free SWAR over
  * eight 64-bit lanes (the software analogue of the Figure 9 comparator
- * bank), and spillLine memoizes the decoded mask in the SentinelLine so
- * fillLine/decodeMask skip the header decode entirely on the common
- * spill-then-fill round trip. Both conversions write into a line the
- * caller names (the hierarchy passes the L1 way, store slot or queue
- * entry the result lives in); the by-value forms wrap them.
+ * bank), and the header decode runs at most once per encoded line: the
+ * spill already knows the mask it encoded, so it travels with the line
+ * (as a SentinelLine's memo, or in MainMemory's mask plane), and
+ * fillLine reads it from a SentinelView instead of re-deriving it. Both
+ * conversions write into a line the caller names (the hierarchy passes
+ * the L1 way, store data slot or queue entry the result lives in); the
+ * by-value forms wrap them.
  */
 
 #ifndef CALIFORMS_CORE_SENTINEL_HH
@@ -54,10 +56,15 @@ std::optional<std::uint8_t> findSentinel(const BitVectorLine &line);
 
 /**
  * Algorithm 1 — spill: convert an L1 line to the L2+ sentinel format,
- * writing every field of @p out (a store slot or queue entry, so the
- * encoded line is built where it is kept). Lines without security
- * bytes are copied verbatim with the califormed bit clear.
+ * writing the encoded payload into @p out (a store data slot, so the
+ * line is built where it is kept) and returning the califormed bit.
+ * Lines without security bytes are copied verbatim with the bit clear.
+ * The encoded line's decoded mask is @p line.mask.
  */
+bool spillLine(const BitVectorLine &line, LineData &out);
+
+/** spillLine into an owned line (a queue entry or a surrender), with
+ *  @p line.mask as its memo. */
 void spillLine(const BitVectorLine &line, SentinelLine &out);
 
 /** spillLine into a new line. */
@@ -72,18 +79,26 @@ spillLine(const BitVectorLine &line)
 /**
  * Algorithm 2 — fill: convert an L2+ line back to the L1 bit vector
  * format, writing every field of @p out (an L1 way, so the decoded line
- * is built where it is kept). Security byte data slots read zero after
- * conversion. Exact inverse of spillLine on canonical lines.
+ * is built where it is kept). The view carries the decoded mask, so
+ * only the relocation is undone here. Security byte data slots read
+ * zero after conversion. Exact inverse of spillLine on canonical lines.
  */
-void fillLine(const SentinelLine &line, BitVectorLine &out);
+void fillLine(SentinelView line, BitVectorLine &out);
 
 /** fillLine into a new line. */
 inline BitVectorLine
-fillLine(const SentinelLine &line)
+fillLine(SentinelView line)
 {
     BitVectorLine out;
     fillLine(line, out);
     return out;
+}
+
+/** fillLine of an owned line, through its view. */
+inline BitVectorLine
+fillLine(const SentinelLine &line)
+{
+    return fillLine(line.view());
 }
 
 /**
@@ -91,8 +106,7 @@ fillLine(const SentinelLine &line)
  * can be recovered from the first 4 bytes plus, for the 4+ case, a scan
  * of whatever flits have arrived. This helper decodes only the mask
  * without touching data relocation; used by the timing model and tested
- * against fillLine. Served from the decode-once memo when the line came
- * out of spillLine.
+ * against fillLine. Served from the memo when the line carries one.
  */
 SecurityMask decodeMask(const SentinelLine &line);
 

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/sentinel.hh"
+
 namespace califorms
 {
 
@@ -30,61 +32,85 @@ checkAligned(Addr line_addr, const char *what)
 
 } // namespace
 
-const SentinelLine *
+const MainMemory::PageEntry *
 MainMemory::find(Addr line_addr, const char *what) const
 {
     checkAligned(line_addr, what);
-    const auto *page = pages_.find(line_addr >> kPageShift);
-    return page ? &(*page)->lines[slotOf(line_addr)] : nullptr;
+    return pages_.find(line_addr >> kPageShift);
 }
 
 SentinelLine
 MainMemory::readLine(Addr line_addr)
 {
-    const SentinelLine *line = find(line_addr, "read");
+    checkAligned(line_addr, "read");
     ++reads_;
-    return line ? *line : SentinelLine{};
+    return peek(line_addr).copy();
 }
 
-const SentinelLine &
-MainMemory::peekLine(Addr line_addr) const
+SentinelView
+MainMemory::peek(Addr line_addr) const
 {
-    static const SentinelLine zero{};
-    const SentinelLine *line = find(line_addr, "peek");
-    return line ? *line : zero;
+    static const LineData zero{};
+    const PageEntry *entry = find(line_addr, "peek");
+    if (!entry)
+        return SentinelView{&zero, 0};
+    const unsigned slot = slotOf(line_addr);
+    const bool califormed = (entry->califormed >> slot) & 1;
+    return SentinelView{&entry->page->data[slot],
+                        califormed ? entry->page->masks[slot] : 0};
+}
+
+bool
+MainMemory::califormed(Addr line_addr) const
+{
+    const PageEntry *entry = find(line_addr, "peek");
+    return entry && ((entry->califormed >> slotOf(line_addr)) & 1);
+}
+
+MainMemory::Page &
+MainMemory::backLine(Addr line_addr, bool califormed)
+{
+    checkAligned(line_addr, "write");
+    ++writes_;
+    PageEntry &entry = pages_[line_addr >> kPageShift];
+    if (!entry.page)
+        entry.page = std::make_unique<Page>();
+    const std::uint64_t bit = std::uint64_t{1} << slotOf(line_addr);
+    if (!(entry.present & bit)) {
+        entry.present |= bit;
+        ++backed_;
+    }
+    entry.califormed = califormed ? entry.califormed | bit
+                                  : entry.califormed & ~bit;
+    return *entry.page;
 }
 
 void
 MainMemory::writeLine(Addr line_addr, const SentinelLine &line)
 {
-    writeSlot(line_addr) = line;
+    Page &page = backLine(line_addr, line.califormed);
+    const unsigned slot = slotOf(line_addr);
+    page.data[slot] = line.raw;
+    if (line.califormed)
+        page.masks[slot] = decodeMask(line);
 }
 
-SentinelLine &
-MainMemory::writeSlot(Addr line_addr)
+void
+MainMemory::writeEncoded(Addr line_addr, const BitVectorLine &line)
 {
-    checkAligned(line_addr, "write");
-    ++writes_;
-    std::unique_ptr<Page> &page = pages_[line_addr >> kPageShift];
-    if (!page)
-        page = std::make_unique<Page>();
+    Page &page = backLine(line_addr, line.califormed());
     const unsigned slot = slotOf(line_addr);
-    const std::uint64_t bit = std::uint64_t{1} << slot;
-    if (!(page->present & bit)) {
-        page->present |= bit;
-        ++backed_;
-    }
-    return page->lines[slot];
+    spillLine(line, page.data[slot]);
+    if (line.califormed())
+        page.masks[slot] = line.mask;
 }
 
 std::size_t
 MainMemory::califormedLines() const
 {
     std::size_t n = 0;
-    pages_.forEach([&n](Addr, const std::unique_ptr<Page> &page) {
-        for (std::uint64_t rest = page->present; rest; rest &= rest - 1)
-            if (page->lines[std::countr_zero(rest)].califormed)
-                ++n;
+    pages_.forEach([&n](Addr, const PageEntry &entry) {
+        n += static_cast<std::size_t>(std::popcount(entry.califormed));
     });
     return n;
 }

@@ -70,7 +70,7 @@ MemorySystem::l2HitLatency() const
     return params_.l1Latency + shared_->firstLevelLatency();
 }
 
-const SentinelLine &
+SentinelView
 MemorySystem::fetchBelowL1(Addr line_addr, Cycles &latency, bool &dirty,
                            bool for_write, Cycles *bank_wait)
 {
@@ -88,7 +88,7 @@ MemorySystem::fetchBelowL1(Addr line_addr, Cycles &latency, bool &dirty,
         fetchBuf_ = e->line;
         wbqErase(line_addr);
         dirty = true;
-        return fetchBuf_;
+        return fetchBuf_.view();
     }
 
     const auto fetched = shared_->fetchLine(line_addr, latency, coreId_,
@@ -96,7 +96,7 @@ MemorySystem::fetchBelowL1(Addr line_addr, Cycles &latency, bool &dirty,
     dirty = fetched.dirtyHandoff;
     if (bank_wait)
         *bank_wait = fetched.bankQueueWait;
-    return *fetched.line;
+    return fetched.line;
 }
 
 MemorySystem::L1Ref
@@ -126,9 +126,9 @@ MemorySystem::refillL1(Addr line_addr, Cycles &latency, bool for_write)
 
     bool dirty = false;
     Cycles bank_wait = 0;
-    const SentinelLine &below =
+    const SentinelView below =
         fetchBelowL1(line_addr, latency, dirty, for_write, &bank_wait);
-    if (below.califormed) {
+    if (below.califormed()) {
         ++stats_.fills;
         stats_.fillConvCycles += params_.fillConvLatency;
         latency += params_.fillConvLatency;
@@ -137,14 +137,14 @@ MemorySystem::refillL1(Addr line_addr, Cycles &latency, bool for_write)
     // The victim is written back before the fill lands in its way. That
     // touches only the shared side, the queue and the directory, never
     // this L1 nor @c below: the line being filled missed in both the L1
-    // and the queue, so no write-back writes its store slot.
+    // and the queue, so no write-back writes its store data slot.
     const L1Ref resident = l1_.insertInPlace(
         line_addr, dirty,
         [this, &latency](Addr victim, const BitVectorLine &line,
                          bool victim_dirty) {
             writeBackL1(victim, line, victim_dirty, &latency);
         },
-        [this, &below](BitVectorLine &way) {
+        [this, below](BitVectorLine &way) {
             fillLine(below, way);
             // Appendix A variants store the L1 line in a denser format;
             // route the fill through the corresponding codec (a
@@ -482,7 +482,7 @@ MemorySystem::cform(const CformOp &op)
         // Non-temporal variant: update the line beneath the L1 without
         // polluting the L1 (footnote 3 of Section 6.1).
         bool dirty = false;
-        const SentinelLine &below =
+        const SentinelView below =
             fetchBelowL1(op.lineAddr, res.latency, dirty, true);
         BitVectorLine decoded = fillLine(below);
         if (auto fault = applyCform(decoded, op)) {
@@ -496,9 +496,9 @@ MemorySystem::cform(const CformOp &op)
             if (!dirty)
                 shared_->noteDropped(coreId_, op.lineAddr);
             else if (params_.wbQueueEntries)
-                enqueueWriteBack(op.lineAddr) = below;
+                enqueueWriteBack(op.lineAddr) = below.copy();
             else
-                spillBelowNow(op.lineAddr, below);
+                spillBelowNow(op.lineAddr, below.copy());
             return res;
         }
         writeBackL1(op.lineAddr, decoded, true, &res.latency);

@@ -239,16 +239,17 @@ class MemorySystem : public CoherencePeer
     L1Ref refillL1(Addr line_addr, Cycles &latency, bool for_write);
 
     /** Look the line up in the write-back queue and the shared side
-     *  (levels, then DRAM), returning it in place: the store's slot, or
-     *  fetchBuf_ for a queue hit or a dirty handoff. Sets @p dirty when
+     *  (levels, then DRAM), returning it in place: a view of the
+     *  store's data slot, or of fetchBuf_ for a queue hit or a dirty
+     *  handoff. Sets @p dirty when
      *  the returned line is the only copy (write-back queue hit or
      *  coherence dirty handoff) and must stay dirty in the L1. When
      *  @p bank_wait is non-null it receives the cycles a banked DRAM
      *  transfer queued behind a busy bank — time the caller folds into
      *  the fill's completion point rather than the charged latency. */
-    const SentinelLine &fetchBelowL1(Addr line_addr, Cycles &latency,
-                                     bool &dirty, bool for_write,
-                                     Cycles *bank_wait = nullptr);
+    SentinelView fetchBelowL1(Addr line_addr, Cycles &latency,
+                              bool &dirty, bool for_write,
+                              Cycles *bank_wait = nullptr);
 
     /** Evict one L1 line (spill conversion + write-back queue), encoding
      *  it straight into its store slot or queue entry. The conversion

@@ -114,13 +114,19 @@ SharedMemory::fetchLine(Addr line_addr, Cycles &latency, unsigned core,
 {
     FetchResult out;
     const Cycles entry_latency = latency;
+    // The store holds this line's newest shared-side value whichever
+    // level hits, so look it up now and start the host's fetch of its
+    // payload under the probes and the tag walk below. Only the read
+    // recall deposit writes this line before the view is handed out.
+    out.line = memory_.peek(line_addr);
+    __builtin_prefetch(out.line.data);
 
     if (coherent()) {
         if (probeHolders(line_addr, core, for_write, latency, handoff)) {
             if (for_write) {
                 // The recall is the only up-to-date copy; hand it
                 // straight to the requester, which must keep it dirty.
-                out.line = &handoff;
+                out.line = handoff.view();
                 out.dirtyHandoff = true;
                 DirEntry &d = directory_[line_addr];
                 d.sharers = 1u << core;
@@ -131,6 +137,7 @@ SharedMemory::fetchLine(Addr line_addr, Cycles &latency, unsigned core,
             // so the downgraded owner and the requester can both hold
             // clean copies that match the hierarchy below them.
             writeBack(line_addr, handoff);
+            out.line = memory_.peek(line_addr);
         }
     }
 
@@ -164,10 +171,9 @@ SharedMemory::fetchLine(Addr line_addr, Cycles &latency, unsigned core,
         // write-back-queue hit before the fetch reaches this side.
         peers_[core]->drainOneWriteBack();
     }
-    out.line = &memory_.peekLine(line_addr);
     // Fill the levels above the hit on the way up, deepest first
     // (mostly-inclusive hierarchy).
-    const SharedTag tag{out.line->califormed};
+    const SharedTag tag{out.line.califormed()};
     for (std::size_t j = hit; j-- > 0;) {
         auto ev = below_[j].array.insert(line_addr, tag, false);
         if (ev.valid)
@@ -216,7 +222,7 @@ SharedMemory::writeBack(Addr line_addr, const SentinelLine &line)
 void
 SharedMemory::writeBack(Addr line_addr, const BitVectorLine &line)
 {
-    spillLine(line, memory_.writeSlot(line_addr));
+    memory_.writeEncoded(line_addr, line);
     writeBackTag(line_addr, line.califormed());
 }
 
@@ -290,7 +296,7 @@ SharedMemory::prefetchInto(Addr line_addr)
         if (dram_.enabled())
             dram_.occupy(line_addr);
     }
-    const SharedTag tag{memory_.peekLine(line_addr).califormed};
+    const SharedTag tag{memory_.califormed(line_addr)};
     for (std::size_t j = found; j-- > 0;) {
         auto ev = below_[j].array.insert(line_addr, tag, false);
         if (ev.valid)
@@ -323,7 +329,7 @@ SharedMemory::flushLevels()
 SentinelLine
 SharedMemory::functionalRead(Addr line_addr) const
 {
-    return memory_.peekLine(line_addr);
+    return memory_.peek(line_addr).copy();
 }
 
 void

@@ -43,6 +43,12 @@
  * same line: a deeper level is only written by an eviction that moves
  * the line out of the level above it. So the first level that hits
  * always held the store's value.
+ *
+ * A fetch reads its line through a SentinelView into the store's data
+ * plane. It looks the line up on entry and asks the host to prefetch
+ * its data slot, so the host cache miss on the payload overlaps the
+ * coherence probes and the tag walk instead of following them (a hint
+ * only: no simulated state depends on it).
  */
 
 #ifndef CALIFORMS_SIM_SHARED_MEM_HH
@@ -105,10 +111,10 @@ class SharedMemory
     /** Result of a below-L1 fetch. */
     struct FetchResult
     {
-        /** The fetched line, read in place: the store's slot, or the
-         *  caller's handoff buffer for a dirty recall handoff. A store
-         *  slot stays valid until that line is next written. */
-        const SentinelLine *line = nullptr;
+        /** The fetched line, read in place: the store's data slot, or
+         *  the caller's handoff buffer for a dirty recall handoff. A
+         *  store view stays valid until that line is next written. */
+        SentinelView line;
         /** The line is a dirty recall handed directly to the requester:
          *  it is the only copy and must stay dirty in the new L1. */
         bool dirtyHandoff = false;
@@ -149,7 +155,7 @@ class SharedMemory
     void writeBack(Addr line_addr, const SentinelLine &line);
 
     /** writeBack of an L1 line: encode it (Algorithm 1) straight into
-     *  its store slot. */
+     *  its store data slot. */
     void writeBack(Addr line_addr, const BitVectorLine &line);
 
     /** The private side of @p core no longer holds @p line_addr (clean

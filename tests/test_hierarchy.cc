@@ -412,7 +412,7 @@ TEST(SharedStore, DirtyL2LineShadowingAStaleLlcCopyReadsNewest)
     SentinelLine handoff;
     // The first byte of a's line as a demand fetch reads it.
     const auto fetchFirstByte = [&] {
-        return shared.fetchLine(a, latency, 0, false, handoff).line->raw[0];
+        return shared.fetchLine(a, latency, 0, false, handoff).line.data->bytes[0];
     };
     fetchFirstByte();                    // clean in the L2 and LLC
     shared.writeBack(a, lineWith(0x5a)); // dirty in the L2 only
@@ -432,7 +432,7 @@ TEST(SharedStore, DirtyL2LineShadowingAStaleLlcCopyReadsNewest)
     EXPECT_EQ(shared.dramAccesses(), dram);
 
     shared.flushLevels();
-    EXPECT_EQ(shared.memory().peekLine(a).raw[0], 0x5a);
+    EXPECT_EQ(shared.memory().peek(a).data->bytes[0], 0x5a);
     EXPECT_EQ(shared.functionalRead(a).raw[0], 0x5a);
     EXPECT_EQ(fetchFirstByte(), 0x5a);
     EXPECT_EQ(shared.dramAccesses(), dram + 1);
@@ -457,7 +457,7 @@ TEST(SharedStore, MsiReadRecallIsTheSharedValue)
     EXPECT_EQ(shared.data[0], 0x88);
     EXPECT_EQ(shared.data[7], 0x11);
     m.flushAll();
-    EXPECT_EQ(fillLine(m.sharedMemory().memory().peekLine(line)).data[0],
+    EXPECT_EQ(fillLine(m.sharedMemory().memory().peek(line)).data[0],
               0x88);
 }
 
@@ -481,7 +481,7 @@ TEST(SharedStore, CaliformedBitFollowsTheTagIntoTheLlc)
     EXPECT_EQ(s.l3.evictions, 3u);
     EXPECT_EQ(s.l3.dirtyEvictions, 1u);
     EXPECT_EQ(s.l3.cformEvictions, 1u);
-    EXPECT_TRUE(shared.memory().peekLine(a).califormed);
+    EXPECT_TRUE(shared.memory().peek(a).califormed());
 }
 
 } // namespace

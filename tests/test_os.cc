@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iterator>
 
 #include "core/sentinel.hh"
@@ -201,11 +202,15 @@ TEST(MainMemoryTest, RejectsUnaligned)
 {
     MainMemory memory;
     EXPECT_THROW(memory.readLine(1), std::invalid_argument);
-    EXPECT_THROW(memory.peekLine(0x1020), std::invalid_argument);
+    EXPECT_THROW(memory.peek(0x1020), std::invalid_argument);
+    EXPECT_THROW(memory.califormed(0x1001), std::invalid_argument);
     EXPECT_THROW(memory.writeLine(63, SentinelLine{}),
+                 std::invalid_argument);
+    EXPECT_THROW(memory.writeEncoded(0x41, BitVectorLine{}),
                  std::invalid_argument);
     EXPECT_EQ(memory.reads(), 0u);
     EXPECT_EQ(memory.writes(), 0u);
+    EXPECT_EQ(memory.backedLines(), 0u);
 }
 
 SentinelLine
@@ -217,22 +222,62 @@ lineWithByte(std::uint8_t byte, bool califormed = false)
     return line;
 }
 
+/** A canonical L1 line: a data pattern with security bytes at @p mask. */
+BitVectorLine
+l1Line(SecurityMask mask, std::uint8_t seed = 0x40)
+{
+    BitVectorLine line;
+    for (unsigned i = 0; i < lineBytes; ++i)
+        line.data[i] = static_cast<std::uint8_t>(seed + 7 * i);
+    line.mask = mask;
+    line.canonicalize();
+    return line;
+}
+
+void
+expectZeroClean(SentinelView view)
+{
+    ASSERT_NE(view.data, nullptr);
+    EXPECT_EQ(*view.data, LineData{});
+    EXPECT_FALSE(view.califormed());
+    EXPECT_EQ(view.mask, 0u);
+}
+
 TEST(MainMemoryTest, LinesSharingAPageStayIndependent)
 {
     MainMemory memory;
     const Addr page = 0x7000;
     memory.writeLine(page + 3 * lineBytes, lineWithByte(0x33, true));
     memory.writeLine(page + 4 * lineBytes, lineWithByte(0x44));
-    EXPECT_EQ(memory.peekLine(page + 3 * lineBytes).raw[0], 0x33);
-    EXPECT_TRUE(memory.peekLine(page + 3 * lineBytes).califormed);
-    EXPECT_EQ(memory.peekLine(page + 4 * lineBytes).raw[0], 0x44);
-    EXPECT_FALSE(memory.peekLine(page + 4 * lineBytes).califormed);
-    // A never-written neighbour on the same page still reads zero.
-    const SentinelLine untouched = memory.peekLine(page + 5 * lineBytes);
-    EXPECT_FALSE(untouched.califormed);
-    for (unsigned i = 0; i < lineBytes; ++i)
-        EXPECT_EQ(untouched.raw[i], 0);
+    EXPECT_EQ(memory.peek(page + 3 * lineBytes).data->bytes[0], 0x33);
+    EXPECT_TRUE(memory.peek(page + 3 * lineBytes).califormed());
+    EXPECT_TRUE(memory.califormed(page + 3 * lineBytes));
+    EXPECT_EQ(memory.peek(page + 4 * lineBytes).data->bytes[0], 0x44);
+    EXPECT_FALSE(memory.peek(page + 4 * lineBytes).califormed());
+    EXPECT_FALSE(memory.califormed(page + 4 * lineBytes));
+    // Each line's payload is one host cache line of the data plane.
+    const auto *first = memory.peek(page + 3 * lineBytes).data;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(first) % lineBytes, 0u);
+    EXPECT_EQ(memory.peek(page + 4 * lineBytes).data, first + 1);
     EXPECT_EQ(memory.backedLines(), 2u);
+    EXPECT_EQ(memory.califormedLines(), 1u);
+}
+
+TEST(MainMemoryTest, UnbackedSlotAndUnbackedPageReadZeroClean)
+{
+    MainMemory memory;
+    const Addr page = 0x7000;
+    memory.writeEncoded(page + 3 * lineBytes, l1Line(1ull << 9));
+    // A never-written neighbour in the backed page...
+    expectZeroClean(memory.peek(page + 5 * lineBytes));
+    EXPECT_FALSE(memory.califormed(page + 5 * lineBytes));
+    EXPECT_EQ(memory.readLine(page + 5 * lineBytes), SentinelLine{});
+    // ...and a line of a page never written at all.
+    expectZeroClean(memory.peek(page + pageBytes));
+    EXPECT_FALSE(memory.califormed(page + pageBytes));
+    EXPECT_EQ(memory.readLine(page + pageBytes), SentinelLine{});
+    EXPECT_EQ(fillLine(memory.peek(page + pageBytes)), BitVectorLine{});
+    EXPECT_EQ(memory.backedLines(), 1u);
     EXPECT_EQ(memory.califormedLines(), 1u);
 }
 
@@ -244,12 +289,42 @@ TEST(MainMemoryTest, RewriteDoesNotDoubleCount)
     memory.writeLine(0x100, lineWithByte(3, true));
     EXPECT_EQ(memory.backedLines(), 1u);
     EXPECT_EQ(memory.califormedLines(), 1u);
-    EXPECT_EQ(memory.peekLine(0x100).raw[0], 3);
+    EXPECT_EQ(memory.peek(0x100).data->bytes[0], 3);
     // Clearing the ECC bit drops the line from the califormed count
     // but it stays backed.
     memory.writeLine(0x100, lineWithByte(4));
     EXPECT_EQ(memory.backedLines(), 1u);
     EXPECT_EQ(memory.califormedLines(), 0u);
+}
+
+TEST(MainMemoryTest, EncodedRewriteClearsTheCaliformedBit)
+{
+    MainMemory memory;
+    const BitVectorLine cal = l1Line(0x0f00'0000'0000'00f0ull);
+    memory.writeEncoded(0x2040, cal);
+    memory.writeEncoded(0x2080, l1Line(1ull << 63));
+    EXPECT_EQ(memory.backedLines(), 2u);
+    EXPECT_EQ(memory.califormedLines(), 2u);
+    EXPECT_EQ(memory.peek(0x2040).mask, cal.mask);
+
+    // The same line rewritten without security bytes: still backed,
+    // no longer califormed, and its stale mask slot is not read.
+    const BitVectorLine plain = l1Line(0, 0x11);
+    memory.writeEncoded(0x2040, plain);
+    EXPECT_EQ(memory.backedLines(), 2u);
+    EXPECT_EQ(memory.califormedLines(), 1u);
+    EXPECT_FALSE(memory.califormed(0x2040));
+    const SentinelView view = memory.peek(0x2040);
+    EXPECT_FALSE(view.califormed());
+    EXPECT_EQ(view.mask, 0u);
+    EXPECT_EQ(*view.data, plain.data);
+    EXPECT_EQ(fillLine(view), plain);
+
+    // And back: the bit and the mask return with the encoding.
+    memory.writeEncoded(0x2040, cal);
+    EXPECT_EQ(memory.califormedLines(), 2u);
+    EXPECT_EQ(fillLine(memory.peek(0x2040)), cal);
+    EXPECT_EQ(memory.writes(), 4u);
 }
 
 TEST(MainMemoryTest, DistantPagesIncludingHighAddresses)
@@ -280,36 +355,81 @@ TEST(MainMemoryTest, CountsReadsAndWritesButNotPeeks)
     memory.writeLine(0x40, lineWithByte(9));
     (void)memory.readLine(0x40);
     (void)memory.readLine(0x80); // a never-written line still counts
-    (void)memory.peekLine(0x40);
-    (void)memory.peekLine(0x80);
+    (void)memory.peek(0x40);
+    (void)memory.peek(0x80);
+    (void)memory.califormed(0x40);
     EXPECT_EQ(memory.writes(), 2u);
     EXPECT_EQ(memory.reads(), 2u);
 }
 
-TEST(MainMemoryTest, WriteSlotCountsLikeWriteLine)
+TEST(MainMemoryTest, WriteEncodedCountsAndEncodesLikeWriteLine)
 {
+    MainMemory encoded, written;
+    const BitVectorLine line = l1Line(0x8000'0000'0000'1006ull);
+    encoded.writeEncoded(0x40, line);
+    written.writeLine(0x40, spillLine(line));
+    for (const MainMemory *memory : {&encoded, &written}) {
+        EXPECT_EQ(memory->writes(), 1u);
+        EXPECT_EQ(memory->backedLines(), 1u);
+        EXPECT_EQ(memory->califormedLines(), 1u);
+        const SentinelView view = memory->peek(0x40);
+        EXPECT_TRUE(view.califormed());
+        EXPECT_EQ(view.mask, line.mask);
+        EXPECT_EQ(*view.data, spillLine(line).raw);
+        EXPECT_EQ(fillLine(view), line);
+    }
+}
+
+TEST(MainMemoryTest, UnmemoizedWriteFillsLikeMemoized)
+{
+    // Swap-in and functional writes hand the store lines without a
+    // memo; the store decodes their mask once, so a fill from either
+    // kind of write is the same line.
+    const SecurityMask masks[] = {1ull << 0,   1ull << 63,
+                                  0x3ull,      0xfull,
+                                  0x1f0ull,    0x8000'0000'0000'0001ull,
+                                  0x00ff'00ff'00ff'00ffull, ~0ull};
     MainMemory memory;
-    memory.writeSlot(0x40) = lineWithByte(7, true);
-    memory.writeSlot(0x40).raw[0] = 8; // a rewrite in place
-    EXPECT_EQ(memory.writes(), 2u);
-    EXPECT_EQ(memory.backedLines(), 1u);
-    EXPECT_EQ(memory.califormedLines(), 1u);
-    EXPECT_EQ(memory.peekLine(0x40).raw[0], 8);
-    EXPECT_THROW(memory.writeSlot(0x41), std::invalid_argument);
-    EXPECT_EQ(memory.writes(), 2u);
+    Addr a = 0x10000;
+    for (const SecurityMask mask : masks) {
+        const BitVectorLine line = l1Line(mask);
+        const SentinelLine memoized = spillLine(line);
+        ASSERT_TRUE(memoized.maskCached);
+        SentinelLine bare;
+        bare.raw = memoized.raw;
+        bare.califormed = memoized.califormed;
+        memory.writeLine(a, memoized);
+        memory.writeLine(a + lineBytes, bare);
+        EXPECT_EQ(memory.peek(a + lineBytes).mask, mask) << std::hex << mask;
+        EXPECT_EQ(fillLine(memory.peek(a + lineBytes)),
+                  fillLine(memory.peek(a)))
+            << std::hex << mask;
+        EXPECT_EQ(fillLine(memory.peek(a + lineBytes)), line);
+        // The counted read hands the decoded mask on as a memo.
+        const SentinelLine back = memory.readLine(a + lineBytes);
+        EXPECT_TRUE(back.maskCached);
+        EXPECT_EQ(back.cachedMask, mask);
+        a += 2 * lineBytes;
+    }
 }
 
 TEST(MainMemoryTest, LineReferencesSurvivePageTableGrowth)
 {
     // The L1 reads a fetched line in place while its victim's
-    // write-back may back new pages; pages are never moved or freed.
+    // write-back may back new pages; pages are never moved or freed,
+    // so a view keeps its data slot through page-table rehashes.
     MainMemory memory;
-    memory.writeLine(0x40, lineWithByte(5));
-    const SentinelLine &held = memory.peekLine(0x40);
+    const BitVectorLine line = l1Line(0x0000'00f0'0000'0102ull);
+    memory.writeEncoded(0x40, line);
+    const SentinelView held = memory.peek(0x40);
+    const LineData before = *held.data;
     for (Addr page = 1; page <= 512; ++page)
-        memory.writeSlot(page * pageBytes) = lineWithByte(1);
-    EXPECT_EQ(&held, &memory.peekLine(0x40));
-    EXPECT_EQ(held.raw[0], 5);
+        memory.writeEncoded(page * pageBytes, l1Line(1ull << (page % 64)));
+    const SentinelView now = memory.peek(0x40);
+    EXPECT_EQ(held.data, now.data);
+    EXPECT_EQ(*held.data, before);
+    EXPECT_EQ(now.mask, held.mask);
+    EXPECT_EQ(fillLine(held), line);
 }
 
 } // namespace

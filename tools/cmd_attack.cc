@@ -3,8 +3,9 @@
  * `califorms attack`: replay one registered attack scenario against a
  * califormed victim heap. The legacy trio (scan, probe, brop and the
  * `all` shorthand) keeps its historical single-trial output; every
- * other registered scenario reports the uniform multi-trial rollup
- * (success probability, detections, probes, crash and cycle costs).
+ * other registered scenario reports the uniform multi-trial rollup:
+ * the counter table's security rows (success probability, detections,
+ * probes, crash and cycle costs).
  * All knobs are `attack.*` registry keys; the historical flags are
  * aliases for them.
  */
@@ -15,12 +16,14 @@
 #include <cstdlib>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "alloc/heap.hh"
 #include "security/scenarios.hh"
 #include "security/victims.hh"
 #include "sim/machine.hh"
+#include "sim/stats_dump.hh"
 
 namespace califorms::cli
 {
@@ -152,18 +155,16 @@ runScenario(const AttackSetup &s, const std::string &name)
     const SecurityRunStats r = runAttackTrials(
         machine, s.heap, s.policy, s.params, s.seed, params,
         static_cast<std::size_t>(params.seeds));
-    std::printf("%s: success_p=%.2f (%zu/%zu) detections=%zu "
-                "crashes=%zu probes=%zu bytes=%zu detect_cycles=%zu\n",
-                name.c_str(),
-                static_cast<double>(r.successes) /
-                    static_cast<double>(r.trials),
-                static_cast<std::size_t>(r.successes),
-                static_cast<std::size_t>(r.trials),
-                static_cast<std::size_t>(r.detections),
-                static_cast<std::size_t>(r.crashes),
-                static_cast<std::size_t>(r.probes),
-                static_cast<std::size_t>(r.bytesTouched),
-                static_cast<std::size_t>(r.detectionLatencyCycles));
+    // The rollup is the counter table's security rows; the scenario's
+    // label row is the line's name.
+    const RunStats none{};
+    const RunRecord record{none, {}, nullptr, &r};
+    std::string line = name + ":";
+    for (const StatRow *row :
+         emittedRows(s.machine, record, StatBlock::Security))
+        if (!row->label)
+            line += " " + std::string(row->key()) + "=" + row->text(record);
+    std::printf("%s\n", line.c_str());
     return 0;
 }
 

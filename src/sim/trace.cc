@@ -11,46 +11,6 @@
 namespace califorms
 {
 
-TraceOp
-TraceOp::load(Addr addr, unsigned size, bool dep)
-{
-    TraceOp op;
-    op.kind = Kind::Load;
-    op.addr = addr;
-    op.size = static_cast<std::uint8_t>(size);
-    op.dependsOnPrev = dep;
-    return op;
-}
-
-TraceOp
-TraceOp::store(Addr addr, unsigned size, std::uint64_t value)
-{
-    TraceOp op;
-    op.kind = Kind::Store;
-    op.addr = addr;
-    op.size = static_cast<std::uint8_t>(size);
-    op.value = value;
-    return op;
-}
-
-TraceOp
-TraceOp::cformOp(const CformOp &cform)
-{
-    TraceOp op;
-    op.kind = Kind::Cform;
-    op.cform = cform;
-    return op;
-}
-
-TraceOp
-TraceOp::compute(std::uint32_t ops)
-{
-    TraceOp op;
-    op.kind = Kind::Compute;
-    op.computeOps = ops;
-    return op;
-}
-
 namespace
 {
 

@@ -70,10 +70,46 @@ struct TraceOp
     std::uint64_t value = 0;    //!< store data
     CformOp cform{};
 
-    static TraceOp load(Addr addr, unsigned size, bool dep = false);
-    static TraceOp store(Addr addr, unsigned size, std::uint64_t value);
-    static TraceOp cformOp(const CformOp &op);
-    static TraceOp compute(std::uint32_t ops);
+    // Inline: the generators and the binary reader build one per op.
+    static TraceOp
+    load(Addr addr, unsigned size, bool dep = false)
+    {
+        TraceOp op;
+        op.kind = Kind::Load;
+        op.addr = addr;
+        op.size = static_cast<std::uint8_t>(size);
+        op.dependsOnPrev = dep;
+        return op;
+    }
+
+    static TraceOp
+    store(Addr addr, unsigned size, std::uint64_t value)
+    {
+        TraceOp op;
+        op.kind = Kind::Store;
+        op.addr = addr;
+        op.size = static_cast<std::uint8_t>(size);
+        op.value = value;
+        return op;
+    }
+
+    static TraceOp
+    cformOp(const CformOp &cform)
+    {
+        TraceOp op;
+        op.kind = Kind::Cform;
+        op.cform = cform;
+        return op;
+    }
+
+    static TraceOp
+    compute(std::uint32_t ops)
+    {
+        TraceOp op;
+        op.kind = Kind::Compute;
+        op.computeOps = ops;
+        return op;
+    }
 };
 
 using Trace = std::vector<TraceOp>;
@@ -91,8 +127,9 @@ inline constexpr char kBinTraceMagic[6] = {'C', 'A', 'L', 'T', 'R',
 inline constexpr std::uint8_t kBinTraceVersion = 1;
 
 /** The binary reader decodes from blocks of this many bytes, each one
- *  istream::read(). Not part of the format: it only fixes where the
- *  reader's refills fall. */
+ *  istream::read(), and the writer encodes into one such block that
+ *  one ostream::write() drains. Not part of the format: it only fixes
+ *  where the reader's refills and the writer's drains fall. */
 inline constexpr std::size_t kBinTraceBlockBytes = 16 * 1024;
 
 /** Replay @p trace on @p machine; returns loads' value XOR (a cheap
@@ -130,9 +167,10 @@ class TraceReader
     /** Bulk variant: produce up to @p max ops into @p out, returning
      *  the count actually written (< max only at end of trace). The
      *  default loops next(); the synthetic generators override it to
-     *  skip the per-op virtual call when a whole stream is recorded to
-     *  a trace file. Replay never uses it: replayStreams() pulls one
-     *  op at a time with next(). */
+     *  skip the per-op virtual call. Recording a whole stream to a
+     *  trace file pulls blocks through it (`califorms trace gen
+     *  --workload` and perfbench's recorded workloads). Replay never
+     *  uses it: replayStreams() pulls one op at a time with next(). */
     virtual std::size_t
     fill(TraceOp *out, std::size_t max)
     {

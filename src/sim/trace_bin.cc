@@ -12,6 +12,7 @@
 #include "sim/trace.hh"
 
 #include <array>
+#include <cstddef>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -43,14 +44,16 @@ unzigzag(std::uint64_t v)
            -static_cast<std::int64_t>(v & 1);
 }
 
-void
-putVarint(std::ostream &os, std::uint64_t v)
+/** Append @p v as a LEB128 varint at @p p; returns one past it. */
+unsigned char *
+putVarint(unsigned char *p, std::uint64_t v)
 {
     while (v >= 0x80) {
-        os.put(static_cast<char>((v & 0x7f) | 0x80));
+        *p++ = static_cast<unsigned char>(v | 0x80);
         v >>= 7;
     }
-    os.put(static_cast<char>(v));
+    *p++ = static_cast<unsigned char>(v);
+    return p;
 }
 
 // Tag byte layout: bits 0-1 kind, bit 2 dep/nt, bits 3-6 size-1.
@@ -58,16 +61,42 @@ constexpr std::uint8_t kKindMask = 0x03;
 constexpr std::uint8_t kFlagBit = 0x04;
 constexpr unsigned kSizeShift = 3;
 
+/** The longest op encoding: a CFORM's tag byte and three ten-byte
+ *  varints. */
+constexpr std::ptrdiff_t kMaxOpBytes = 1 + 3 * 10;
+
+/**
+ * Encodes into a fixed block that one ostream::write() drains, so a
+ * byte costs a store rather than a stream call — the mirror of
+ * BinTraceReader's block decode. put() checks the room once per op
+ * and drains when an op might not fit, so no op is split across two
+ * writes. finish() drains the rest and checks the stream.
+ */
 class BinTraceWriter final : public TraceWriter
 {
   public:
     BinTraceWriter(std::ostream &os, std::uint64_t op_count)
         : os_(os), count_(op_count)
     {
-        os_.write(kBinTraceMagic, sizeof(kBinTraceMagic));
-        os_.put(static_cast<char>(kBinTraceVersion));
-        os_.put(0); // reserved
-        putVarint(os_, count_);
+        unsigned char *p = pos_;
+        for (const char c : kBinTraceMagic)
+            *p++ = static_cast<unsigned char>(c);
+        *p++ = kBinTraceVersion;
+        *p++ = 0; // reserved
+        pos_ = putVarint(p, count_);
+    }
+
+    /** Hands the stream whatever finish() did not, as a writer without
+     *  a block would have. finish() is the call that reports a failed
+     *  write; here the failure stays recorded in the stream's badbit. */
+    ~BinTraceWriter() override
+    {
+        try {
+            drain();
+        } catch (...) {
+            // The stream sets badbit before its exception mask
+            // rethrows, so the failure is not lost.
+        }
     }
 
     void
@@ -75,6 +104,11 @@ class BinTraceWriter final : public TraceWriter
     {
         if (written_ == count_)
             fail("op count exceeded the declared length prefix");
+        if (block_.data() + block_.size() - pos_ < kMaxOpBytes)
+            drain();
+        // Encode through a local pointer: a store through the member
+        // could alias the member itself and force a reload per byte.
+        unsigned char *p = pos_;
         switch (op.kind) {
         case TraceOp::Kind::Load:
         case TraceOp::Kind::Store: {
@@ -85,33 +119,35 @@ class BinTraceWriter final : public TraceWriter
                 tag |= kFlagBit;
             tag |= static_cast<std::uint8_t>((op.size - 1)
                                              << kSizeShift);
-            os_.put(static_cast<char>(tag));
-            putDelta(op.addr);
+            *p++ = tag;
+            p = putDelta(p, op.addr);
             if (op.kind == TraceOp::Kind::Store)
-                putVarint(os_, op.value);
+                p = putVarint(p, op.value);
             break;
         }
         case TraceOp::Kind::Cform: {
             std::uint8_t tag = 2;
             if (op.cform.nonTemporal)
                 tag |= kFlagBit;
-            os_.put(static_cast<char>(tag));
-            putDelta(op.cform.lineAddr);
-            putVarint(os_, op.cform.setBits);
-            putVarint(os_, op.cform.mask);
+            *p++ = tag;
+            p = putDelta(p, op.cform.lineAddr);
+            p = putVarint(p, op.cform.setBits);
+            p = putVarint(p, op.cform.mask);
             break;
         }
         case TraceOp::Kind::Compute:
-            os_.put(3);
-            putVarint(os_, op.computeOps);
+            *p++ = 3;
+            p = putVarint(p, op.computeOps);
             break;
         }
+        pos_ = p;
         ++written_;
     }
 
     void
     finish() override
     {
+        drain();
         if (written_ != count_)
             fail("wrote " + std::to_string(written_) +
                  " ops but the header declared " +
@@ -122,16 +158,31 @@ class BinTraceWriter final : public TraceWriter
     }
 
   private:
+    /** Hand the encoded bytes to the stream in one write. */
     void
-    putDelta(Addr addr)
+    drain()
+    {
+        unsigned char *const begin = block_.data();
+        if (pos_ == begin)
+            return;
+        const auto n = static_cast<std::streamsize>(pos_ - begin);
+        pos_ = begin;
+        os_.write(reinterpret_cast<const char *>(begin), n);
+    }
+
+    unsigned char *
+    putDelta(unsigned char *p, Addr addr)
     {
         // Subtract modulo 2^64: a jump across half the address space
         // wraps to the same delta without signed overflow.
-        putVarint(os_, zigzag(static_cast<std::int64_t>(addr - prevAddr_)));
+        const auto delta = static_cast<std::int64_t>(addr - prevAddr_);
         prevAddr_ = addr;
+        return putVarint(p, zigzag(delta));
     }
 
     std::ostream &os_;
+    std::array<unsigned char, kBinTraceBlockBytes> block_;
+    unsigned char *pos_ = block_.data(); //!< next free byte of block_
     std::uint64_t count_;
     std::uint64_t written_ = 0;
     Addr prevAddr_ = 0;

@@ -16,12 +16,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 void
@@ -30,42 +24,6 @@ Rng::reseed(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &s : state)
         s = splitmix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::nextBelow(std::uint64_t bound)
-{
-    if (bound <= 1)
-        return 0;
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t threshold = (0 - bound) % bound;
-    for (;;) {
-        const std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 } // namespace califorms

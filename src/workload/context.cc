@@ -23,10 +23,10 @@ KernelContext::layoutOf(const StructDefPtr &def)
 {
     auto it = layoutCache_.find(def.get());
     if (it != layoutCache_.end())
-        return it->second;
+        return it->second.layout;
     auto layout =
         std::make_shared<SecureLayout>(transformer_.transform(*def));
-    layoutCache_.emplace(def.get(), layout);
+    layoutCache_.emplace(def.get(), CachedLayout{def, layout});
     return layout;
 }
 

@@ -98,9 +98,15 @@ class KernelContext
     AttackParams attack_;
     std::uint64_t layoutSeed_;
     SecurityRunStats security_;
-    std::unordered_map<const StructDef *,
-                       std::shared_ptr<const SecureLayout>>
-        layoutCache_;
+    /** A cached layout keeps its definition alive: a freed def's
+     *  address could otherwise be reused by a new def of another shape
+     *  and hit the stale entry. */
+    struct CachedLayout
+    {
+        StructDefPtr def;
+        std::shared_ptr<const SecureLayout> layout;
+    };
+    std::unordered_map<const StructDef *, CachedLayout> layoutCache_;
 };
 
 } // namespace califorms

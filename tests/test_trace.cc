@@ -1,7 +1,8 @@
 /**
  * @file test_trace.cc
  * Trace replay and serialization tests: round-trip through the text
- * and binary formats, header/truncation edge cases, format
+ * and binary formats, the writer's bytes pinned across blocks and its
+ * stream-failure report, header/truncation edge cases, format
  * auto-detection, streaming-vs-vector equivalence, replay determinism,
  * equivalence between trace replay and direct Machine calls, the
  * shared replay loop (op cap, per-kind counts), and the stats dump.
@@ -10,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include "sim/stats_dump.hh"
 #include "sim/trace.hh"
@@ -539,6 +542,116 @@ TEST(TraceBinary, WriterEnforcesTheLengthPrefix)
     EXPECT_NO_THROW(writer->finish());
     EXPECT_THROW(writer->put(TraceOp::compute(3)),
                  std::runtime_error); // one over
+    EXPECT_EQ(os.str(),
+              toBinary({TraceOp::compute(1), TraceOp::compute(2)}));
+}
+
+/** FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** Five two-byte compute ops, then twelve-byte stores of ~0 (a
+ *  ten-byte value varint) to address 0. With the three-byte op count
+ *  this phase splits a store value across each of the first three
+ *  16 KiB file offsets. */
+Trace
+straddleTrace()
+{
+    Trace trace(5, TraceOp::compute(1));
+    trace.resize(20000, TraceOp::store(0, 8, ~0ull));
+    return trace;
+}
+
+TEST(TraceBinary, WriterBytesArePinnedAcrossBlocks)
+{
+    // Sizes and hashes pinned from the per-byte stream writer that
+    // preceded the block encoder.
+    Rng rng(0xb10c);
+    const std::string wide = toBinary(wideTrace(rng, 6000));
+    ASSERT_GT(wide.size(), 8 + 3 * kBinTraceBlockBytes);
+    EXPECT_EQ(wide.size(), 100067u);
+    EXPECT_EQ(fnv1a(wide), 0xb5fe48f96b288900ull);
+
+    const std::string straddle = toBinary(straddleTrace());
+    EXPECT_EQ(straddle.size(), 239961u);
+    EXPECT_EQ(fnv1a(straddle), 0x1ed44985bf7775cbull);
+    // Only a store value's non-final bytes are 0xff in this trace, so
+    // each 16 KiB offset falls inside a value.
+    for (std::size_t edge = kBinTraceBlockBytes;
+         edge <= 3 * kBinTraceBlockBytes; edge += kBinTraceBlockBytes)
+        EXPECT_EQ(static_cast<unsigned char>(straddle[edge - 1]), 0xff)
+            << edge;
+}
+
+TEST(TraceBinary, DecodeEncodeIsByteIdentityAcrossBlocks)
+{
+    Rng rng(0xb10c);
+    for (const std::string &blob :
+         {toBinary(wideTrace(rng, 6000)), toBinary(straddleTrace())}) {
+        // The streaming pair, as `califorms trace conv` and the
+        // recorders use them.
+        std::stringstream in(blob);
+        const auto reader = openTraceReader(in);
+        Trace ops;
+        TraceOp op;
+        while (reader->next(op))
+            ops.push_back(op);
+        std::ostringstream out;
+        const auto writer =
+            makeTraceWriter(out, TraceFormat::Binary, ops.size());
+        for (const TraceOp &o : ops)
+            writer->put(o);
+        writer->finish();
+        EXPECT_EQ(out.str(), blob);
+    }
+}
+
+/** A stream buffer that takes no bytes, so every write fails. */
+struct RefusingBuf : std::streambuf
+{
+    int_type overflow(int_type) override { return traits_type::eof(); }
+};
+
+TEST(TraceBinary, WriterReportsAFailedStreamAtFinish)
+{
+    // One op fits the first block; 20000 drain several blocks before
+    // finish(), whose check must still see the failed writes.
+    for (const std::size_t count : {std::size_t{1}, std::size_t{20000}}) {
+        RefusingBuf buf;
+        std::ostream os(&buf);
+        const auto writer =
+            makeTraceWriter(os, TraceFormat::Binary, count);
+        for (std::size_t i = 0; i < count; ++i)
+            writer->put(TraceOp::store(0, 8, ~0ull));
+        try {
+            writer->finish();
+            ADD_FAILURE() << count << " ops: no error";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("write error"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+
+    // A writer dropped before finish() drains into a stream that
+    // throws on failure; its destructor must swallow that.
+    RefusingBuf buf;
+    std::ostream throwing(&buf);
+    throwing.exceptions(std::ios::badbit);
+    {
+        const auto writer =
+            makeTraceWriter(throwing, TraceFormat::Binary, 2);
+        writer->put(TraceOp::compute(1));
+    }
+    EXPECT_TRUE(throwing.bad());
 }
 
 TEST(TraceBinary, StreamingReplayMatchesVectorReplay)

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <utility>
+#include <vector>
+
 #include "util/bitops.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -78,6 +82,65 @@ TEST(Rng, UniformishDistribution)
     for (int count : buckets) {
         EXPECT_GT(count, n / 8 - n / 80);
         EXPECT_LT(count, n / 8 + n / 80);
+    }
+}
+
+/** FNV-1a over the little-endian bytes of @p words. */
+std::uint64_t
+fnv1a(const std::vector<std::uint64_t> &words)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint64_t w : words) {
+        for (unsigned byte = 0; byte < 8; ++byte) {
+            h ^= (w >> (8 * byte)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+TEST(Rng, FirstDrawsArePinned)
+{
+    // The first 64 draws of a fresh stream per (seed, bound), pinned
+    // from the plain rejection loop: a power-of-two bound's mask path
+    // must return the same values and consume one next() per draw.
+    struct Pin
+    {
+        std::uint64_t seed, bound, hash;
+    };
+    const Pin pins[] = {
+        {1, 1, 0x7da144b97d054b25ull},    {1, 2, 0x26def4f2cd917f64ull},
+        {1, 8, 0x86ae71d47290c626ull},    {1, 2048, 0x127a5d377a3dca09ull},
+        {1, 3, 0x898a2034db97fd44ull},    {1, 1000, 0x32a9eb4b01fe7076ull},
+        {7, 1, 0x7da144b97d054b25ull},    {7, 2, 0xd3934eb15d337e64ull},
+        {7, 8, 0xd7e168523d6e29a0ull},    {7, 2048, 0xa31176c092e18afeull},
+        {7, 3, 0xdbd30c27997ae284ull},    {7, 1000, 0x75df7bd6c00a5822ull},
+    };
+    for (const Pin &pin : pins) {
+        Rng rng(pin.seed);
+        std::vector<std::uint64_t> draws;
+        for (int i = 0; i < 64; ++i)
+            draws.push_back(rng.nextBelow(pin.bound));
+        EXPECT_EQ(fnv1a(draws), pin.hash)
+            << "seed " << pin.seed << " bound " << pin.bound;
+    }
+    Rng rng(1);
+    const std::uint64_t head8[] = {5, 2, 4, 7};
+    for (const std::uint64_t want : head8)
+        EXPECT_EQ(rng.nextBelow(8), want);
+    rng.reseed(1);
+    const std::uint64_t head2048[] = {197, 1258, 1300, 935};
+    for (const std::uint64_t want : head2048)
+        EXPECT_EQ(rng.nextBelow(2048), want);
+
+    const std::pair<std::uint64_t, std::uint64_t> doubles[] = {
+        {1, 0xaa8cdd73adf608a1ull}, {7, 0xe6a5309d36a0eb18ull}};
+    for (const auto &[seed, hash] : doubles) {
+        Rng d(seed);
+        std::vector<std::uint64_t> bits;
+        for (int i = 0; i < 64; ++i)
+            bits.push_back(std::bit_cast<std::uint64_t>(d.nextDouble()));
+        EXPECT_EQ(fnv1a(bits), hash) << "nextDouble seed " << seed;
     }
 }
 

@@ -1,12 +1,14 @@
 /**
  * @file test_workload.cc
  * Workload suite tests: every kernel runs clean under every policy,
- * determinism, the suite composition matches the paper, and the
- * first-order performance relations the figures rely on hold.
+ * determinism, the suite composition matches the paper, the
+ * first-order performance relations the figures rely on hold, and the
+ * kernel context never serves a freed def's cached layout.
  */
 
 #include <gtest/gtest.h>
 
+#include "workload/context.hh"
 #include "workload/runner.hh"
 
 namespace califorms
@@ -189,6 +191,40 @@ TEST(Runner, WithCformToggle)
     const auto r = runBenchmark(findBenchmark("perlbench"), config);
     EXPECT_EQ(r.mem.cformOps, 0u);
     EXPECT_EQ(r.heap.cformsIssued, 0u);
+}
+
+TEST(ContextLayoutCache, FreedDefNeverServesItsLayoutToANewDef)
+{
+    // sjeng frees a def and gobmk's next def may be allocated at the
+    // same address; the cache must not hand that def the stale layout.
+    Machine machine;
+    HeapAllocator heap(machine);
+    StackAllocator stack(machine);
+    const PolicyParams params;
+    KernelContext ctx(machine, heap, stack,
+                      LayoutTransformer(InsertionPolicy::Full, params, 5),
+                      42, 1.0);
+    // The same transformer fed the same defs in the same order.
+    LayoutTransformer reference(InsertionPolicy::Full, params, 5);
+
+    auto first = std::make_shared<StructDef>(
+        "first", std::vector<Field>{{"a", Type::intType()}});
+    ctx.layoutOf(first);
+    reference.transform(*first);
+    first.reset();
+
+    const auto second = std::make_shared<StructDef>(
+        "second", std::vector<Field>{{"tag", Type::charType()},
+                                     {"weight", Type::doubleType()},
+                                     {"next", Type::pointer("second")},
+                                     {"flag", Type::charType()}});
+    const auto got = ctx.layoutOf(second);
+    const SecureLayout want = reference.transform(*second);
+    EXPECT_EQ(got->size, want.size);
+    ASSERT_EQ(got->fields.size(), want.fields.size());
+    for (std::size_t i = 0; i < want.fields.size(); ++i)
+        EXPECT_EQ(got->fields[i].offset, want.fields[i].offset) << i;
+    EXPECT_EQ(got->byteMask(), want.byteMask());
 }
 
 } // namespace

@@ -261,10 +261,12 @@ traceGen(int argc, char **argv)
             const auto gen =
                 makeSynthGenerator(workload, params, total);
             const auto writer = makeTraceWriter(*os, format, total);
-            TraceOp op;
-            while (gen->next(op)) {
-                writer->put(op);
-                ++written;
+            std::vector<TraceOp> batch(4096);
+            while (const std::size_t n =
+                       gen->fill(batch.data(), batch.size())) {
+                for (std::size_t i = 0; i < n; ++i)
+                    writer->put(batch[i]);
+                written += n;
             }
             writer->finish();
         } else {

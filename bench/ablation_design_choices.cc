@@ -32,8 +32,7 @@ namespace
 exp::Variant
 heapVariant(std::string label, const char *key, const std::string &value)
 {
-    return exp::Variant{std::move(label), InsertionPolicy::Intelligent, 0,
-                        0, std::nullopt, false}
+    return exp::policyVariant(std::move(label), InsertionPolicy::Intelligent)
         .withSet(key, value);
 }
 
@@ -64,8 +63,8 @@ main(int argc, char **argv)
 {
     Options opt = Options::parse(argc, argv);
     // Every row reports per-run allocator counters (reuses, peak heap,
-    // CFORMs), which cannot be averaged over layouts — this harness is
-    // single-layout by construction, so keep the banner honest.
+    // CFORMs), which cannot be averaged over layouts — so the campaign
+    // runs exactly one layout seed, and the banner says so.
     opt.seeds = 1;
     bench::banner("Ablation - allocator & CFORM design choices",
                   "Section 6.1 footnote 3 and quarantine design", opt);

@@ -35,9 +35,7 @@ using namespace califorms;
 namespace
 {
 
-/** The depth axis key: crossed through crossLevels (not crossKey), so
- *  reports keep their "levels" field and "@L<n>" labels. */
-constexpr std::string_view kLevels = "mem.levels";
+using exp::policyVariant;
 
 /** One crossed axis: a registry key and its values. */
 struct Axis
@@ -89,11 +87,11 @@ suiteOf(const std::vector<SpecBenchmark> &suite)
     return out;
 }
 
-/** The generators ignore layouts: one non-randomized variant. */
+/** The generators ignore layouts: one variant that sets nothing. */
 exp::Variant
 layoutFree()
 {
-    return {"base", InsertionPolicy::None, 0, 0, std::nullopt, false};
+    return {"base", {}};
 }
 
 const std::vector<Anchor> &
@@ -117,10 +115,10 @@ anchors()
             // modelled machine; conversion latencies stay at the
             // paper's hidden-by-the-fill default of 0 cycles.
             .sets = {"mem.wb_queue_entries=8"},
-            .variants = {{"base", InsertionPolicy::None, 0, 0, false,
-                          false},
-                         {"full/3 CFORM", InsertionPolicy::Full, 3, 0,
-                          true, true}},
+            .variants = {policyVariant("base", InsertionPolicy::None, 0,
+                                       false),
+                         policyVariant("full/3 CFORM", InsertionPolicy::Full,
+                                       3, true)},
             .axes = {{"mem.levels", {"1", "2", "3"}}},
             .columns = {{"core.cycles"},
                         {"slowdown", 2, true},
@@ -263,13 +261,11 @@ anchors()
             // The none column is a genuinely unprotected heap: no
             // CFORMs means no intra-object spans, no inter-object
             // guards, and no blacklisted quarantine.
-            .variants = {exp::Variant{"none", InsertionPolicy::None, 0, 0,
-                                      std::nullopt, false}
+            .variants = {policyVariant("none", InsertionPolicy::None)
                              .withSet("heap.use_cform", "false"),
-                         {"full", InsertionPolicy::Full, 7, 0,
-                          std::nullopt, true},
-                         {"intelligent", InsertionPolicy::Intelligent, 7,
-                          0, std::nullopt, true}},
+                         policyVariant("full", InsertionPolicy::Full, 7),
+                         policyVariant("intelligent",
+                                       InsertionPolicy::Intelligent, 7)},
             .axes = {{"attack.scenario", attackScenarioNames()}},
             .columns = {{"security.successProbability", 2},
                         {"security.detections", 2, false,
@@ -292,22 +288,22 @@ anchors()
             .suite = bench::fullSuite(),
             // Every field padded by a fixed 1..7 bytes: no randomness,
             // so no bar is averaged over layout seeds.
-            .variants = {{"base", InsertionPolicy::None, 0, 0, false,
-                          false},
-                         {"1B", InsertionPolicy::FullFixed, 0, 1, false,
-                          false},
-                         {"2B", InsertionPolicy::FullFixed, 0, 2, false,
-                          false},
-                         {"3B", InsertionPolicy::FullFixed, 0, 3, false,
-                          false},
-                         {"4B", InsertionPolicy::FullFixed, 0, 4, false,
-                          false},
-                         {"5B", InsertionPolicy::FullFixed, 0, 5, false,
-                          false},
-                         {"6B", InsertionPolicy::FullFixed, 0, 6, false,
-                          false},
-                         {"7B", InsertionPolicy::FullFixed, 0, 7, false,
-                          false}},
+            .variants = {policyVariant("base", InsertionPolicy::None, 0,
+                                       false),
+                         policyVariant("1B", InsertionPolicy::FullFixed, 1,
+                                       false),
+                         policyVariant("2B", InsertionPolicy::FullFixed, 2,
+                                       false),
+                         policyVariant("3B", InsertionPolicy::FullFixed, 3,
+                                       false),
+                         policyVariant("4B", InsertionPolicy::FullFixed, 4,
+                                       false),
+                         policyVariant("5B", InsertionPolicy::FullFixed, 5,
+                                       false),
+                         policyVariant("6B", InsertionPolicy::FullFixed, 6,
+                                       false),
+                         policyVariant("7B", InsertionPolicy::FullFixed, 7,
+                                       false)},
             .paperRow = {"3.0%", "5.4%", "5.8%", "6.0%", "6.2%", "7.0%",
                          "7.6%"},
         },
@@ -322,10 +318,10 @@ anchors()
             .suite = bench::fullSuite(),
             // Original binaries both times; only the cache latency
             // differs.
-            .variants = {{"base", InsertionPolicy::None, 0, 0, false,
-                          false},
-                         exp::Variant{"+1cyc L2/L3", InsertionPolicy::None,
-                                      0, 0, false, false}
+            .variants = {policyVariant("base", InsertionPolicy::None, 0,
+                                       false),
+                         policyVariant("+1cyc L2/L3", InsertionPolicy::None,
+                                       0, false)
                              .withSet("mem.extra_l2l3_latency", "1")},
             .paperRow = {"0.83%"},
         },
@@ -341,20 +337,23 @@ anchors()
             .suite = bench::softwareEvalSuite(),
             // The uninstrumented baseline, then the Figure 11 bars left
             // to right.
-            .variants = {{"base", InsertionPolicy::None, 0, 0, false,
-                          false},
-                         {"1-3B", InsertionPolicy::Full, 3, 0, false, true},
-                         {"1-5B", InsertionPolicy::Full, 5, 0, false, true},
-                         {"1-7B", InsertionPolicy::Full, 7, 0, false, true},
-                         {"Opportunistic CFORM",
-                          InsertionPolicy::Opportunistic, 0, 0, true,
-                          false},
-                         {"1-3B CFORM", InsertionPolicy::Full, 3, 0, true,
-                          true},
-                         {"1-5B CFORM", InsertionPolicy::Full, 5, 0, true,
-                          true},
-                         {"1-7B CFORM", InsertionPolicy::Full, 7, 0, true,
-                          true}},
+            .variants = {policyVariant("base", InsertionPolicy::None, 0,
+                                       false),
+                         policyVariant("1-3B", InsertionPolicy::Full, 3,
+                                       false),
+                         policyVariant("1-5B", InsertionPolicy::Full, 5,
+                                       false),
+                         policyVariant("1-7B", InsertionPolicy::Full, 7,
+                                       false),
+                         policyVariant("Opportunistic CFORM",
+                                       InsertionPolicy::Opportunistic, 0,
+                                       true),
+                         policyVariant("1-3B CFORM", InsertionPolicy::Full,
+                                       3, true),
+                         policyVariant("1-5B CFORM", InsertionPolicy::Full,
+                                       5, true),
+                         policyVariant("1-7B CFORM", InsertionPolicy::Full,
+                                       7, true)},
             .paperRow = {"5.5%", "5.6%", "6.5%", "7.9%", "14.0-14.2%",
                          "14.0-14.2%", "14.0-14.2%"},
         },
@@ -367,20 +366,21 @@ anchors()
             .note = "paper: with CFORM no benchmark but gobmk (16.1%) and "
                     "perlbench (7.2%) exceeds 5%.\n",
             .suite = bench::softwareEvalSuite(),
-            .variants = {{"base", InsertionPolicy::None, 0, 0, false,
-                          false},
-                         {"1-3B", InsertionPolicy::Intelligent, 3, 0,
-                          false},
-                         {"1-5B", InsertionPolicy::Intelligent, 5, 0,
-                          false},
-                         {"1-7B", InsertionPolicy::Intelligent, 7, 0,
-                          false},
-                         {"1-3B CFORM", InsertionPolicy::Intelligent, 3, 0,
-                          true},
-                         {"1-5B CFORM", InsertionPolicy::Intelligent, 5, 0,
-                          true},
-                         {"1-7B CFORM", InsertionPolicy::Intelligent, 7, 0,
-                          true}},
+            .variants = {policyVariant("base", InsertionPolicy::None, 0,
+                                       false),
+                         policyVariant("1-3B", InsertionPolicy::Intelligent,
+                                       3, false),
+                         policyVariant("1-5B", InsertionPolicy::Intelligent,
+                                       5, false),
+                         policyVariant("1-7B", InsertionPolicy::Intelligent,
+                                       7, false),
+                         policyVariant("1-3B CFORM",
+                                       InsertionPolicy::Intelligent, 3, true),
+                         policyVariant("1-5B CFORM",
+                                       InsertionPolicy::Intelligent, 5, true),
+                         policyVariant("1-7B CFORM",
+                                       InsertionPolicy::Intelligent, 7,
+                                       true)},
             .paperRow = {"~0.2%", "~0.2%", "~0.2%", "1.5-2.0%", "1.5-2.0%",
                          "1.5-2.0%"},
         },
@@ -398,14 +398,14 @@ anchors()
             // The recommended deployment (intelligent policy with
             // CFORM) under each L1 format. Every variant sets the key,
             // so it wins over a --set mem.l1_format.
-            .variants = {exp::Variant{"califorms-8B (+0 cycles)",
-                                      InsertionPolicy::Intelligent}
+            .variants = {policyVariant("califorms-8B (+0 cycles)",
+                                       InsertionPolicy::Intelligent)
                              .withSet("mem.l1_format", "bitvector"),
-                         exp::Variant{"califorms-1B (+1 cycle)",
-                                      InsertionPolicy::Intelligent}
+                         policyVariant("califorms-1B (+1 cycle)",
+                                       InsertionPolicy::Intelligent)
                              .withSet("mem.l1_format", "cal1b"),
-                         exp::Variant{"califorms-4B (+2 cycles)",
-                                      InsertionPolicy::Intelligent}
+                         policyVariant("califorms-4B (+2 cycles)",
+                                       InsertionPolicy::Intelligent)
                              .withSet("mem.l1_format", "cal4b")},
         },
     };
@@ -424,15 +424,14 @@ headerOf(const Column &column)
                       : out;
 }
 
-/** The value @p axis assigned to the expanded variant @p v. */
+/** The value @p axis assigned to the expanded variant @p v: its last
+ *  set of the key, the one that applies. */
 std::string
 axisValue(const exp::Variant &v, const Axis &axis)
 {
-    if (axis.key == kLevels)
-        return std::to_string(v.levels);
-    for (const auto &[key, value] : v.sets)
-        if (key == axis.key)
-            return value;
+    for (auto it = v.sets.rbegin(); it != v.sets.rend(); ++it)
+        if (it->first == axis.key)
+            return it->second;
     return {};
 }
 
@@ -463,17 +462,9 @@ runAnchor(const Anchor &anchor, const bench::Options &opt)
     }
     sets.applyTo(spec.base);
     spec.variants = anchor.variants;
-    for (const Axis &axis : anchor.axes) {
-        if (axis.key != kLevels) {
-            spec.variants = exp::CampaignSpec::crossKey(
-                spec.variants, axis.key, axis.values);
-            continue;
-        }
-        std::vector<unsigned> levels;
-        for (const std::string &value : axis.values)
-            levels.push_back(static_cast<unsigned>(std::stoul(value)));
-        spec.variants = exp::CampaignSpec::crossLevels(spec.variants, levels);
-    }
+    for (const Axis &axis : anchor.axes)
+        spec.variants = exp::CampaignSpec::crossKey(spec.variants, axis.key,
+                                                    axis.values);
 
     const auto result = bench::runCampaign(opt, spec);
 

@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -67,6 +68,7 @@ struct Options
     {
         Options opt;
         const char *prog = opt.prog = argv[0];
+        std::optional<unsigned> seeds;
         const auto value = [&](int &i) -> std::string {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s: %s requires a value\n", prog,
@@ -97,7 +99,7 @@ struct Options
                     std::exit(2);
                 }
             } else if (arg == "--seeds") {
-                opt.seeds = countArg(prog, arg, value(i), 1);
+                seeds = countArg(prog, arg, value(i), 1);
             } else if (arg == "--jobs") {
                 opt.jobs = countArg(prog, arg, value(i), 0);
             } else if (arg == "--json") {
@@ -117,9 +119,12 @@ struct Options
                 std::exit(2);
             }
         }
-        // An explicit --scale / run.scale wins over --quick's default.
+        // An explicit --scale / run.scale or --seeds wins over
+        // --quick's default, in either order.
         if (const config::ParamValue *scale = opt.cfg.get("run.scale"))
             opt.scale = std::get<double>(*scale);
+        if (seeds)
+            opt.seeds = *seeds;
         return opt;
     }
 

@@ -128,7 +128,7 @@ struct KeyScope
 
 /** describeParams() and `califorms trace run`: the machine model. */
 inline constexpr unsigned kMachineScope = ns::Mem | ns::Core;
-/** `califorms trace gen --workload` (without --workload none). */
+/** `califorms trace gen`: the generator's knobs. */
 inline constexpr unsigned kTraceGenScope = ns::Workload;
 /** `califorms attack`: machine, victim layout, heap, scenario. */
 inline constexpr unsigned kAttackScope =

@@ -58,47 +58,18 @@ CampaignSpec::crossPolicySpans(
     const std::vector<InsertionPolicy> &policies,
     const std::vector<std::size_t> &spans)
 {
-    // Only Full and Intelligent draw span sizes from the layout RNG;
-    // None, Opportunistic, and FullFixed produce the same layout for
-    // every seed, so averaging them over seeds would just repeat
-    // byte-identical simulations.
     std::vector<Variant> variants;
     for (const InsertionPolicy policy : policies) {
         if (!policyUsesSpans(policy)) {
-            Variant v;
-            v.label = policyName(policy);
-            v.policy = policy;
-            v.randomized = false;
-            variants.push_back(std::move(v));
+            variants.push_back(policyVariant(policyName(policy), policy));
             continue;
         }
-        for (const std::size_t span : spans) {
-            Variant v;
-            v.label = policyName(policy) + "/" + std::to_string(span);
-            v.policy = policy;
-            v.maxSpan = span;
-            v.fixedSpan = span;
-            v.randomized = policy != InsertionPolicy::FullFixed;
-            variants.push_back(std::move(v));
-        }
+        for (const std::size_t span : spans)
+            variants.push_back(policyVariant(
+                policyName(policy) + "/" + std::to_string(span), policy,
+                span));
     }
     return variants;
-}
-
-std::vector<Variant>
-CampaignSpec::crossLevels(const std::vector<Variant> &variants,
-                          const std::vector<unsigned> &levels)
-{
-    std::vector<Variant> out;
-    for (const unsigned depth : levels) {
-        for (const Variant &base : variants) {
-            Variant v = base;
-            v.label += "@L" + std::to_string(depth);
-            v.levels = depth;
-            out.push_back(std::move(v));
-        }
-    }
-    return out;
 }
 
 Variant &
@@ -115,6 +86,23 @@ Variant::withSet(const std::string &key, const std::string &value)
         throw std::invalid_argument(error);
     sets.emplace_back(key, value);
     return *this;
+}
+
+Variant
+policyVariant(std::string label, InsertionPolicy policy, std::size_t span,
+              std::optional<bool> cform)
+{
+    Variant v{std::move(label), {}};
+    v.withSet("layout.policy", policyName(policy));
+    if (span)
+        v.withSet(policy == InsertionPolicy::FullFixed ? "layout.fixed_span"
+                                                       : "layout.max_span",
+                  std::to_string(span));
+    if (cform) {
+        const char *on = *cform ? "true" : "false";
+        v.withSet("heap.use_cform", on).withSet("stack.use_cform", on);
+    }
+    return v;
 }
 
 std::vector<Variant>
@@ -137,15 +125,20 @@ CampaignSpec::crossKey(const std::vector<Variant> &variants,
 std::vector<RunUnit>
 CampaignSpec::expand() const
 {
+    // Each variant's sets, validated once (withSet/crossKey reject bad
+    // entries eagerly; hand-filled sets fail here instead).
+    std::vector<config::Config> overrides(variants.size());
+    for (std::size_t v = 0; v < variants.size(); ++v)
+        for (const auto &[key, value] : variants[v].sets)
+            if (const auto error = overrides[v].set(key, value))
+                throw std::invalid_argument("variant '" +
+                                            variants[v].label +
+                                            "': " + *error);
+
     std::vector<RunUnit> units;
-    if (layoutSeeds.empty())
-        return units;
     for (std::size_t b = 0; b < suite.size(); ++b) {
         for (std::size_t v = 0; v < variants.size(); ++v) {
-            const Variant &variant = variants[v];
-            const std::size_t seed_count =
-                variant.randomized ? layoutSeeds.size() : 1;
-            for (std::size_t s = 0; s < seed_count; ++s) {
+            for (std::size_t s = 0; s < layoutSeeds.size(); ++s) {
                 RunUnit unit;
                 unit.index = units.size();
                 unit.bench = suite[b];
@@ -153,39 +146,16 @@ CampaignSpec::expand() const
                 unit.variantIndex = v;
                 unit.seedIndex = s;
                 unit.config = base;
-                unit.config.policy = variant.policy;
-                if (variant.maxSpan)
-                    unit.config.policyParams.maxSpan = variant.maxSpan;
-                if (variant.fixedSpan)
-                    unit.config.policyParams.fixedSpan =
-                        variant.fixedSpan;
-                if (variant.cform)
-                    unit.config.withCform(*variant.cform);
-                if (variant.levels)
-                    unit.config.machine.mem.levels = variant.levels;
-                if (variant.l2Kb)
-                    unit.config.machine.mem.l2Size = *variant.l2Kb * 1024;
-                if (variant.llcKb)
-                    unit.config.machine.mem.l3Size =
-                        *variant.llcKb * 1024;
                 unit.config.layoutSeed = layoutSeeds[s];
-                if (!variant.sets.empty()) {
-                    // Registry axis: validated key=value overrides
-                    // (withSet/crossKey reject bad entries eagerly;
-                    // hand-filled sets fail here instead). Applied
-                    // after the seed-list assignment so a
-                    // layout.seed set/axis actually takes effect —
-                    // the report embeds these as applied config, so
-                    // they must win over the implicit seed axis.
-                    config::Config cfg;
-                    for (const auto &[key, value] : variant.sets)
-                        if (const auto error = cfg.set(key, value))
-                            throw std::invalid_argument(
-                                "variant '" + variant.label + "': " +
-                                *error);
-                    cfg.applyTo(unit.config);
-                }
+                overrides[v].applyTo(unit.config);
+                // Only full and intelligent draw span sizes from the
+                // layout seed; every other policy lays out the same
+                // binary for each seed, so its cell runs the first.
+                const InsertionPolicy policy = unit.config.policy;
                 units.push_back(std::move(unit));
+                if (policy != InsertionPolicy::Full &&
+                    policy != InsertionPolicy::Intelligent)
+                    break;
             }
         }
     }

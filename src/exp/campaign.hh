@@ -30,56 +30,34 @@ namespace califorms::exp
 {
 
 /**
- * One column of a campaign: a named deviation from the base RunConfig.
- * Fields left at their defaults keep the base configuration's value.
+ * One column of a campaign: a label and the registry-key overrides
+ * ("layout.policy" = "full", "core.mlp" = "16", ...) that distinguish
+ * it from the base RunConfig. Every knob in the config ParamRegistry
+ * is a grid dimension. expand() applies the sets over the base after
+ * the layout seed, and a later set of a key overrides an earlier one,
+ * so a layout.seed set really applies (the campaign seed axis then
+ * repeats the same seed) and a crossKey() axis beats a set it
+ * repeats. Reports embed a variant as its label and resolved config.
  */
 struct Variant
 {
-    Variant() = default;
-    /** The classic six-field shape every harness spells out; the
-     *  hierarchy axis fields start at their keep-the-base defaults. */
-    Variant(std::string label_, InsertionPolicy policy_,
-            std::size_t maxSpan_ = 0, std::size_t fixedSpan_ = 0,
-            std::optional<bool> cform_ = std::nullopt,
-            bool randomized_ = true)
-        : label(std::move(label_)), policy(policy_), maxSpan(maxSpan_),
-          fixedSpan(fixedSpan_), cform(cform_), randomized(randomized_)
-    {}
-
     std::string label;
-    InsertionPolicy policy = InsertionPolicy::None;
-    std::size_t maxSpan = 0;   //!< 0 = keep base PolicyParams::maxSpan
-    std::size_t fixedSpan = 0; //!< 0 = keep base PolicyParams::fixedSpan
-    /** nullopt = keep the base allocators' CFORM setting. */
-    std::optional<bool> cform;
-    /** False: layout randomization is irrelevant (e.g. the baseline or
-     *  a fixed-span policy) — run only the first layout seed. */
-    bool randomized = true;
-
-    // Hierarchy grid axis (califorms-campaign/v2): overrides of the
-    // base machine's memory hierarchy.
-    unsigned levels = 0;              //!< 0 = keep the base depth
-    std::optional<std::size_t> l2Kb;  //!< L2 capacity in KB; 0 disables
-    std::optional<std::size_t> llcKb; //!< LLC capacity in KB; 0 disables
-
-    /**
-     * Registry-key overrides ("core.mlp" = "16", ...): any knob in the
-     * config ParamRegistry is a grid dimension. Validated eagerly by
-     * crossKey()/withSet(); applied during expand() after the
-     * declarative fields and the seed-list assignment (so a
-     * layout.seed override really applies — note the campaign seed
-     * axis then repeats the same seed). Every knob the declarative
-     * fields do not cover (L1 format, extra latency, heap parameters,
-     * ...) is a set. Reports embed these as the variant's resolved
-     * non-default config (v2 only; variants without sets serialize
-     * exactly as before).
-     */
     std::vector<std::pair<std::string, std::string>> sets;
 
     /** Append one validated key=value override; throws
      *  std::invalid_argument on an unknown key or bad value. */
     Variant &withSet(const std::string &key, const std::string &value);
 };
+
+/**
+ * A variant running @p policy: sets layout.policy, the span key the
+ * policy reads when @p span is nonzero (layout.fixed_span for
+ * full-fixed, layout.max_span otherwise), and heap.use_cform plus
+ * stack.use_cform when @p cform is given.
+ */
+Variant policyVariant(std::string label, InsertionPolicy policy,
+                      std::size_t span = 0,
+                      std::optional<bool> cform = std::nullopt);
 
 /** True for policies whose layout depends on the span-size axis. */
 bool policyUsesSpans(InsertionPolicy policy);
@@ -121,8 +99,9 @@ struct CampaignSpec
     std::string name; //!< experiment name for reports
     std::vector<const SpecBenchmark *> suite;
     std::vector<Variant> variants;
-    /** Layout seeds averaged over for randomized variants; the first
-     *  entry doubles as the seed for non-randomized variants. */
+    /** Layout seeds averaged over by cells whose resolved policy
+     *  draws from the layout seed (full, intelligent); every other
+     *  cell runs the first entry only. */
     std::vector<std::uint64_t> layoutSeeds = {1000};
     RunConfig base{};
 
@@ -140,30 +119,20 @@ struct CampaignSpec
                      const std::vector<std::size_t> &spans);
 
     /**
-     * Cross @p variants with a hierarchy-depth axis: one copy of every
-     * variant per entry of @p levels, labelled "label@L<n>", levels-
-     * major (all variants at the first depth, then the next). A single-
-     * entry axis still rewrites the labels — callers that want the
-     * plain variants simply do not cross.
-     */
-    static std::vector<Variant>
-    crossLevels(const std::vector<Variant> &variants,
-                const std::vector<unsigned> &levels);
-
-    /**
      * Cross @p variants with an arbitrary registered config key: one
      * copy of every variant per entry of @p values, labelled
      * "label@key=value", value-major (all variants at the first value,
-     * then the next) — the axis shape of crossLevels, but over any
-     * knob in the ParamRegistry. Throws std::invalid_argument on an
-     * unknown key or an out-of-bounds value.
+     * then the next). Throws std::invalid_argument on an unknown key
+     * or an out-of-bounds value.
      */
     static std::vector<Variant>
     crossKey(const std::vector<Variant> &variants,
              const std::string &key,
              const std::vector<std::string> &values);
 
-    /** Flatten to units, benchmark-major then variant then seed. */
+    /** Flatten to units, benchmark-major then variant then seed; each
+     *  unit's config is base, then its layout seed, then the variant's
+     *  sets. */
     std::vector<RunUnit> expand() const;
 };
 

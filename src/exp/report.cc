@@ -34,12 +34,8 @@ csvField(const std::string &s)
     return out;
 }
 
-/**
- * The resolved non-default configuration of a registry-axis variant as
- * a JSON object (typed values, registry key order). Only variants with
- * explicit key=value sets have one — every other variant serializes
- * exactly as it did before the config registry existed.
- */
+/** The resolved non-default configuration of a variant as a JSON
+ *  object (typed values, registry key order). */
 std::string
 variantConfigJson(const Variant &variant)
 {
@@ -88,7 +84,7 @@ campaignJson(const CampaignResult &result, const ReportTiming &timing)
     const CampaignSpec &spec = result.spec;
     std::ostringstream os;
     os << "{\n";
-    os << "  \"schema\": \"califorms-campaign/v2\",\n";
+    os << "  \"schema\": \"califorms-campaign/v3\",\n";
     os << "  \"campaign\": " << jsonString(spec.name) << ",\n";
     os << "  \"scale\": " << jsonNumber(spec.base.scale) << ",\n";
     const MemSysParams &mem = spec.base.machine.mem;
@@ -116,29 +112,8 @@ campaignJson(const CampaignResult &result, const ReportTiming &timing)
     for (std::size_t i = 0; i < spec.variants.size(); ++i) {
         const Variant &v = spec.variants[i];
         os << "    {\"label\": " << jsonString(v.label)
-           << ", \"policy\": " << jsonString(policyName(v.policy))
-           << ", \"maxSpan\": " << v.maxSpan
-           << ", \"fixedSpan\": " << v.fixedSpan << ", \"cform\": "
-           << (v.cform ? (*v.cform ? "true" : "false") : "null")
-           << ", \"randomized\": " << (v.randomized ? "true" : "false")
-           << ", \"levels\": ";
-        if (v.levels)
-            os << v.levels;
-        else
-            os << "null";
-        os << ", \"l2KB\": ";
-        if (v.l2Kb)
-            os << *v.l2Kb;
-        else
-            os << "null";
-        os << ", \"llcKB\": ";
-        if (v.llcKb)
-            os << *v.llcKb;
-        else
-            os << "null";
-        if (!v.sets.empty())
-            os << ", \"config\": " << variantConfigJson(v);
-        os << "}" << (i + 1 < spec.variants.size() ? "," : "") << "\n";
+           << ", \"config\": " << variantConfigJson(v) << "}"
+           << (i + 1 < spec.variants.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
     if (timing.include) {
@@ -174,10 +149,12 @@ campaignCsv(const CampaignResult &result)
     for (std::size_t i = 0; i < result.units.size(); ++i) {
         const RunUnit &unit = result.units[i];
         const RunResult &r = result.results[i];
-        const Variant &v = result.spec.variants[unit.variantIndex];
-        os << csvField(r.benchmark) << ',' << csvField(v.label) << ','
-           << policyName(v.policy) << ',' << v.maxSpan << ','
-           << v.fixedSpan << ',' << unit.config.layoutSeed;
+        const RunConfig &config = unit.config;
+        os << csvField(r.benchmark) << ','
+           << csvField(result.spec.variants[unit.variantIndex].label)
+           << ',' << policyName(config.policy) << ','
+           << config.policyParams.maxSpan << ','
+           << config.policyParams.fixedSpan << ',' << config.layoutSeed;
         for (const auto &[header, row] : kCsvColumns)
             os << ','
                << (row ? jsonNumber(statValue(r.record(), row))

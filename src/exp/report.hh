@@ -1,7 +1,7 @@
 /**
  * @file report.hh
  * Machine-readable campaign reports: JSON (schema
- * "califorms-campaign/v2") and CSV, one record per run. Every per-run
+ * "califorms-campaign/v3") and CSV, one record per run. Every per-run
  * value is a sim/stats_dump counter-table row: each JSON run record is
  * its unit keys plus runJson (counter blocks under the canonical dump
  * names, so a JSON trajectory diffs against a text stats dump key for

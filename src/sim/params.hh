@@ -241,7 +241,7 @@ struct CoreParams
 {
     /**
      * Number of cores. Each core owns a private L1 (+ write-back queue
-     * and sentinel fill/spill machinery) and its own CoreModel/LSQ; all
+     * and sentinel fill/spill machinery) and its own CoreModel; all
      * cores share the L2/LLC levels and DRAM. The parameters below
      * describe every core (the machine is homogeneous).
      */

@@ -1,8 +1,9 @@
 /**
  * @file test_campaign.cc
  * Campaign engine tests: grid expansion (empty grids, single cells,
- * span filtering, seed handling), and the engine's core guarantee —
- * results are bit-identical regardless of the worker count.
+ * span filtering, variant sets, seed handling), and the engine's core
+ * guarantee — results are bit-identical regardless of the worker
+ * count.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@ namespace
 {
 
 using exp::CampaignSpec;
+using exp::policyVariant;
 using exp::RunUnit;
 using exp::Variant;
 
@@ -27,9 +29,10 @@ smallSpec()
     spec.name = "test";
     spec.suite = {&findBenchmark("mcf"), &findBenchmark("perlbench")};
     spec.variants = {
-        {"base", InsertionPolicy::None, 0, 0, false, false},
-        {"full/3", InsertionPolicy::Full, 3, 0, true, true},
-        {"intelligent/5", InsertionPolicy::Intelligent, 5, 0, true, true},
+        policyVariant("base", InsertionPolicy::None, 0, false),
+        policyVariant("full/3", InsertionPolicy::Full, 3, true),
+        policyVariant("intelligent/5", InsertionPolicy::Intelligent, 5,
+                      true),
     };
     spec.layoutSeeds = {1000, 1001};
     spec.base.scale = 0.02;
@@ -76,12 +79,7 @@ TEST(GridExpansion, SingleCell)
 {
     CampaignSpec spec;
     spec.suite = {&findBenchmark("mcf")};
-    Variant v;
-    v.label = "full/5";
-    v.policy = InsertionPolicy::Full;
-    v.maxSpan = 5;
-    v.cform = false;
-    spec.variants = {v};
+    spec.variants = {policyVariant("full/5", InsertionPolicy::Full, 5, false)};
     spec.layoutSeeds = {42};
     spec.base.scale = 0.02;
 
@@ -121,6 +119,16 @@ TEST(GridExpansion, EmptySeedListExpandsToNothing)
     EXPECT_TRUE(spec.expand().empty());
 }
 
+/** The (key, value) sets of @p v as one "k=v;k=v" string. */
+std::string
+setsOf(const Variant &v)
+{
+    std::string out;
+    for (const auto &[key, value] : v.sets)
+        out += (out.empty() ? "" : ";") + key + "=" + value;
+    return out;
+}
+
 TEST(GridExpansion, SpanFiltering)
 {
     const auto variants = CampaignSpec::crossPolicySpans(
@@ -131,73 +139,127 @@ TEST(GridExpansion, SpanFiltering)
     // intelligent get one variant per span.
     ASSERT_EQ(variants.size(), 8u);
     EXPECT_EQ(variants[0].label, "none");
-    EXPECT_EQ(variants[0].maxSpan, 0u);
-    EXPECT_FALSE(variants[0].randomized);
+    EXPECT_EQ(setsOf(variants[0]), "layout.policy=none");
     EXPECT_EQ(variants[1].label, "opportunistic");
-    EXPECT_EQ(variants[1].maxSpan, 0u);
-    EXPECT_FALSE(variants[1].randomized); // layout is seed-independent
+    EXPECT_EQ(setsOf(variants[1]), "layout.policy=opportunistic");
     EXPECT_EQ(variants[2].label, "full/3");
-    EXPECT_EQ(variants[2].maxSpan, 3u);
-    EXPECT_TRUE(variants[2].randomized);
+    EXPECT_EQ(setsOf(variants[2]), "layout.policy=full;layout.max_span=3");
     EXPECT_EQ(variants[4].label, "full/7");
     EXPECT_EQ(variants[7].label, "intelligent/7");
-    EXPECT_EQ(variants[7].fixedSpan, 7u);
+    EXPECT_EQ(setsOf(variants[7]),
+              "layout.policy=intelligent;layout.max_span=7");
 }
 
 TEST(GridExpansion, FixedSpanPolicyIsNotRandomized)
 {
-    const auto variants = CampaignSpec::crossPolicySpans(
+    CampaignSpec spec = smallSpec();
+    spec.suite.resize(1);
+    spec.variants = CampaignSpec::crossPolicySpans(
         {InsertionPolicy::FullFixed}, {1, 4});
-    ASSERT_EQ(variants.size(), 2u);
-    EXPECT_EQ(variants[0].fixedSpan, 1u);
+    ASSERT_EQ(spec.variants.size(), 2u);
+    EXPECT_EQ(setsOf(spec.variants[0]),
+              "layout.policy=full-fixed;layout.fixed_span=1");
     // Fixed spans never draw from the layout RNG, so averaging over
-    // seeds would repeat byte-identical runs.
-    EXPECT_FALSE(variants[0].randomized);
-    EXPECT_FALSE(variants[1].randomized);
+    // seeds would repeat byte-identical runs: one unit per variant.
+    const auto units = spec.expand();
+    ASSERT_EQ(units.size(), 2u);
+    EXPECT_EQ(units[0].config.policyParams.fixedSpan, 1u);
+    EXPECT_EQ(units[1].config.policyParams.fixedSpan, 4u);
+    EXPECT_EQ(units[1].config.layoutSeed, 1000u);
+}
+
+TEST(GridExpansion, SeedCountFollowsTheResolvedPolicy)
+{
+    CampaignSpec spec = smallSpec();
+    spec.suite.resize(1);
+    spec.layoutSeeds = {1000, 1001, 1002};
+    // A variant that sets no policy inherits the base's; a policy that
+    // arrives through a crossKey axis decides its own cells.
+    spec.base.policy = InsertionPolicy::Intelligent;
+    spec.variants = CampaignSpec::crossKey(
+        {Variant{"inherit", {}}}, "layout.policy",
+        {"none", "full", "full-fixed", "opportunistic"});
+    const auto units = spec.expand();
+    // none 1 + full 3 + full-fixed 1 + opportunistic 1 seeds: the
+    // base's randomized policy no longer counts once a set replaces it.
+    ASSERT_EQ(units.size(), 6u);
+    EXPECT_EQ(units[0].config.policy, InsertionPolicy::None);
+    EXPECT_EQ(units[1].variantIndex, 1u);
+    EXPECT_EQ(units[3].config.layoutSeed, 1002u);
+    EXPECT_EQ(units[4].config.policy, InsertionPolicy::FullFixed);
+    EXPECT_EQ(units[5].config.policy, InsertionPolicy::Opportunistic);
+
+    // The uncrossed variant runs the base's randomized policy.
+    spec.variants = {Variant{"inherit", {}}};
+    ASSERT_EQ(spec.expand().size(), 3u);
+}
+
+TEST(GridExpansion, SetsApplyAfterTheLayoutSeedInDeclarationOrder)
+{
+    CampaignSpec spec = smallSpec();
+    spec.suite.resize(1);
+    Variant v = policyVariant("pinned", InsertionPolicy::Full, 3);
+    v.withSet("layout.seed", "42")
+        .withSet("layout.max_span", "5")
+        .withSet("core.mlp", "4")
+        .withSet("core.mlp", "8");
+    spec.variants = {v};
+    const auto units = spec.expand();
+    // Full still runs every seed of the axis, each pinned to 42.
+    ASSERT_EQ(units.size(), 2u);
+    for (const RunUnit &unit : units) {
+        EXPECT_EQ(unit.config.layoutSeed, 42u);
+        EXPECT_EQ(unit.config.policyParams.maxSpan, 5u);
+        EXPECT_EQ(unit.config.machine.core.mlp, 8u);
+    }
 }
 
 TEST(GridExpansion, LevelsAxisCrossesEveryVariant)
 {
     CampaignSpec spec = smallSpec();
-    spec.variants = CampaignSpec::crossLevels(spec.variants, {1, 3});
+    spec.variants =
+        CampaignSpec::crossKey(spec.variants, "mem.levels", {"1", "3"});
     ASSERT_EQ(spec.variants.size(), 6u);
-    EXPECT_EQ(spec.variants[0].label, "base@L1");
-    EXPECT_EQ(spec.variants[0].levels, 1u);
-    EXPECT_EQ(spec.variants[3].label, "base@L3");
-    EXPECT_EQ(spec.variants[3].levels, 3u);
-    EXPECT_EQ(spec.variants[4].policy, InsertionPolicy::Full);
+    EXPECT_EQ(spec.variants[0].label, "base@mem.levels=1");
+    EXPECT_EQ(spec.variants[3].label, "base@mem.levels=3");
+    EXPECT_EQ(spec.variants[4].label, "full/3@mem.levels=3");
 
     const auto units = spec.expand();
     // 2 benchmarks x 2 depths x (1 + 2 + 2 seeds) = 20 units.
     ASSERT_EQ(units.size(), 20u);
     EXPECT_EQ(units[0].config.machine.mem.levels, 1u);
     EXPECT_EQ(units[5].config.machine.mem.levels, 3u);
+    EXPECT_EQ(units[6].config.policy, InsertionPolicy::Full);
 }
 
 TEST(GridExpansion, HierarchyOverridesAndSetsLandInUnit)
 {
     CampaignSpec spec = smallSpec();
-    Variant v("shrunk", InsertionPolicy::Full, 3, 0, true, false);
-    v.levels = 2;
-    v.l2Kb = 64;
-    v.llcKb = 0;
-    v.withSet("mem.extra_l2l3_latency", "1");
+    Variant v = policyVariant("shrunk", InsertionPolicy::Full, 3, true);
+    v.withSet("mem.levels", "2")
+        .withSet("mem.l2_size_kb", "64")
+        .withSet("mem.llc_size_kb", "0")
+        .withSet("mem.extra_l2l3_latency", "1");
     spec.variants = {v};
     const auto units = spec.expand();
-    ASSERT_EQ(units.size(), 2u);
+    // 2 benchmarks x 2 seeds.
+    ASSERT_EQ(units.size(), 4u);
     for (const RunUnit &unit : units) {
         EXPECT_EQ(unit.config.machine.mem.levels, 2u);
         EXPECT_EQ(unit.config.machine.mem.l2Size, 64u * 1024u);
         EXPECT_EQ(unit.config.machine.mem.l3Size, 0u);
         EXPECT_EQ(unit.config.machine.mem.extraL2L3Latency, 1u);
         EXPECT_EQ(unit.config.policyParams.maxSpan, 3u);
+        EXPECT_TRUE(unit.config.heap.useCform);
+        EXPECT_TRUE(unit.config.stack.useCform);
     }
 }
 
 TEST(Engine, LevelsAxisIsJobCountInvariant)
 {
     CampaignSpec spec = smallSpec();
-    spec.variants = CampaignSpec::crossLevels(spec.variants, {1, 2, 3});
+    spec.variants = CampaignSpec::crossKey(spec.variants, "mem.levels",
+                                           {"1", "2", "3"});
     spec.base.machine.mem.wbQueueEntries = 8;
     const auto serial = exp::runCampaign(spec, 1);
     const auto parallel = exp::runCampaign(spec, 8);
@@ -260,8 +322,8 @@ TEST(Engine, WorkerExceptionPropagates)
     CampaignSpec spec;
     spec.suite = {&bomb};
     // Four units so jobs=4 exercises the pool path, not the inline
-    // single-worker fallback.
-    spec.variants = {{"base", InsertionPolicy::None, 0, 0, false, true}};
+    // single-worker fallback: a randomized policy runs every seed.
+    spec.variants = {policyVariant("base", InsertionPolicy::Full)};
     spec.layoutSeeds = {1, 2, 3, 4};
     EXPECT_THROW(exp::runCampaign(spec, 1), std::runtime_error);
     EXPECT_THROW(exp::runCampaign(spec, 4), std::runtime_error);

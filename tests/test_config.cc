@@ -425,9 +425,8 @@ TEST(Config, KeyScopeMatrixPinsEveryConsumer)
          bench + ", workload.*, attack.*"},
         {"harness without a config", fixed(0, "this harness"), ""},
         {"trace run", fixed(config::kMachineScope, "a trace replay"), machine},
-        {"trace gen --workload",
-         fixed(config::kTraceGenScope, "trace generation"), "workload.*"},
-        {"trace gen", fixed(0, "trace generation without --workload"), ""},
+        {"trace gen", fixed(config::kTraceGenScope, "trace generation"),
+         "workload.*"},
         {"attack", fixed(config::kAttackScope, "the attack scenarios"),
          "mem.*, core.*, layout.*, heap.*, attack.*"},
         {"fleet base with a generator tenant",
@@ -529,8 +528,8 @@ TEST(CampaignAxis, CrossKeySweepsAKnobWithNoDedicatedAxis)
     spec.suite = {&findBenchmark("mcf")};
     spec.base.scale = 0.02;
     spec.variants = exp::CampaignSpec::crossKey(
-        {{"base", InsertionPolicy::None, 0, 0, false, false},
-         {"full/3", InsertionPolicy::Full, 3, 0, true, true}},
+        {exp::policyVariant("base", InsertionPolicy::None, 0, false),
+         exp::policyVariant("full/3", InsertionPolicy::Full, 3, true)},
         "core.mlp", {"1", "12"});
     ASSERT_EQ(spec.variants.size(), 4u);
     EXPECT_EQ(spec.variants[0].label, "base@core.mlp=1");
@@ -548,13 +547,15 @@ TEST(CampaignAxis, CrossKeySweepsAKnobWithNoDedicatedAxis)
     const exp::CampaignResult result = exp::runCampaign(spec, 2);
     EXPECT_GT(result.mean(0, 0), result.mean(0, 2));
 
-    // The v2 report embeds the variant's resolved non-default config.
+    // The report embeds the variant's resolved non-default config.
     exp::ReportTiming timing;
     timing.include = false;
     const std::string json = exp::campaignJson(result, timing);
-    EXPECT_NE(json.find("\"config\": {\"core.mlp\": 1}"),
+    EXPECT_NE(json.find("\"config\": {\"core.mlp\": 1, "
+                        "\"layout.policy\": \"none\""),
               std::string::npos);
-    EXPECT_NE(json.find("\"config\": {\"core.mlp\": 12}"),
+    EXPECT_NE(json.find("\"config\": {\"core.mlp\": 12, "
+                        "\"layout.policy\": \"full\""),
               std::string::npos);
 }
 
@@ -566,7 +567,8 @@ TEST(CampaignAxis, LayoutSeedOverrideBeatsTheSeedList)
     exp::CampaignSpec spec;
     spec.suite = {&findBenchmark("mcf")};
     spec.layoutSeeds = {1000, 1001};
-    exp::Variant pinned{"pinned", InsertionPolicy::Full, 3, 0, true, true};
+    exp::Variant pinned =
+        exp::policyVariant("pinned", InsertionPolicy::Full, 3, true);
     pinned.withSet("layout.seed", "42");
     spec.variants = {pinned};
     for (const exp::RunUnit &unit : spec.expand())
@@ -575,8 +577,7 @@ TEST(CampaignAxis, LayoutSeedOverrideBeatsTheSeedList)
 
 TEST(CampaignAxis, CrossKeyAndWithSetRejectBadInput)
 {
-    const std::vector<exp::Variant> base = {
-        {"base", InsertionPolicy::None, 0, 0, false, false}};
+    const std::vector<exp::Variant> base = {exp::Variant{"base", {}}};
     EXPECT_THROW(exp::CampaignSpec::crossKey(base, "nope.key", {"1"}),
                  std::invalid_argument);
     EXPECT_THROW(

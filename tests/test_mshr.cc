@@ -531,7 +531,7 @@ TEST(MshrDeterminism, TimedSweepIsJobsInvariant)
     spec.suite.push_back(&synthBench("zipf"));
     spec.variants = exp::CampaignSpec::crossKey(
         exp::CampaignSpec::crossKey(
-            {{"base", InsertionPolicy::None, 0, 0, std::nullopt, false}},
+            {exp::Variant{"base", {}}},
             "mem.mshr_entries", {"0", "4"}),
         "mem.dram_banks", {"0", "8"});
     spec.base.machine.core.count = 2;

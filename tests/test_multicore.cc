@@ -309,7 +309,7 @@ TEST(MulticoreDeterminism, CoreCountSweepIsJobsInvariant)
     spec.suite.push_back(&synthBench("ring"));
     spec.variants = exp::CampaignSpec::crossKey(
         exp::CampaignSpec::crossKey(
-            {{"base", InsertionPolicy::None, 0, 0, std::nullopt, false}},
+            {exp::Variant{"base", {}}},
             "core.count", {"1", "2", "4"}),
         "mem.coherence", {"none", "msi"});
     spec.base.synth.ops = 2000;

@@ -225,7 +225,7 @@ TEST(ReplSweep, PolicyAxisIsJobsInvariant)
     spec.suite.push_back(&adversarialBench("scan"));
     spec.suite.push_back(&adversarialBench("thrash"));
     spec.variants = exp::CampaignSpec::crossKey(
-        {{"base", InsertionPolicy::None, 0, 0, std::nullopt, false}},
+        {exp::Variant{"base", {}}},
         "mem.repl_policy", {"lru", "random", "drrip", "ship"});
     spec.base.scale = 1.0;
     spec.base.synth.ops = 3000;

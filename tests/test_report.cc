@@ -33,22 +33,22 @@ goldenSpec()
     spec.name = "golden_quick";
     spec.suite = {&findBenchmark("mcf")};
     spec.variants = {
-        {"base", InsertionPolicy::None, 0, 0, false, false},
-        {"full/3 CFORM", InsertionPolicy::Full, 3, 0, true, true},
+        exp::policyVariant("base", InsertionPolicy::None, 0, false),
+        exp::policyVariant("full/3 CFORM", InsertionPolicy::Full, 3, true),
     };
     spec.layoutSeeds = {1000, 1001};
     spec.base.scale = 0.05;
     return spec;
 }
 
-/** The hierarchy-axis flavour of the golden campaign (v2 features). */
+/** The hierarchy-axis flavour of the golden campaign. */
 exp::CampaignSpec
 goldenHierarchySpec()
 {
     exp::CampaignSpec spec = goldenSpec();
     spec.name = "golden_hierarchy";
     spec.variants =
-        exp::CampaignSpec::crossLevels(spec.variants, {1, 3});
+        exp::CampaignSpec::crossKey(spec.variants, "mem.levels", {"1", "3"});
     spec.base.machine.mem.wbQueueEntries = 8;
     return spec;
 }
@@ -93,20 +93,21 @@ TEST(ReportGolden, QuickJsonMatchesCheckedInExpectation)
     exp::ReportTiming timing;
     timing.include = false;
     const std::string json = exp::campaignJson(result, timing);
-    expectMatchesGolden(json, "campaign_quick_v2.json");
+    expectMatchesGolden(json, "campaign_quick_v3.json");
 }
 
 TEST(ReportGolden, V2JsonMatchesCheckedInExpectation)
 {
-    // The v2 golden covers the new surface: the hierarchy object, the
-    // per-variant levels axis, per-run effective depth, and the
-    // conversion / write-back-queue counters (non-zero L2/LLC stats
-    // and wbq activity come from the crossed depths).
+    // The hierarchy golden covers the depth surface: the hierarchy
+    // object, the mem.levels axis in each variant's config, per-run
+    // effective depth, and the conversion / write-back-queue counters
+    // (non-zero L2/LLC stats and wbq activity come from the crossed
+    // depths).
     const auto result = exp::runCampaign(goldenHierarchySpec(), 2);
     exp::ReportTiming timing;
     timing.include = false;
     const std::string json = exp::campaignJson(result, timing);
-    expectMatchesGolden(json, "campaign_hierarchy_v2.json");
+    expectMatchesGolden(json, "campaign_hierarchy_v3.json");
 }
 
 TEST(ReportGolden, QuickCsvMatchesCheckedInExpectation)
@@ -114,7 +115,7 @@ TEST(ReportGolden, QuickCsvMatchesCheckedInExpectation)
     // Every CSV column of the default-hierarchy campaign, byte for
     // byte: the header and each run's row.
     const auto result = exp::runCampaign(goldenSpec(), 2);
-    expectMatchesGolden(exp::campaignCsv(result), "campaign_quick_v2.csv");
+    expectMatchesGolden(exp::campaignCsv(result), "campaign_quick_v3.csv");
 }
 
 TEST(Report, V2CarriesTheHierarchyAndConversionSurface)
@@ -122,16 +123,20 @@ TEST(Report, V2CarriesTheHierarchyAndConversionSurface)
     const auto result = exp::runCampaign(goldenHierarchySpec(), 1);
     exp::ReportTiming timing;
     timing.include = false;
-    const std::string v2 = exp::campaignJson(result, timing);
-    EXPECT_NE(v2.find("\"schema\": \"califorms-campaign/v2\""),
+    const std::string json = exp::campaignJson(result, timing);
+    EXPECT_NE(json.find("\"schema\": \"califorms-campaign/v3\""),
               std::string::npos);
-    EXPECT_NE(v2.find("\"hierarchy\": {\"levels\": 3"),
+    EXPECT_NE(json.find("\"hierarchy\": {\"levels\": 3"),
               std::string::npos);
-    EXPECT_NE(v2.find("\"wbQueueEntries\": 8"), std::string::npos);
-    EXPECT_NE(v2.find("\"califorms.fillConvCycles\""),
+    EXPECT_NE(json.find("\"wbQueueEntries\": 8"), std::string::npos);
+    EXPECT_NE(json.find("\"califorms.fillConvCycles\""),
               std::string::npos);
-    EXPECT_NE(v2.find("\"wbq.hits\""), std::string::npos);
-    EXPECT_NE(v2.find("\"label\": \"base@L1\", \"policy\": \"none\""),
+    EXPECT_NE(json.find("\"wbq.hits\""), std::string::npos);
+    // A variant is its label and its resolved config.
+    EXPECT_NE(json.find("{\"label\": \"base@mem.levels=1\", \"config\": "
+                        "{\"mem.levels\": 1, \"layout.policy\": \"none\", "
+                        "\"heap.use_cform\": false, "
+                        "\"stack.use_cform\": false}}"),
               std::string::npos);
 }
 
@@ -181,7 +186,9 @@ TEST(Report, CsvHasOneRowPerRun)
     EXPECT_EQ(csv.find("benchmark,variant,policy,maxSpan,fixedSpan,"
                        "layoutSeed,cycles"),
               0u);
-    EXPECT_NE(csv.find("mcf,full/3 CFORM,full,3,0,1001,"),
+    // policy, maxSpan and fixedSpan are the unit's resolved config.
+    EXPECT_NE(csv.find("mcf,base,none,7,1,1000,"), std::string::npos);
+    EXPECT_NE(csv.find("mcf,full/3 CFORM,full,3,1,1001,"),
               std::string::npos);
 }
 

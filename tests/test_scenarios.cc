@@ -333,7 +333,7 @@ TEST(AttackBenchmark, V2ReportCarriesGatedSecurityBlock)
     for (const auto &b : securitySuite())
         spec.suite.push_back(&b);
     spec.base.attack.seeds = 2;
-    spec.variants = {exp::Variant("full", InsertionPolicy::Full, 7)};
+    spec.variants = {exp::policyVariant("full", InsertionPolicy::Full, 7)};
     spec.variants[0].withSet("attack.scenario", "heapspray");
     const exp::CampaignResult result = exp::runCampaign(spec);
 

@@ -250,9 +250,8 @@ TEST(SynthCampaign, JobsInvariantForEveryWorkload)
         spec.suite.push_back(&b);
     for (const auto &b : adversarialSuite())
         spec.suite.push_back(&b);
-    spec.variants = exp::CampaignSpec::crossLevels(
-        {{"base", InsertionPolicy::None, 0, 0, std::nullopt, false}},
-        {1, 3});
+    spec.variants = exp::CampaignSpec::crossKey({exp::Variant{"base", {}}},
+                                                "mem.levels", {"1", "3"});
     spec.base.scale = 1.0;
     spec.base.synth.ops = 3000;
 

@@ -2,7 +2,7 @@
 """Benchmark regression gate for califorms campaign reports.
 
 Compares a freshly produced campaign JSON report (schema
-califorms-campaign/v1 or /v2) against a committed baseline:
+califorms-campaign/v1, /v2 or /v3) against a committed baseline:
 
   * every value of every run record (counter blocks, per-core entries,
     fleet checksums and op mixes) is deterministic, so any drift is a

@@ -1,11 +1,10 @@
 /**
  * @file cmd_attack.cc
- * `califorms attack`: replay one registered attack scenario against a
- * califormed victim heap. The legacy trio (scan, probe, brop and the
- * `all` shorthand) keeps its historical single-trial output; every
- * other registered scenario reports the uniform multi-trial rollup:
- * the counter table's security rows (success probability, detections,
- * probes, crash and cycle costs).
+ * `califorms attack`: replay one registered attack scenario (or `all`
+ * of them, in registry order) against a califormed victim heap. Each
+ * scenario prints one line, its multi-trial rollup: the counter
+ * table's security rows (success probability, detections, probes,
+ * crash and cycle costs).
  * All knobs are `attack.*` registry keys; the historical flags are
  * aliases for them.
  */
@@ -13,15 +12,10 @@
 #include "cli.hh"
 
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
-#include "alloc/heap.hh"
 #include "security/scenarios.hh"
-#include "security/victims.hh"
 #include "sim/machine.hh"
 #include "sim/stats_dump.hh"
 
@@ -65,88 +59,8 @@ struct AttackSetup
     AttackParams attack{};
 };
 
-/** One legacy-format trial: fresh machine + heap, shared
- *  attacker/layout seed — exactly the historical setup. */
-ScenarioTrial
-legacyTrial(const AttackSetup &s, const AttackScenario &scenario,
-            const StructDef &victim, Machine &machine,
-            HeapAllocator &heap)
-{
-    ScenarioContext c{machine,
-                      heap,
-                      s.heap,
-                      victim,
-                      attackTargetField(victim),
-                      s.policy,
-                      s.params,
-                      s.seed,
-                      s.seed,
-                      s.attack};
-    return scenario.run(c);
-}
-
-int
-runScan(const AttackSetup &s)
-{
-    Machine machine(s.machine);
-    HeapAllocator heap(machine, s.heap);
-    const StructDefPtr def = attackVictim(s.attack.victim);
-    LayoutTransformer t(s.policy, s.params, s.seed);
-    const SecureLayout layout = t.transform(*def);
-
-    const auto r =
-        legacyTrial(s, findAttackScenario("scan"), *def, machine, heap);
-    std::printf("scan: detected=%s bytes_scanned=%zu of %zu "
-                "(density=%.2f)\n",
-                r.detected ? "yes" : "no",
-                static_cast<std::size_t>(r.bytesTouched),
-                static_cast<std::size_t>(s.attack.objects) * layout.size,
-                static_cast<double>(layout.securityByteCount()) /
-                    static_cast<double>(layout.size));
-    return 0;
-}
-
-int
-runProbe(const AttackSetup &s)
-{
-    Machine machine(s.machine);
-    HeapAllocator heap(machine, s.heap);
-    const StructDefPtr def = attackVictim(s.attack.victim);
-
-    const auto r = legacyTrial(s, findAttackScenario("probe"), *def,
-                               machine, heap);
-    std::printf("probe: detected=%s probes=%zu\n",
-                r.detected ? "yes" : "no",
-                static_cast<std::size_t>(r.probes));
-    return 0;
-}
-
-int
-runBrop(const AttackSetup &s)
-{
-    const StructDefPtr def = attackVictim(s.attack.victim);
-
-    for (const bool rerandomize : {false, true}) {
-        Machine machine(s.machine);
-        HeapAllocator heap(machine, s.heap);
-        AttackSetup life = s;
-        life.attack.bropRerandomize = rerandomize;
-        const auto r = legacyTrial(life, findAttackScenario("brop"),
-                                   *def, machine, heap);
-        std::printf("brop rerandomize=%s: succeeded=%s crashes=%zu "
-                    "probes=%zu\n",
-                    rerandomize ? "yes" : "no",
-                    r.success ? "yes" : "no",
-                    static_cast<std::size_t>(r.crashes),
-                    static_cast<std::size_t>(r.probes));
-    }
-    std::puts("(static layouts fall in sizeof(object) crashes; "
-              "re-randomized respawns do not)");
-    return 0;
-}
-
-/** The uniform multi-trial rollup every non-legacy scenario prints. */
-int
+/** One scenario's multi-trial rollup line. */
+void
 runScenario(const AttackSetup &s, const std::string &name)
 {
     Machine machine(s.machine);
@@ -165,7 +79,6 @@ runScenario(const AttackSetup &s, const std::string &name)
         if (!row->label)
             line += " " + std::string(row->key()) + "=" + row->text(record);
     std::printf("%s\n", line.c_str());
-    return 0;
 }
 
 } // namespace
@@ -258,22 +171,14 @@ cmdAttack(int argc, char **argv)
         return 2;
     }
 
-    if (scenario == "scan")
-        return runScan(s);
-    if (scenario == "probe")
-        return runProbe(s);
-    if (scenario == "brop")
-        return runBrop(s);
-    if (scenario == "all") {
-        if (const int rc2 = runScan(s))
-            return rc2;
-        if (const int rc2 = runProbe(s))
-            return rc2;
-        return runBrop(s);
-    }
     if (scenario.empty()) {
         usage();
         return 2;
+    }
+    if (scenario == "all") {
+        for (const std::string &name : attackScenarioNames())
+            runScenario(s, name);
+        return 0;
     }
     try {
         findAttackScenario(scenario);
@@ -281,7 +186,8 @@ cmdAttack(int argc, char **argv)
         std::fprintf(stderr, "%s: %s\n", prog, e.what());
         return 2;
     }
-    return runScenario(s, scenario);
+    runScenario(s, scenario);
+    return 0;
 }
 
 } // namespace califorms::cli

@@ -10,12 +10,12 @@
  * registry (--set key=value, --config FILE, and the legacy alias
  * flags); any registered knob becomes an extra grid axis with
  * --axis key=v1,v2,... (e.g. --axis core.mlp=4,12), and a comma list
- * for --levels keeps its historical role as the hierarchy-depth axis.
+ * for --levels is another way to write --axis mem.levels=L.
  * Every axis block carries its own uninstrumented baseline, so the
  * slowdown column always compares within a machine configuration.
  * --json/--csv record the machine-readable report (schema
- * califorms-campaign/v2; registry-axis variants embed their resolved
- * non-default config).
+ * califorms-campaign/v3; each variant embeds its resolved non-default
+ * config).
  */
 
 #include "cli.hh"
@@ -61,8 +61,8 @@ usage()
         "(repeatable),\n"
         "                  e.g. --axis core.mlp=4,12 --axis "
         "mem.wb_queue_entries=0,8\n"
-        "  --levels L      hierarchy depth 1..3, or a comma list to "
-        "sweep the depth as a grid axis\n%s\n",
+        "  --levels L      hierarchy depth 1..3; a comma list is "
+        "--axis mem.levels=L\n%s\n",
         config::cliUsage().c_str());
 }
 
@@ -76,7 +76,6 @@ cmdSweep(int argc, char **argv)
         InsertionPolicy::None, InsertionPolicy::Opportunistic,
         InsertionPolicy::Full, InsertionPolicy::Intelligent};
     std::vector<std::size_t> maxspans = {3, 5, 7};
-    std::vector<unsigned> levels_axis;
     /** --axis grid dimensions, in CLI order. */
     std::vector<std::pair<std::string, std::vector<std::string>>> axes;
     config::Config cfg;
@@ -86,9 +85,8 @@ cmdSweep(int argc, char **argv)
 
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
+        std::string axis_text;
         if (arg == "--levels") {
-            // Sweep-specific superset of the registry alias: accepts a
-            // comma list and turns it into a grid axis.
             const std::string text = flagValue(argc, argv, i);
             const auto list = parseSizeList(text);
             if (!list || list->empty()) {
@@ -98,30 +96,22 @@ cmdSweep(int argc, char **argv)
                              prog, text.c_str());
                 return 2;
             }
-            for (const std::size_t v : *list) {
-                if (v < 1 || v > 3) {
-                    std::fprintf(stderr,
-                                 "%s: --levels entries must be 1..3, "
-                                 "got %zu\n",
-                                 prog, v);
-                    return 2;
-                }
-            }
             if (list->size() == 1) {
                 // A single depth is just the registry alias, recorded
                 // positionally so a later --set mem.levels still wins.
-                levels_axis.clear();
                 if (!setOrReport(cfg, prog, arg, "mem.levels", text))
                     return 2;
                 continue;
             }
-            levels_axis.clear();
-            for (const std::size_t v : *list)
-                levels_axis.push_back(static_cast<unsigned>(v));
-            continue;
+            // A comma list is the depth axis, spelt as --axis.
+            axis_text = "mem.levels=";
+            for (std::size_t k = 0; k < list->size(); ++k)
+                axis_text += (k ? "," : "") + std::to_string((*list)[k]);
+        } else if (arg == "--axis") {
+            axis_text = flagValue(argc, argv, i);
         }
-        if (arg == "--axis") {
-            const std::string text = flagValue(argc, argv, i);
+        if (!axis_text.empty()) {
+            const std::string &text = axis_text;
             const std::size_t eq = text.find('=');
             if (eq == std::string::npos || eq == 0 ||
                 eq + 1 == text.size()) {
@@ -132,17 +122,6 @@ cmdSweep(int argc, char **argv)
                 return 2;
             }
             const std::string key = text.substr(0, eq);
-            if (key == "mem.levels") {
-                // The depth axis has a dedicated flag; accepting it
-                // here too would let the two axes silently override
-                // each other while both print their own columns.
-                std::fprintf(stderr,
-                             "%s: use --levels L1,L2,... for the "
-                             "hierarchy-depth axis, not --axis "
-                             "mem.levels\n",
-                             prog);
-                return 2;
-            }
             for (const auto &[seen, ignored] : axes) {
                 if (seen == key) {
                     // Config map semantics would make the last value
@@ -236,8 +215,8 @@ cmdSweep(int argc, char **argv)
         }
     }
 
-    // A single-depth --levels was folded into cfg during parsing; the
-    // grid (and the table shape) only grows for a real comma-list axis.
+    // A single-depth --levels was folded into cfg during parsing; only
+    // a comma list grows the grid, as a mem.levels axis.
     RunConfig base;
     base.scale = 0.25;
     cfg.applyTo(base);
@@ -260,9 +239,18 @@ cmdSweep(int argc, char **argv)
     // Every base and axis key must reach some suite entry. The grid
     // owns policy (--policies), spans (--maxspans) and seeds
     // (--seeds), so a base set of those would be silently overwritten.
+    // Likewise an axis overrides a base set of its own key.
     std::vector<std::string> axis_keys;
-    for (const auto &[key, values] : axes)
+    for (const auto &[key, values] : axes) {
+        if (cfg.isSet(key)) {
+            std::fprintf(stderr,
+                         "%s: %s is both set and swept; the --axis "
+                         "values would override the set\n",
+                         prog, key.c_str());
+            return 2;
+        }
         axis_keys.push_back(key);
+    }
     const config::KeyScope scope =
         exp::suiteScope(spec.suite, "the sweep grid", true);
     if (scope.reportInert(cfg, prog, axis_keys))
@@ -271,33 +259,35 @@ cmdSweep(int argc, char **argv)
     // Variant 0 is always the baseline the slowdown column divides by,
     // even when the user's --policies list omits 'none'; the row order
     // below follows the user's list.
-    spec.variants = {
-        {"none", InsertionPolicy::None, 0, 0, std::nullopt, false}};
+    spec.variants = {exp::policyVariant("none", InsertionPolicy::None)};
     struct Row
     {
         std::size_t variant;
-        std::size_t span;    //!< 0 = span axis not applicable
-        unsigned levels;     //!< 0 = depth axis not active
+        InsertionPolicy policy;
+        std::size_t span; //!< 0 = span axis not applicable
         std::vector<std::string> axisVals; //!< one per --axis, in order
     };
     std::vector<Row> rows;
     for (const InsertionPolicy policy : policies) {
         if (policy == InsertionPolicy::None) {
-            rows.push_back({0, 0, 0, {}});
+            rows.push_back({0, policy, 0, {}});
             continue;
         }
+        // One variant per span for a span policy, one otherwise.
         const auto expanded = exp::CampaignSpec::crossPolicySpans(
             {policy}, maxspans);
-        for (const exp::Variant &v : expanded) {
-            rows.push_back({spec.variants.size(), v.maxSpan, 0, {}});
-            spec.variants.push_back(v);
+        for (std::size_t k = 0; k < expanded.size(); ++k) {
+            rows.push_back({spec.variants.size(), policy,
+                            exp::policyUsesSpans(policy) ? maxspans[k] : 0,
+                            {}});
+            spec.variants.push_back(expanded[k]);
         }
     }
 
-    // Cross with the registry axes (CLI order), then the hierarchy
-    // depth. Every crossing is value-major blocks of the previous
-    // variant list, so a block of per_block consecutive variants stays
-    // one machine configuration carrying its own baseline.
+    // Cross with the registry axes (CLI order). Every crossing is
+    // value-major blocks of the previous variant list, so a block of
+    // per_block consecutive variants stays one machine configuration
+    // carrying its own baseline.
     const std::size_t per_block = spec.variants.size();
     for (const auto &[key, values] : axes) {
         const std::size_t block = spec.variants.size();
@@ -313,20 +303,6 @@ cmdSweep(int argc, char **argv)
             exp::CampaignSpec::crossKey(spec.variants, key, values);
         rows = std::move(expanded);
     }
-    if (!levels_axis.empty()) {
-        const std::size_t block = spec.variants.size();
-        std::vector<Row> expanded;
-        for (std::size_t l = 0; l < levels_axis.size(); ++l)
-            for (const Row &row : rows) {
-                Row r = row;
-                r.variant += l * block;
-                r.levels = levels_axis[l];
-                expanded.push_back(std::move(r));
-            }
-        spec.variants = exp::CampaignSpec::crossLevels(spec.variants,
-                                                       levels_axis);
-        rows = std::move(expanded);
-    }
 
     const exp::CampaignResult result = exp::runCampaignWithReports(
         spec, jobs, json_path, csv_path);
@@ -335,8 +311,6 @@ cmdSweep(int argc, char **argv)
                                         "maxspan"};
     for (const auto &[key, values] : axes)
         headers.push_back(key);
-    if (!levels_axis.empty())
-        headers.push_back("levels");
     headers.push_back("cycles");
     headers.push_back("slowdown");
     TextTable table(headers);
@@ -350,12 +324,10 @@ cmdSweep(int argc, char **argv)
             const double cycles = result.mean(b, row.variant);
             std::vector<std::string> cells = {
                 spec.suite[b]->name,
-                policyName(spec.variants[row.variant].policy),
+                policyName(row.policy),
                 row.span ? std::to_string(row.span) : "-"};
             for (const std::string &value : row.axisVals)
                 cells.push_back(value);
-            if (!levels_axis.empty())
-                cells.push_back(std::to_string(row.levels));
             cells.push_back(TextTable::num(cycles, 0));
             cells.push_back(TextTable::pct(cycles / baseline - 1.0));
             table.addRow(cells);

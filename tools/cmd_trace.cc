@@ -4,11 +4,11 @@
  * the text and binary formats of src/sim/trace.hh, so downstream users
  * can drive the machine model without writing C++.
  *
- *   trace gen   dump a synthetic trace to stdout (or --out FILE);
- *               --workload NAME streams one of the src/workload
- *               generators (zipf, stream, stackchurn, ring,
- *               attackmix, tunable via --set workload.key=value)
- *               instead of the legacy mixed trace; --format bin
+ *   trace gen   stream one of the src/workload generators (zipf,
+ *               stream, stackchurn, ring, attackmix, tunable via
+ *               --set workload.key=value) to stdout (or --out FILE);
+ *               the default, attackmix, issues CFORMs, so a default
+ *               replay exercises the security path; --format bin
  *               writes the compact binary format
  *   trace run   replay a trace file ('-' = stdin), auto-detecting
  *               text vs binary, and report the replay checksum plus
@@ -30,12 +30,12 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <vector>
 
 #include "sim/stats_dump.hh"
 #include "sim/trace.hh"
-#include "util/rng.hh"
 #include "workload/synth.hh"
 
 namespace califorms::cli
@@ -59,6 +59,8 @@ usage()
         "[--set key=value] [--config FILE]\n"
         "       califorms trace conv <IN|-> <OUT|-> --to text|bin\n"
         "\n"
+        "trace gen streams one workload generator (default attackmix, "
+        "which issues\nCFORMs); --ops defaults to workload.ops.\n"
         "trace run auto-detects the trace format and replays on the "
         "registry-default\nmachine; --set and --config (plus the "
         "legacy alias flags, e.g. --levels,\n--l2-kb, --cores) "
@@ -136,47 +138,13 @@ openOutput(const std::string &path, std::ofstream &file)
     return &file;
 }
 
-/** A synthetic mixed trace: a streaming pass, pointer-chase loads,
- *  stores, compute blocks, and a couple of CFORMs over the region. */
-Trace
-synthesize(std::size_t ops, std::uint64_t seed)
-{
-    Trace trace;
-    Rng rng(seed);
-    const Addr base = 0x10000000ull;
-    const std::size_t region = 1 << 16;
-
-    // Blacklist one span so replays exercise the security path too.
-    CformOp establish;
-    establish.lineAddr = base + 64 * 17;
-    establish.setBits = 0xf0;
-    establish.mask = 0xff;
-    trace.push_back(TraceOp::cformOp(establish));
-
-    for (std::size_t i = 0; i < ops; ++i) {
-        const std::uint64_t roll = rng.nextBelow(10);
-        const Addr addr =
-            base + (rng.nextBelow(region) & ~7ull);
-        if (roll < 4)
-            trace.push_back(TraceOp::load(addr, 8, roll == 0));
-        else if (roll < 7)
-            trace.push_back(TraceOp::store(addr, 8, rng.next()));
-        else
-            trace.push_back(TraceOp::compute(
-                static_cast<std::uint32_t>(1 + rng.nextBelow(16))));
-    }
-    return trace;
-}
-
 int
 traceGen(int argc, char **argv)
 {
-    std::size_t ops = 1024;
-    bool ops_set = false;
-    std::uint64_t seed = 1;
-    bool seed_set = false;
+    std::optional<std::size_t> ops;
+    std::optional<std::uint64_t> seed;
     std::string out;
-    std::string workload;
+    std::string workload = "attackmix";
     TraceFormat format = TraceFormat::Text;
     config::Config cfg;
 
@@ -198,7 +166,6 @@ traceGen(int argc, char **argv)
             if (!v)
                 return 2;
             ops = static_cast<std::size_t>(*v);
-            ops_set = true;
         } else if (arg == "--seed") {
             const auto v =
                 parseCount("--seed", flagValue(argc, argv, i), 0,
@@ -206,7 +173,6 @@ traceGen(int argc, char **argv)
             if (!v)
                 return 2;
             seed = *v;
-            seed_set = true;
         } else if (arg == "--out") {
             out = flagValue(argc, argv, i);
         } else if (arg == "--workload") {
@@ -235,10 +201,8 @@ traceGen(int argc, char **argv)
 
     // The machine is chosen at replay time, so generation consumes
     // only the generator's knobs.
-    const config::KeyScope scope =
-        workload.empty()
-            ? config::KeyScope{0, "trace generation without --workload"}
-            : config::KeyScope{config::kTraceGenScope, "trace generation"};
+    const config::KeyScope scope{config::kTraceGenScope,
+                                 "trace generation"};
     if (scope.reportInert(cfg, "califorms trace"))
         return 2;
 
@@ -249,37 +213,22 @@ traceGen(int argc, char **argv)
 
     std::size_t written = 0;
     try {
-        if (!workload.empty()) {
-            SynthParams params = cfg.makeRunConfig().synth;
-            if (seed_set)
-                params.seed = seed;
-            const std::size_t total = ops_set ? ops : params.ops;
-            if (format == TraceFormat::Text)
-                *os << "# califorms trace: workload=" << workload
-                    << " ops=" << total << " seed=" << params.seed
-                    << "\n";
-            const auto gen =
-                makeSynthGenerator(workload, params, total);
-            const auto writer = makeTraceWriter(*os, format, total);
-            std::vector<TraceOp> batch(4096);
-            while (const std::size_t n =
-                       gen->fill(batch.data(), batch.size())) {
-                for (std::size_t i = 0; i < n; ++i)
-                    writer->put(batch[i]);
-                written += n;
-            }
-            writer->finish();
-        } else {
-            const Trace trace = synthesize(ops, seed);
-            written = trace.size();
-            if (format == TraceFormat::Binary) {
-                writeTraceBinary(*os, trace);
-            } else {
-                *os << "# califorms trace: synthetic, ops=" << ops
-                    << " seed=" << seed << "\n";
-                writeTrace(*os, trace);
-            }
+        SynthParams params = cfg.makeRunConfig().synth;
+        if (seed)
+            params.seed = *seed;
+        const std::size_t total = ops.value_or(params.ops);
+        if (format == TraceFormat::Text)
+            *os << "# califorms trace: workload=" << workload
+                << " ops=" << total << " seed=" << params.seed << "\n";
+        const auto gen = makeSynthGenerator(workload, params, total);
+        const auto writer = makeTraceWriter(*os, format, total);
+        std::vector<TraceOp> batch(4096);
+        while (const std::size_t n = gen->fill(batch.data(), batch.size())) {
+            for (std::size_t i = 0; i < n; ++i)
+                writer->put(batch[i]);
+            written += n;
         }
+        writer->finish();
     } catch (const std::exception &e) {
         std::fprintf(stderr, "califorms trace: %s\n", e.what());
         return 1;

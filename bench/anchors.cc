@@ -94,6 +94,15 @@ layoutFree()
     return {"base", {}};
 }
 
+/** One ablation point: the intelligent policy with one heap.* key set,
+ *  so every other heap knob keeps the user's --set/--config. */
+exp::Variant
+heapVariant(std::string label, const char *key, const char *value)
+{
+    return policyVariant(std::move(label), InsertionPolicy::Intelligent)
+        .withSet(key, value);
+}
+
 const std::vector<Anchor> &
 anchors()
 {
@@ -407,6 +416,46 @@ anchors()
                          policyVariant("califorms-4B (+2 cycles)",
                                        InsertionPolicy::Intelligent)
                              .withSet("mem.l1_format", "cal4b")},
+        },
+        {
+            .name = "ablation",
+            .campaign = "ablation_design_choices",
+            .title = "Ablation - allocator & CFORM design choices",
+            .paper = "Section 6.1 footnote 3 and quarantine design",
+            .note = "quarantine: larger fractions hold freed memory "
+                    "blacklisted longer (better\ntemporal safety) at the "
+                    "cost of heap growth. non-temporal CFORM: footnote 3"
+                    "\npredicts it helps by not polluting the L1 with "
+                    "freed lines; in this model the\nsign depends on "
+                    "whether freed lines are touched again before "
+                    "eviction\n(compare l1d.misses). guard: REST-style "
+                    "guards raise the detection margin for\nwild linear "
+                    "overflows at a small space cost; 8B guards catch "
+                    "every +/-1\noverflow.\n",
+            .suite = {&findBenchmark("perlbench")},
+            .variants = {heapVariant("quarantine/0.00",
+                                     "heap.quarantine_fraction", "0.00"),
+                         heapVariant("quarantine/0.10",
+                                     "heap.quarantine_fraction", "0.10"),
+                         heapVariant("quarantine/0.25",
+                                     "heap.quarantine_fraction", "0.25"),
+                         heapVariant("quarantine/0.50",
+                                     "heap.quarantine_fraction", "0.50"),
+                         heapVariant("quarantine/1.00",
+                                     "heap.quarantine_fraction", "1.00"),
+                         heapVariant("regular CFORM",
+                                     "heap.non_temporal_cform", "false"),
+                         heapVariant("non-temporal CFORM",
+                                     "heap.non_temporal_cform", "true"),
+                         heapVariant("guard/0", "heap.guard_bytes", "0"),
+                         heapVariant("guard/8", "heap.guard_bytes", "8"),
+                         heapVariant("guard/16", "heap.guard_bytes", "16"),
+                         heapVariant("guard/32", "heap.guard_bytes", "32")},
+            .columns = {{"core.cycles"},
+                        {"l1d.misses"},
+                        {"heap.reuses"},
+                        {"heap.peakHeapBytes"},
+                        {"heap.cformsIssued"}},
         },
     };
     return table;

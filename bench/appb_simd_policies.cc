@@ -23,10 +23,7 @@ using bench::Options;
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(argc, argv);
-    // Nothing here reads opt.cfg, so every config key is inert.
-    if (config::KeyScope{0, "this harness"}.reportInert(opt.cfg, opt.prog))
-        return 2;
+    const Options opt = Options::parse(argc, argv, bench::Reads::Quick);
     bench::banner("Appendix B - SIMD/vector load policies",
                   "three alternatives for wide loads over security bytes",
                   opt);

@@ -36,6 +36,15 @@
 namespace califorms::bench
 {
 
+/** What a harness reads of the options below; Options::parse rejects
+ *  the rest, so nothing on a harness's command line is ignored. */
+enum class Reads
+{
+    Nothing,  //!< a fixed computation: no option applies
+    Quick,    //!< only --quick, which shrinks its trial counts
+    Campaign, //!< every option: a grid run through runCampaign()
+};
+
 /** Common command line options. */
 struct Options
 {
@@ -46,6 +55,7 @@ struct Options
     std::string jsonPath; //!< --json FILE: machine-readable report
     std::string csvPath;  //!< --csv FILE: one row per run
     const char *prog = ""; //!< argv[0], the diagnostics' prefix
+    Reads reads = Reads::Campaign;
 
     /**
      * Registry-backed knob overrides, collected from --set key=value,
@@ -61,13 +71,18 @@ struct Options
      * Parse the harness command line; every malformed or unknown
      * argument exits 2 with a diagnostic prefixed by argv[0]. --scale
      * is the run.scale registry key (validated like --set), and
-     * --seeds/--jobs are integers in [1, 4096] / [0, 4096].
+     * --seeds/--jobs are integers in [1, 4096] / [0, 4096]. An option
+     * or config key that @p reads excludes exits 2 too, after every
+     * such argument is named.
      */
     static Options
-    parse(int argc, char **argv)
+    parse(int argc, char **argv, Reads reads = Reads::Campaign)
     {
         Options opt;
+        opt.reads = reads;
         const char *prog = opt.prog = argv[0];
+        const bool campaign = reads == Reads::Campaign;
+        bool inert = false;
         std::optional<unsigned> seeds;
         const auto value = [&](int &i) -> std::string {
             if (i + 1 >= argc) {
@@ -88,7 +103,18 @@ struct Options
                 break;
             }
             const std::string arg = argv[i];
-            if (arg == "--quick") {
+            const bool grid_flag = arg == "--scale" || arg == "--seeds" ||
+                                   arg == "--jobs" || arg == "--json" ||
+                                   arg == "--csv";
+            if ((grid_flag && !campaign) ||
+                (arg == "--quick" && reads == Reads::Nothing)) {
+                std::fprintf(stderr, "%s: %s has no effect on this "
+                                     "harness\n",
+                             prog, arg.c_str());
+                inert = true;
+                if (grid_flag)
+                    value(i);
+            } else if (arg == "--quick") {
                 opt.quick = true;
                 opt.scale = 0.1;
                 opt.seeds = 1;
@@ -107,11 +133,15 @@ struct Options
             } else if (arg == "--csv") {
                 opt.csvPath = value(i);
             } else if (arg == "--help") {
-                std::printf("usage: %s [--scale S] [--seeds N] "
-                            "[--jobs N] [--quick]\n"
-                            "          [--json FILE] [--csv FILE]\n"
-                            "\n%s\n",
-                            prog, config::cliUsage().c_str());
+                if (campaign)
+                    std::printf("usage: %s [--scale S] [--seeds N] "
+                                "[--jobs N] [--quick]\n"
+                                "          [--json FILE] [--csv FILE]\n"
+                                "\n%s\n",
+                                prog, config::cliUsage().c_str());
+                else
+                    std::printf("usage: %s%s\n", prog,
+                                reads == Reads::Quick ? " [--quick]" : "");
                 std::exit(0);
             } else {
                 std::fprintf(stderr, "%s: unknown argument '%s'\n",
@@ -119,6 +149,12 @@ struct Options
                 std::exit(2);
             }
         }
+        // A harness off the campaign path reads no config key.
+        if (!campaign &&
+            config::KeyScope{0, "this harness"}.reportInert(opt.cfg, prog))
+            inert = true;
+        if (inert)
+            std::exit(2);
         // An explicit --scale / run.scale or --seeds wins over
         // --quick's default, in either order.
         if (const config::ParamValue *scale = opt.cfg.get("run.scale"))
@@ -153,8 +189,9 @@ struct Options
     }
 };
 
-/** Print a uniform experiment banner. Deliberately omits --jobs: the
- *  job count must never change a harness's output. */
+/** Print a uniform experiment banner with the options the harness
+ *  reads. Deliberately omits --jobs: the job count must never change a
+ *  harness's output. */
 inline void
 banner(const char *experiment, const char *paper_summary,
        const Options &opt)
@@ -163,7 +200,10 @@ banner(const char *experiment, const char *paper_summary,
                 "=====================\n");
     std::printf("%s\n", experiment);
     std::printf("paper reference: %s\n", paper_summary);
-    std::printf("scale=%.2f seeds=%u\n", opt.scale, opt.seeds);
+    if (opt.reads == Reads::Campaign)
+        std::printf("scale=%.2f seeds=%u\n", opt.scale, opt.seeds);
+    else if (opt.reads == Reads::Quick)
+        std::printf("quick=%s\n", opt.quick ? "on" : "off");
     std::printf("================================================="
                 "=====================\n");
 }

@@ -39,10 +39,7 @@ report(const char *name, const DensityReport &r, double paper_padded)
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(argc, argv);
-    // Nothing here reads opt.cfg, so every config key is inert.
-    if (config::KeyScope{0, "this harness"}.reportInert(opt.cfg, opt.prog))
-        return 2;
+    const Options opt = Options::parse(argc, argv, bench::Reads::Nothing);
     bench::banner("Figure 3 - struct density histogram",
                   "45.7% of SPEC structs and 41.0% of V8 structs have "
                   ">=1 padding byte",

@@ -49,10 +49,7 @@ scanAttack(Machine &machine, const std::vector<Addr> &objs,
 int
 main(int argc, char **argv)
 {
-    const Options opt = Options::parse(argc, argv);
-    // Nothing here reads opt.cfg, so every config key is inert.
-    if (config::KeyScope{0, "this harness"}.reportInert(opt.cfg, opt.prog))
-        return 2;
+    const Options opt = Options::parse(argc, argv, bench::Reads::Quick);
     bench::banner("Section 7.3 - derandomization attack analysis",
                   "(1-P/N)^O scan survival; 1/7^n span guessing", opt);
 

@@ -7,8 +7,8 @@
 
 #include <cstdio>
 
+#include "bench/common.hh"
 #include "core/cform.hh"
-#include "util/table.hh"
 
 using namespace califorms;
 
@@ -33,8 +33,9 @@ outcome(bool initially_security, bool set_bit, bool allowed)
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Options::parse(argc, argv, bench::Reads::Nothing);
     std::printf("Table 1 - K-map for the CFORM instruction\n");
     std::printf("(columns: R3 disallows; R2 unsets, R3 allows; R2 sets, "
                 "R3 allows)\n\n");

@@ -1,15 +1,15 @@
-# Runs a bench harness with --quick --jobs 1 --json and gates the fresh
+# Runs a CI anchor command with --jobs 1 --json and gates the fresh
 # report against its committed BENCH_*.json baseline via
 # tools/bench_gate.py. Counters only (--no-time): ctest runs suites in
 # parallel, so wall-clock is not comparable here — CI's bench-baseline
 # job runs the same gate with the time threshold armed.
 #
-# Usage: cmake -DBENCH=<argv joined with '|'> -DPYTHON=<python3>
+# Usage: cmake -DBENCH=<anchor argv joined with '|'> -DPYTHON=<python3>
 #        -DGATE=<bench_gate.py> -DBASELINE=<BENCH_*.json>
 #        -DOUT=<fresh.json> -P BenchGate.cmake
 
 string(REPLACE "|" ";" bench "${BENCH}")
-execute_process(COMMAND ${bench} --quick --jobs 1 --json ${OUT}
+execute_process(COMMAND ${bench} --jobs 1 --json ${OUT}
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err
                 RESULT_VARIABLE rc)

@@ -723,16 +723,10 @@ ParamRegistry::ParamRegistry()
 
     // ----------------------------------------------------------------
     // fleet.* — multi-tenant serving engine (FleetParams; only
-    // `califorms fleet` and the fleet_throughput bench consume these).
+    // `califorms fleet` consumes these, including the fleet anchor
+    // bench/fleet.manifest). The pool runs one task per tenant, so
+    // scheduling has no knob here.
     // ----------------------------------------------------------------
-    specs_.push_back(uintKnob(
-        "fleet.shards", 0, 256, "",
-        "replay shards the tenant list is split across the pool into "
-        "(0 = one shard per tenant); never changes any counter",
-        [](const RunConfig &rc) { return rc.fleet.shards; },
-        [](RunConfig &rc, std::uint64_t v) {
-            rc.fleet.shards = static_cast<unsigned>(v);
-        }));
     specs_.push_back(uintKnob(
         "fleet.tenant_seed_stride", 0,
         std::numeric_limits<std::uint64_t>::max(), "",

@@ -140,11 +140,9 @@ CampaignSpec::expand() const
         for (std::size_t v = 0; v < variants.size(); ++v) {
             for (std::size_t s = 0; s < layoutSeeds.size(); ++s) {
                 RunUnit unit;
-                unit.index = units.size();
                 unit.bench = suite[b];
                 unit.benchIndex = b;
                 unit.variantIndex = v;
-                unit.seedIndex = s;
                 unit.config = base;
                 unit.config.layoutSeed = layoutSeeds[s];
                 overrides[v].applyTo(unit.config);
@@ -171,90 +169,10 @@ effectiveJobs(unsigned jobs)
     return hw ? hw : 1;
 }
 
-namespace
-{
-
-/**
- * One worker's slice of the unit list: a [head, tail) window packed
- * into a single atomic word so the owner (popping the front) and
- * thieves (popping the back) serialize through one CAS with no locks
- * and no ABA hazard — indices only ever move towards each other.
- */
-class Shard
-{
-  public:
-    void
-    reset(std::size_t head, std::size_t tail)
-    {
-        window_.store(pack(static_cast<std::uint32_t>(head),
-                           static_cast<std::uint32_t>(tail)),
-                      std::memory_order_relaxed);
-    }
-
-    std::size_t
-    remaining() const
-    {
-        const std::uint64_t w = window_.load(std::memory_order_relaxed);
-        const std::uint32_t head = w >> 32;
-        const std::uint32_t tail = w & 0xffffffffu;
-        return head < tail ? tail - head : 0;
-    }
-
-    /** Owner side: claim the front index, or npos when drained. */
-    std::size_t
-    claimFront()
-    {
-        std::uint64_t w = window_.load(std::memory_order_relaxed);
-        for (;;) {
-            const std::uint32_t head = w >> 32;
-            const std::uint32_t tail = w & 0xffffffffu;
-            if (head >= tail)
-                return npos;
-            if (window_.compare_exchange_weak(
-                    w, pack(head + 1, tail), std::memory_order_acq_rel,
-                    std::memory_order_relaxed))
-                return head;
-        }
-    }
-
-    /** Thief side: steal the back index, or npos when drained. */
-    std::size_t
-    claimBack()
-    {
-        std::uint64_t w = window_.load(std::memory_order_relaxed);
-        for (;;) {
-            const std::uint32_t head = w >> 32;
-            const std::uint32_t tail = w & 0xffffffffu;
-            if (head >= tail)
-                return npos;
-            if (window_.compare_exchange_weak(
-                    w, pack(head, tail - 1), std::memory_order_acq_rel,
-                    std::memory_order_relaxed))
-                return tail - 1;
-        }
-    }
-
-    static constexpr std::size_t npos = ~std::size_t{0};
-
-  private:
-    static std::uint64_t
-    pack(std::uint32_t head, std::uint32_t tail)
-    {
-        return (static_cast<std::uint64_t>(head) << 32) | tail;
-    }
-
-    std::atomic<std::uint64_t> window_{0};
-};
-
-} // namespace
-
 void
 runTasks(std::size_t count,
          const std::function<void(std::size_t)> &task, unsigned jobs)
 {
-    // Shard windows pack head/tail into one uint32 pair.
-    if (count > 0xffffffffull)
-        throw std::length_error("pool exceeds 2^32 tasks");
     const unsigned workers = std::min<std::size_t>(
         effectiveJobs(jobs), count ? count : 1);
 
@@ -264,49 +182,26 @@ runTasks(std::size_t count,
         return;
     }
 
-    // Contiguous slice per worker; idle workers steal from the back of
-    // the fullest remaining shard.
-    std::vector<Shard> shards(workers);
-    for (unsigned w = 0; w < workers; ++w)
-        shards[w].reset(count * w / workers, count * (w + 1) / workers);
-
-    std::atomic<bool> stop{false};
+    // Every task is a whole simulation, so one shared cursor is all the
+    // balancing the pool needs: each worker claims the next index. The
+    // join publishes every slot and first_error to the caller.
+    std::atomic<std::size_t> next{0};
     std::exception_ptr first_error;
     std::mutex error_mutex;
 
-    auto worker = [&](unsigned self) {
-        auto execute = [&](std::size_t idx) {
+    auto worker = [&] {
+        std::size_t idx;
+        while ((idx = next.fetch_add(1, std::memory_order_relaxed)) <
+               count) {
             try {
                 task(idx);
             } catch (...) {
-                {
-                    const std::lock_guard<std::mutex> lock(error_mutex);
-                    if (!first_error)
-                        first_error = std::current_exception();
-                }
-                stop.store(true, std::memory_order_release);
+                const std::lock_guard<std::mutex> lock(error_mutex);
+                if (!first_error)
+                    first_error = std::current_exception();
+                // Park the cursor at the end: no worker claims another.
+                next.store(count, std::memory_order_relaxed);
             }
-        };
-
-        while (!stop.load(std::memory_order_acquire)) {
-            std::size_t idx = shards[self].claimFront();
-            if (idx == Shard::npos) {
-                // Own shard drained: steal from the fullest victim.
-                std::size_t best = Shard::npos, best_left = 0;
-                for (unsigned v = 0; v < workers; ++v) {
-                    const std::size_t left = shards[v].remaining();
-                    if (v != self && left > best_left) {
-                        best = v;
-                        best_left = left;
-                    }
-                }
-                if (best == Shard::npos)
-                    return; // everything drained
-                idx = shards[best].claimBack();
-                if (idx == Shard::npos)
-                    continue; // lost the race; rescan
-            }
-            execute(idx);
         }
     };
 
@@ -314,7 +209,7 @@ runTasks(std::size_t count,
         std::vector<std::jthread> pool;
         pool.reserve(workers);
         for (unsigned w = 0; w < workers; ++w)
-            pool.emplace_back(worker, w);
+            pool.emplace_back(worker);
     } // jthreads join here
 
     if (first_error)
@@ -328,8 +223,7 @@ runUnits(const std::vector<RunUnit> &units, unsigned jobs)
     runTasks(
         units.size(),
         [&](std::size_t i) {
-            results[units[i].index] =
-                runBenchmark(*units[i].bench, units[i].config);
+            results[i] = runBenchmark(*units[i].bench, units[i].config);
         },
         jobs);
     return results;
@@ -341,28 +235,16 @@ CampaignResult::mean(std::size_t bench_idx, std::size_t variant_idx,
 {
     double sum = 0;
     std::size_t n = 0;
-    for (const RunUnit &unit : units) {
-        if (unit.benchIndex != bench_idx ||
-            unit.variantIndex != variant_idx)
+    for (std::size_t i = 0; i < units.size(); ++i) {
+        if (units[i].benchIndex != bench_idx ||
+            units[i].variantIndex != variant_idx)
             continue;
-        sum += statValue(results[unit.index].record(), row);
+        sum += statValue(results[i].record(), row);
         ++n;
     }
     if (!n)
         throw std::out_of_range("campaign cell has no runs");
     return sum / static_cast<double>(n);
-}
-
-const RunResult &
-CampaignResult::at(std::size_t bench_idx, std::size_t variant_idx,
-                   std::size_t seed_idx) const
-{
-    for (const RunUnit &unit : units)
-        if (unit.benchIndex == bench_idx &&
-            unit.variantIndex == variant_idx &&
-            unit.seedIndex == seed_idx)
-            return results[unit.index];
-    throw std::out_of_range("campaign cell not in grid");
 }
 
 CampaignResult

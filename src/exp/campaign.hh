@@ -6,11 +6,12 @@
  * benchmark x insertion policy x span size x layout seed. A
  * CampaignSpec describes that grid declaratively; expand() flattens it
  * into RunUnits in a fixed submission order; runCampaign() executes the
- * units on a work-stealing std::jthread pool and collects results
- * indexed by submission order, so the output is bit-identical whether
- * the campaign runs on one thread or sixteen. Every bench harness and
- * the `califorms sweep` subcommand drive their grids through this
- * engine (see bench/common.hh and tools/cmd_sweep.cc).
+ * units on a std::jthread pool whose workers claim units from one
+ * shared cursor, and each result lands in its unit's slot, so the
+ * output is bit-identical whether the campaign runs on one thread or
+ * sixteen. Every bench harness and the `califorms sweep` subcommand
+ * drive their grids through this engine (see bench/common.hh and
+ * tools/cmd_sweep.cc).
  */
 
 #ifndef CALIFORMS_EXP_CAMPAIGN_HH
@@ -82,14 +83,13 @@ bool gridOwnedKey(const std::string &key);
 config::KeyScope suiteScope(const std::vector<const SpecBenchmark *> &suite,
                             std::string target, bool grid);
 
-/** One expanded grid cell, tagged with its position. */
+/** One expanded grid cell; its position in expand()'s list is its
+ *  result slot. */
 struct RunUnit
 {
-    std::size_t index = 0; //!< submission order == result slot
     const SpecBenchmark *bench = nullptr;
     std::size_t benchIndex = 0;
     std::size_t variantIndex = 0;
-    std::size_t seedIndex = 0;
     RunConfig config{};
 };
 
@@ -140,21 +140,22 @@ struct CampaignSpec
 unsigned effectiveJobs(unsigned jobs);
 
 /**
- * Execute task(0), ..., task(count-1) on @p jobs work-stealing
- * workers (jobs==1 runs inline on the caller). Tasks must be
- * independent; each writes its own result slot. The first exception
- * thrown by a task stops the pool and is rethrown after it drains.
- * This is the engine under runUnits(), exposed so other subsystems
- * (the fleet serving engine) schedule on the same deterministic pool.
+ * Execute task(0), ..., task(count-1) on @p jobs workers that claim
+ * the next index from one shared atomic cursor (jobs==1 runs inline
+ * on the caller). Tasks must be independent; each writes its own
+ * result slot. The first exception thrown by a task stops the pool
+ * and is rethrown after the join. This is the engine under
+ * runUnits(), exposed so the fleet serving engine schedules its
+ * tenants on the same pool.
  */
 void runTasks(std::size_t count,
               const std::function<void(std::size_t)> &task,
               unsigned jobs);
 
 /**
- * Execute @p units on @p jobs workers (work-stealing; jobs==1 runs
+ * Execute @p units on @p jobs runTasks() workers (jobs==1 runs
  * inline). results[i] corresponds to units[i] regardless of jobs. The
- * first exception thrown by a unit is rethrown after the pool drains.
+ * first exception thrown by a unit is rethrown after the join.
  */
 std::vector<RunResult> runUnits(const std::vector<RunUnit> &units,
                                 unsigned jobs);
@@ -171,11 +172,6 @@ struct CampaignResult
      *  value is job-count independent). */
     double mean(std::size_t bench_idx, std::size_t variant_idx,
                 std::string_view row = "core.cycles") const;
-
-    /** The single result of one fully-indexed cell (throws if the cell
-     *  was not part of the grid). */
-    const RunResult &at(std::size_t bench_idx, std::size_t variant_idx,
-                        std::size_t seed_idx = 0) const;
 };
 
 /** Expand and run the whole campaign. */

@@ -85,34 +85,20 @@ runFleet(const FleetSpec &spec, unsigned jobs)
     if (spec.base.machine.core.count > 1)
         throw std::invalid_argument(
             "fleet tenants are single-stream; core.count > 1 cannot "
-            "take effect (shard more tenants instead)");
+            "take effect (add more tenants instead)");
 
     const std::size_t n = spec.tenants.size();
-    const unsigned shards =
-        spec.base.fleet.shards
-            ? static_cast<unsigned>(std::min<std::size_t>(
-                  spec.base.fleet.shards, n))
-            : static_cast<unsigned>(n);
-
     FleetResult result;
     result.tenants.resize(n);
-    result.shards = shards;
     result.tenantSeedStride = spec.base.fleet.tenantSeedStride;
     result.durationOps = spec.durationOps;
     result.jobs = exp::effectiveJobs(jobs);
 
-    // Shard s replays the contiguous tenant block [n*s/S, n*(s+1)/S)
-    // sequentially; the shards run on the campaign pool. Every tenant
-    // writes its own pre-sized slot, so the merge is just the vector.
+    // One pool task per tenant; each writes its own pre-sized slot, so
+    // the merge is just the vector.
     const auto start = std::chrono::steady_clock::now();
     exp::runTasks(
-        shards,
-        [&](std::size_t s) {
-            const std::size_t lo = n * s / shards;
-            const std::size_t hi = n * (s + 1) / shards;
-            for (std::size_t t = lo; t < hi; ++t)
-                result.tenants[t] = replayTenant(spec, t);
-        },
+        n, [&](std::size_t t) { result.tenants[t] = replayTenant(spec, t); },
         jobs);
     const auto end = std::chrono::steady_clock::now();
     result.elapsedMs =

@@ -1,8 +1,8 @@
 /**
  * @file engine.hh
  * The fleet serving engine: replay M independent tenant streams on
- * per-tenant Machine instances, sharded across the campaign
- * work-stealing pool, with results merged in tenant order.
+ * per-tenant Machine instances, one campaign pool task per tenant,
+ * with results merged in tenant order.
  *
  * Each tenant resolves its own configuration — the fleet's base
  * RunConfig, the tenant's validated overlay on top, then the seed
@@ -13,9 +13,8 @@
  *
  * Determinism: every tenant writes its own result slot and carries
  * its own machine and RNG state, so the merged FleetResult is
- * bit-identical at any jobs count and any fleet.shards value — only
- * the wall clock (elapsedMs, and the ops/sec derived from it)
- * varies.
+ * bit-identical at any jobs count — only the wall clock (elapsedMs,
+ * and the ops/sec derived from it) varies.
  */
 
 #ifndef CALIFORMS_FLEET_ENGINE_HH
@@ -57,7 +56,6 @@ struct TenantResult : RunStats
 struct FleetResult
 {
     std::vector<TenantResult> tenants; //!< tenant order == spec order
-    unsigned shards = 0;               //!< effective shard count
     std::uint64_t tenantSeedStride = 0;
     std::uint64_t durationOps = 0;
     std::uint64_t totalOps = 0; //!< sum of tenant replay.ops

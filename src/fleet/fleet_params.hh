@@ -9,7 +9,6 @@
 #ifndef CALIFORMS_FLEET_FLEET_PARAMS_HH
 #define CALIFORMS_FLEET_FLEET_PARAMS_HH
 
-#include <cstddef>
 #include <cstdint>
 
 namespace califorms
@@ -17,12 +16,6 @@ namespace califorms
 
 struct FleetParams
 {
-    /** Number of replay shards the tenant list is split into; each
-     *  shard replays its tenants sequentially and the shards run on
-     *  the campaign work-stealing pool. 0 = one shard per tenant
-     *  (maximum parallelism). Results merge in tenant order, so the
-     *  shard count never changes any counter. */
-    unsigned shards = 0;
     /** Tenant t's generator seed is workload.seed + stride * t unless
      *  the tenant's own overlay pins workload.seed. Stride 0 gives
      *  every same-workload tenant the identical stream. */

@@ -36,14 +36,12 @@ fleetJson(const FleetSpec &spec, const FleetResult &result,
     os << "  \"schema\": \"califorms-campaign/v2\",\n";
     os << "  \"campaign\": \"fleet\",\n";
     os << "  \"fleet\": {\"tenants\": " << result.tenants.size()
-       << ", \"shards\": " << result.shards
        << ", \"durationOps\": " << result.durationOps
        << ", \"tenantSeedStride\": " << result.tenantSeedStride
        << "},\n";
     // The first-class throughput object: the deterministic counters
     // always; the wall-clock-derived rate only alongside "timing".
     os << "  \"throughput\": {\"opsReplayed\": " << result.totalOps
-       << ", \"shards\": " << result.shards
        << ", \"tenants\": " << result.tenants.size();
     if (include_timing)
         os << ", \"opsPerSec\": " << jsonNumber(result.opsPerSec());
@@ -77,8 +75,8 @@ fleetJson(const FleetSpec &spec, const FleetResult &result,
 void
 printFleetSummary(std::ostream &os, const FleetResult &result)
 {
-    os << "fleet: " << result.tenants.size() << " tenants, "
-       << result.shards << " shards, ops=" << result.totalOps << "\n";
+    os << "fleet: " << result.tenants.size()
+       << " tenants, ops=" << result.totalOps << "\n";
     for (const TenantResult &t : result.tenants) {
         const auto row = [&t](const char *name) {
             return jsonNumber(statValue({t}, name));

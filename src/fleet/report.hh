@@ -4,7 +4,7 @@
  * block per tenant (keyed benchmark=source, variant=tenant id, so the
  * bench_gate comparison works unchanged, and carrying the replay
  * totals and the counter-table record runJson renders) plus the
- * first-class "throughput" object — opsReplayed / shards / tenants are
+ * first-class "throughput" object — opsReplayed / tenants are
  * deterministic and exact-gated; opsPerSec is derived from the wall
  * clock and only emitted when timing is included, keeping the
  * timing-free report byte-identical at any --jobs value.

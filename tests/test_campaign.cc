@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <vector>
 
 #include "exp/campaign.hh"
 
@@ -85,7 +87,6 @@ TEST(GridExpansion, SingleCell)
 
     const auto units = spec.expand();
     ASSERT_EQ(units.size(), 1u);
-    EXPECT_EQ(units[0].index, 0u);
     EXPECT_EQ(units[0].bench->name, "mcf");
     EXPECT_EQ(units[0].config.policy, InsertionPolicy::Full);
     EXPECT_EQ(units[0].config.policyParams.maxSpan, 5u);
@@ -101,8 +102,6 @@ TEST(GridExpansion, NonRandomizedVariantRunsFirstSeedOnly)
     const auto units = spec.expand();
     // 2 benchmarks x (1 + 2 + 2 seeds) = 10 units, benchmark-major.
     ASSERT_EQ(units.size(), 10u);
-    for (std::size_t i = 0; i < units.size(); ++i)
-        EXPECT_EQ(units[i].index, i);
     EXPECT_EQ(units[0].variantIndex, 0u);
     EXPECT_EQ(units[0].config.layoutSeed, 1000u);
     EXPECT_EQ(units[1].variantIndex, 1u);
@@ -305,13 +304,34 @@ TEST(Engine, MeanCyclesIsSeedAverage)
 {
     const CampaignSpec spec = smallSpec();
     const auto result = exp::runCampaign(spec, 2);
+    // Units 1 and 2 are mcf's full/3 cell at its two layout seeds.
+    ASSERT_EQ(result.units[1].variantIndex, 1u);
+    ASSERT_EQ(result.units[2].variantIndex, 1u);
     const double expected =
-        (static_cast<double>(result.at(0, 1, 0).cycles) +
-         static_cast<double>(result.at(0, 1, 1).cycles)) /
+        (static_cast<double>(result.results[1].cycles) +
+         static_cast<double>(result.results[2].cycles)) /
         2.0;
     EXPECT_DOUBLE_EQ(result.mean(0, 1), expected);
     EXPECT_THROW(result.mean(0, 99), std::out_of_range);
-    EXPECT_THROW(result.at(0, 0, 1), std::out_of_range);
+}
+
+TEST(Engine, RunTasksRunsEveryIndexOnce)
+{
+    for (const std::size_t count : {0u, 1u, 1000u}) {
+        for (const unsigned jobs : {1u, 3u, 8u}) {
+            std::vector<std::atomic<int>> runs(count);
+            exp::runTasks(
+                count,
+                [&](std::size_t i) {
+                    runs[i].fetch_add(1, std::memory_order_relaxed);
+                },
+                jobs);
+            for (std::size_t i = 0; i < count; ++i)
+                EXPECT_EQ(runs[i].load(), 1)
+                    << "count " << count << " jobs " << jobs << " slot "
+                    << i;
+        }
+    }
 }
 
 TEST(Engine, WorkerExceptionPropagates)

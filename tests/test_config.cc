@@ -377,7 +377,7 @@ TEST(Config, KeyScopeMatrixPinsEveryConsumer)
     const char *const keys[] = {
         "mem.levels",   "core.mlp",     "layout.min_span",
         "heap.use_cform", "stack.use_cform", "run.scale",
-        "workload.ops", "attack.seeds", "fleet.shards"};
+        "workload.ops", "attack.seeds", "fleet.tenant_seed_stride"};
     ASSERT_EQ(std::size(keys), std::size(config::kNamespaceNames));
 
     const auto suite = [](std::initializer_list<const char *> names) {

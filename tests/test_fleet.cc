@@ -4,7 +4,7 @@
  * restriction rules, per-tenant config resolution (overlay precedence
  * and the seed stride), and the merged-report determinism contract:
  * per-tenant sums equal the fleet totals and the timing-free JSON is
- * byte-identical at any jobs/shards value. The replay loop itself is
+ * byte-identical at any jobs value. The replay loop itself is
  * tested with the trace code (ReplayStreams.* in test_trace.cc).
  */
 
@@ -93,8 +93,9 @@ TEST(TenantSpecParse, Diagnostics)
     EXPECT_NE(parseError("web workload=zipf layout.seed=3")
                   .find("layout.seed has no effect on tenant 'web'"),
               std::string::npos);
-    EXPECT_NE(parseError("web workload=zipf fleet.shards=2")
-                  .find("fleet.shards has no effect on tenant 'web'"),
+    EXPECT_NE(parseError("web workload=zipf fleet.tenant_seed_stride=2")
+                  .find("fleet.tenant_seed_stride has no effect on "
+                        "tenant 'web'"),
               std::string::npos);
     // workload.* on a trace tenant: the trace already fixes the
     // stream.
@@ -225,30 +226,22 @@ TEST(RunFleet, PerTenantSumsEqualMergedTotals)
         ops += t.replay.ops;
     }
     EXPECT_EQ(result.totalOps, ops);
-    EXPECT_EQ(result.shards, 4u);
     EXPECT_EQ(result.tenants[0].id, "a");
     EXPECT_EQ(result.tenants[3].id, "d");
 }
 
-TEST(RunFleet, JobsAndShardsInvariant)
+TEST(RunFleet, JobsInvariant)
 {
     // The determinism contract: tenants, counters, and the timing-free
-    // JSON are identical at any (jobs, shards) combination.
-    FleetSpec spec = smallFleet();
-    const FleetResult serial = runFleet(spec, 1);
-    const std::string serial_json = fleetJson(spec, serial, false);
-
-    const FleetResult parallel = runFleet(spec, 8);
-    EXPECT_EQ(fleetJson(spec, parallel, false), serial_json);
-
-    spec.base.fleet.shards = 2;
-    const FleetResult sharded = runFleet(spec, 8);
-    EXPECT_EQ(sharded.shards, 2u);
-    for (std::size_t i = 0; i < serial.tenants.size(); ++i) {
-        EXPECT_EQ(sharded.tenants[i].replay.checksum,
-                  serial.tenants[i].replay.checksum);
-        EXPECT_EQ(sharded.tenants[i].cycles, serial.tenants[i].cycles);
-    }
+    // JSON are identical at any jobs count, including fewer workers
+    // than tenants.
+    const FleetSpec spec = smallFleet();
+    const std::string serial_json =
+        fleetJson(spec, runFleet(spec, 1), false);
+    for (const unsigned jobs : {3u, 8u})
+        EXPECT_EQ(fleetJson(spec, runFleet(spec, jobs), false),
+                  serial_json)
+            << "jobs " << jobs;
 }
 
 TEST(RunFleet, InvalidFleetsThrow)

@@ -7,7 +7,7 @@
  *   attack  replay the Section 7.3 security scenarios
  *   sweep   iterate layout policies over a benchmark (policy harness)
  *   trace   generate and replay plain-text sim traces
- *   fleet   replay sharded multi-tenant streams (serving engine)
+ *   fleet   replay multi-tenant streams (serving engine)
  *   config  inspect the typed parameter registry and resolved configs
  *
  * Every subcommand accepts `--set key=value` (repeatable) and

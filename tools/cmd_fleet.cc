@@ -2,8 +2,8 @@
  * @file cmd_fleet.cc
  * `califorms fleet`: the multi-tenant serving engine. Replays M
  * independent tenant streams — synthetic generators or trace files,
- * each with its own validated config overlay — on per-tenant machines
- * sharded across the work-stealing pool, and merges them into one
+ * each with its own validated config overlay — on per-tenant machines,
+ * one campaign pool task per tenant, and merges them into one
  * deterministic v2 report with a first-class throughput object.
  *
  * stdout (the tenant summary) and the --json report without timing
@@ -61,8 +61,8 @@ usage()
         "object and\n"
         "                   throughput.opsPerSec)\n"
         "%s\n"
-        "base config keys: mem.*, workload.*, fleet.* (fleet.shards,\n"
-        "fleet.tenant_seed_stride); workloads: %s\n",
+        "base config keys: mem.*, workload.*, fleet.* "
+        "(fleet.tenant_seed_stride);\nworkloads: %s\n",
         config::cliUsage().c_str(), workloads.c_str());
 }
 

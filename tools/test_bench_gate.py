@@ -30,10 +30,8 @@ def make_report(runs, timing_ms=None, throughput=None):
     return report
 
 
-def make_throughput(ops=20000, batch=256, shards=4, tenants=4,
-                    rate=None):
-    tp = {"opsReplayed": ops, "batchOps": batch, "shards": shards,
-          "tenants": tenants}
+def make_throughput(ops=20000, tenants=4, rate=None):
+    tp = {"opsReplayed": ops, "tenants": tenants}
     if rate is not None:
         tp["opsPerSec"] = rate
     return tp
@@ -198,12 +196,12 @@ class CompareThroughputCountersTest(unittest.TestCase):
         self.assertIn("20000", failures[0])
         self.assertIn("19999", failures[0])
 
-    def test_shard_drift_fails(self):
-        base = make_report([], throughput=make_throughput(shards=4))
-        cur = make_report([], throughput=make_throughput(shards=2))
+    def test_tenant_drift_fails(self):
+        base = make_report([], throughput=make_throughput(tenants=4))
+        cur = make_report([], throughput=make_throughput(tenants=2))
         failures = bench_gate.compare_throughput_counters(cur, base)
         self.assertEqual(len(failures), 1)
-        self.assertIn("throughput.shards", failures[0])
+        self.assertIn("throughput.tenants", failures[0])
 
     def test_missing_object_fails(self):
         base = make_report([], throughput=make_throughput())

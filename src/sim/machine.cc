@@ -62,40 +62,30 @@ Machine::computeOn(unsigned core, std::uint32_t ops)
     cores_.at(core).retireCompute(ops);
 }
 
+BitVectorLine
+Machine::functionalLine(Addr line_addr) const
+{
+    BitVectorLine line;
+    for (const auto &mem : mems_)
+        if (mem->peekPrivateLine(line_addr, line))
+            return line;
+    return fillLine(shared_.functionalRead(line_addr));
+}
+
 std::uint8_t
 Machine::peekByte(Addr addr) const
 {
-    if (mems_.size() == 1)
-        return mems_[0]->peekByte(addr);
-    const Addr la = lineBase(addr);
-    BitVectorLine line;
-    for (const auto &mem : mems_)
-        if (mem->peekPrivateLine(la, line))
-            return line.data[lineOffset(addr)];
-    return fillLine(shared_.functionalRead(la)).data[lineOffset(addr)];
+    return functionalLine(lineBase(addr)).data[lineOffset(addr)];
 }
 
 void
 Machine::pokeByte(Addr addr, std::uint8_t v)
 {
-    if (mems_.size() == 1) {
-        mems_[0]->pokeByte(addr, v);
-        return;
-    }
-    // Multi-core: write through every private copy *and* the shared
-    // side, so clean copies keep matching the hierarchy below them and
-    // no replica goes stale (dirty bits are left as they are).
+    // Write through every private copy *and* the shared side, so clean
+    // copies keep matching the hierarchy below them and no replica goes
+    // stale (dirty bits are left as they are).
     const Addr la = lineBase(addr);
-    BitVectorLine line;
-    bool held = false;
-    for (const auto &mem : mems_) {
-        if (mem->peekPrivateLine(la, line)) {
-            held = true;
-            break;
-        }
-    }
-    if (!held)
-        line = fillLine(shared_.functionalRead(la));
+    BitVectorLine line = functionalLine(la);
     line.data[lineOffset(addr)] = v;
     for (const auto &mem : mems_)
         mem->pokePrivateLine(la, line);
@@ -105,8 +95,6 @@ Machine::pokeByte(Addr addr, std::uint8_t v)
 std::vector<std::uint8_t>
 Machine::peekBytes(Addr addr, std::size_t n) const
 {
-    if (mems_.size() == 1)
-        return mems_[0]->peekBytes(addr, n);
     std::vector<std::uint8_t> out;
     out.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
@@ -117,14 +105,7 @@ Machine::peekBytes(Addr addr, std::size_t n) const
 SecurityMask
 Machine::securityMask(Addr addr) const
 {
-    if (mems_.size() == 1)
-        return mems_[0]->securityMask(addr);
-    const Addr la = lineBase(addr);
-    BitVectorLine line;
-    for (const auto &mem : mems_)
-        if (mem->peekPrivateLine(la, line))
-            return line.mask;
-    return fillLine(shared_.functionalRead(la)).mask;
+    return functionalLine(lineBase(addr)).mask;
 }
 
 Cycles

@@ -73,9 +73,11 @@ class Machine
     }
 
     // Functional interface (no timing, no checks) --------------------
-    // On a multi-core machine these present the coherent machine-level
-    // view: private copies are searched in core order, then the shared
-    // side; pokes write through every holder so no copy goes stale.
+    // The coherent machine-level view, one path for any core count: a
+    // line is read from the first private side holding it (in core
+    // order), else from the shared side. A poke writes every private
+    // copy and the shared side, leaving dirty bits as they are, so no
+    // copy goes stale. Never raises exceptions or touches statistics.
     std::uint8_t peekByte(Addr addr) const;
     void pokeByte(Addr addr, std::uint8_t v);
     std::vector<std::uint8_t> peekBytes(Addr addr, std::size_t n) const;
@@ -120,6 +122,10 @@ class Machine
     void clearStats();
 
   private:
+    /** A line's current content: the first private holder's copy in
+     *  core order, else the shared side's. */
+    BitVectorLine functionalLine(Addr line_addr) const;
+
     MachineParams params_;
     ExceptionUnit exceptions_;
     SharedMemory shared_; //!< must outlive the attached private sides

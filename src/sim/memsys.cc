@@ -10,16 +10,6 @@ namespace califorms
 {
 
 MemorySystem::MemorySystem(const MemSysParams &params,
-                           ExceptionUnit &exceptions)
-    : params_(params), exceptions_(exceptions),
-      l1_(params.l1Size, params.l1Ways, resolvedReplPolicy(params, 1)),
-      ownedShared_(std::make_unique<SharedMemory>(params)),
-      shared_(ownedShared_.get()), mshr_(params.mshrEntries)
-{
-    coreId_ = shared_->attachPeer(*this);
-}
-
-MemorySystem::MemorySystem(const MemSysParams &params,
                            ExceptionUnit &exceptions, SharedMemory &shared)
     : params_(params), exceptions_(exceptions),
       l1_(params.l1Size, params.l1Ways, resolvedReplPolicy(params, 1)),
@@ -62,12 +52,6 @@ MemorySystem::wbqErase(Addr line_addr)
     wbqIndex_.erase(line_addr);
     --wbqLive_;
     wbqTrimFront();
-}
-
-Cycles
-MemorySystem::l2HitLatency() const
-{
-    return params_.l1Latency + shared_->firstLevelLatency();
 }
 
 SentinelView
@@ -429,18 +413,11 @@ MemorySystem::wideLoad(Addr addr, unsigned size, SimdPolicy policy)
         // One gather element per 8B lane; each lane checks precisely.
         // Model the micro-op expansion as one extra cycle per lane.
         res.latency += size / 8;
-        if (overlap) {
-            ++stats_.securityFaults;
-            res.faulted = true;
-            CaliformsException e;
-            e.faultAddr = la + findFirstOne(overlap);
-            e.kind = AccessKind::Load;
-            e.reason = FaultReason::LoadSecurityByte;
-            exceptions_.raise(e);
-        }
-        break;
+        [[fallthrough]];
 
     case SimdPolicy::LineException:
+        // Both policies raise the same precise fault on any
+        // blacklisted byte in range; only the gather pays lane cycles.
         if (overlap) {
             ++stats_.securityFaults;
             res.faulted = true;
@@ -526,31 +503,6 @@ MemorySystem::raiseCformFault(const CaliformsException &fault,
     exceptions_.raise(fault);
 }
 
-BitVectorLine
-MemorySystem::functionalRead(Addr line_addr) const
-{
-    if (const BitVectorLine *l1 = l1_.peek(line_addr))
-        return *l1;
-    if (const WbEntry *e = wbqFind(line_addr))
-        return fillLine(e->line);
-    return fillLine(shared_->functionalRead(line_addr));
-}
-
-void
-MemorySystem::functionalWrite(Addr line_addr, const BitVectorLine &line)
-{
-    if (const L1Ref l1 = l1_.find(line_addr)) {
-        *l1 = line;
-        l1.markDirty();
-        return;
-    }
-    if (WbEntry *e = wbqFind(line_addr)) {
-        spillLine(line, e->line);
-        return;
-    }
-    shared_->functionalWrite(line_addr, spillLine(line));
-}
-
 bool
 MemorySystem::peekPrivateLine(Addr line_addr, BitVectorLine &out) const
 {
@@ -579,44 +531,6 @@ MemorySystem::pokePrivateLine(Addr line_addr, const BitVectorLine &line)
     return false;
 }
 
-std::uint8_t
-MemorySystem::peekByte(Addr addr) const
-{
-    return functionalRead(lineBase(addr)).data[lineOffset(addr)];
-}
-
-void
-MemorySystem::pokeByte(Addr addr, std::uint8_t value)
-{
-    const Addr la = lineBase(addr);
-    BitVectorLine line = functionalRead(la);
-    line.data[lineOffset(addr)] = value;
-    functionalWrite(la, line);
-}
-
-std::vector<std::uint8_t>
-MemorySystem::peekBytes(Addr addr, std::size_t n) const
-{
-    std::vector<std::uint8_t> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i)
-        out.push_back(peekByte(addr + i));
-    return out;
-}
-
-void
-MemorySystem::pokeBytes(Addr addr, const std::uint8_t *data, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        pokeByte(addr + i, data[i]);
-}
-
-SecurityMask
-MemorySystem::securityMask(Addr addr) const
-{
-    return functionalRead(lineBase(addr)).mask;
-}
-
 void
 MemorySystem::flushPrivate()
 {
@@ -640,13 +554,6 @@ MemorySystem::flushPrivate()
     l1_.reset();
 }
 
-void
-MemorySystem::flushAll()
-{
-    flushPrivate();
-    shared_->flushLevels();
-}
-
 MemSysStats
 MemorySystem::privateStats() const
 {
@@ -656,14 +563,6 @@ MemorySystem::privateStats() const
     out.mshrCoalesced = mshr_.stats().coalesced;
     out.mshrStallCycles = mshr_.stats().stallCycles;
     out.mshrPeakOccupancy = mshr_.stats().peakOccupancy;
-    return out;
-}
-
-MemSysStats
-MemorySystem::stats() const
-{
-    MemSysStats out = privateStats();
-    mergeStats(out, shared_->stats());
     return out;
 }
 

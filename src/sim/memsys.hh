@@ -44,10 +44,11 @@
  * blacklist metadata untouched — memcpy of a struct copies its payload
  * while the security byte pattern of the destination survives.
  *
- * The single-argument-pair constructor keeps the historical facade: a
- * standalone MemorySystem privately owns its SharedMemory, and the
- * combined object behaves bit-for-bit like the pre-split monolithic
- * hierarchy (same access ordering, same counters).
+ * A MemorySystem is always one core's private side of a Machine, which
+ * builds it over the machine's one SharedMemory and drives its
+ * functional reads, writes, flushes and counters through the per-core
+ * hooks below (peekPrivateLine, pokePrivateLine, flushPrivate,
+ * privateStats).
  */
 
 #ifndef CALIFORMS_SIM_MEMSYS_HH
@@ -55,15 +56,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
-#include <vector>
 
 #include "core/cform.hh"
 #include "core/line.hh"
 #include "os/exception_unit.hh"
 #include "sim/cache_array.hh"
 #include "sim/line_map.hh"
-#include "sim/main_memory.hh"
 #include "sim/mshr.hh"
 #include "sim/params.hh"
 #include "sim/shared_mem.hh"
@@ -83,11 +81,8 @@ class MemorySystem : public CoherencePeer
         std::uint64_t value = 0; //!< loaded value (low @c size bytes)
     };
 
-    /** Standalone hierarchy: owns its shared side (historical facade). */
-    MemorySystem(const MemSysParams &params, ExceptionUnit &exceptions);
-
-    /** One private side of a multi-core machine, attached to @p shared
-     *  (which must outlive this object). */
+    /** One core's private side, attached to @p shared (which must
+     *  outlive this object). */
     MemorySystem(const MemSysParams &params, ExceptionUnit &exceptions,
                  SharedMemory &shared);
 
@@ -149,7 +144,7 @@ class MemorySystem : public CoherencePeer
      * overstate bank and MSHR contention. The machine calls this
      * before each op with the analytic core model's cycle count; the
      * clock never moves backwards, and this is a no-op on the untimed
-     * (default) machine. Standalone MemorySystem users may skip it —
+     * (default) machine. Ops issued straight to memorySystem() skip it:
      * the op-granular clock is exact for cycle-arithmetic unit tests.
      */
     void
@@ -159,17 +154,6 @@ class MemorySystem : public CoherencePeer
             now_ = core_now;
     }
 
-    // Functional (untimed, unchecked) access for allocator bookkeeping,
-    // test oracles and examples. Never raises exceptions and never
-    // perturbs cache state or statistics.
-    std::uint8_t peekByte(Addr addr) const;
-    void pokeByte(Addr addr, std::uint8_t value);
-    std::vector<std::uint8_t> peekBytes(Addr addr, std::size_t n) const;
-    void pokeBytes(Addr addr, const std::uint8_t *data, std::size_t n);
-
-    /** Security mask of the line containing @p addr, wherever it lives. */
-    SecurityMask securityMask(Addr addr) const;
-
     /** Functional lookup restricted to this core's private side (L1 or
      *  write-back queue); true and fills @p out when held. */
     bool peekPrivateLine(Addr line_addr, BitVectorLine &out) const;
@@ -178,42 +162,16 @@ class MemorySystem : public CoherencePeer
      *  preserved); false when this core does not hold it. */
     bool pokePrivateLine(Addr line_addr, const BitVectorLine &line);
 
-    /** Write every dirty line back to DRAM and drop all cache contents
-     *  (private side, then the shared levels). */
-    void flushAll();
-
     /** Drain this core's write-back queue and spill its dirty L1 lines
      *  below, dropping all private contents; the shared levels are left
      *  untouched (Machine flushes them once after all cores). */
     void flushPrivate();
-
-    /** Private + shared counters folded through mergeStats
-     *  (historical single-requester view; on a multi-core machine the
-     *  shared side is included whole, so prefer Machine::memStats for
-     *  aggregation). */
-    MemSysStats stats() const;
 
     /** This core's private counters only: L1, conversions, write-back
      *  queue, faults (shared-side slots left zero). */
     MemSysStats privateStats() const;
 
     void clearStats();
-
-    MainMemory &memory() { return shared_->memory(); }
-    const MemSysParams &params() const { return params_; }
-
-    SharedMemory &sharedMemory() { return *shared_; }
-    const SharedMemory &sharedMemory() const { return *shared_; }
-
-    /** Core id assigned by the shared side (attachment order). */
-    unsigned coreId() const { return coreId_; }
-
-    /** Number of enabled cache levels below the L1 (0, 1 or 2). */
-    std::size_t levelsBelowL1() const { return shared_->levelCount(); }
-
-    /** Total latency of an L1 miss that hits in the first level below
-     *  the L1 (DRAM when none is enabled; for reporting). */
-    Cycles l2HitLatency() const;
 
     // CoherencePeer interface (called by the shared side) ------------
     Surrender surrenderLine(Addr line_addr, bool invalidate) override;
@@ -282,11 +240,6 @@ class MemorySystem : public CoherencePeer
     void raiseCformFault(const CaliformsException &fault,
                          AccessResult &res);
 
-    /** Functional lookup of a line's current content (no state change). */
-    BitVectorLine functionalRead(Addr line_addr) const;
-    /** Functional write-through of a full line to wherever it lives. */
-    void functionalWrite(Addr line_addr, const BitVectorLine &line);
-
     /** True when MSI probes must be exchanged for store hits. */
     bool coherentMulti() const { return shared_->coherent(); }
 
@@ -352,7 +305,6 @@ class MemorySystem : public CoherencePeer
     LineMap<std::uint64_t> wbqIndex_;
     std::uint64_t wbqHeadSeq_ = 0; //!< sequence number of wbq_.front()
     std::size_t wbqLive_ = 0;
-    std::unique_ptr<SharedMemory> ownedShared_; //!< standalone facade
     SharedMemory *shared_;
     unsigned coreId_ = 0;
     MshrTable mshr_;

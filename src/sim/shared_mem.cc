@@ -36,14 +36,6 @@ SharedMemory::attachPeer(CoherencePeer &peer)
     return static_cast<unsigned>(peers_.size() - 1);
 }
 
-Cycles
-SharedMemory::firstLevelLatency() const
-{
-    if (below_.empty())
-        return params_.dramLatency;
-    return below_.front().latency + params_.extraL2L3Latency;
-}
-
 bool
 SharedMemory::probeHolders(Addr line_addr, unsigned core, bool for_write,
                            Cycles &latency, SentinelLine &recalled)

@@ -7,9 +7,8 @@
  * One SharedMemory instance is shared by all cores of a Machine; each
  * per-core MemorySystem (the private side: L1 + write-back queue +
  * sentinel fill/spill conversion) registers itself as a CoherencePeer
- * and routes all below-L1 traffic here. A standalone MemorySystem owns
- * a private SharedMemory, which reproduces the historical single-
- * requester hierarchy exactly.
+ * and routes all below-L1 traffic here. A one-core Machine is the same
+ * structure with a single peer attached.
  *
  * Coherence model (MemSysParams::coherence == CoherenceKind::Msi) is a
  * directory-based MSI approximation at line granularity:
@@ -189,18 +188,14 @@ class SharedMemory
 
     /** The newest shared-side value of every line: what a fetch below
      *  the private sides returns. It equals DRAM contents after
-     *  flushAll() (MemorySystem or Machine), which empties the private
-     *  sides and the shared levels. */
+     *  Machine::flushAll(), which empties the private sides and the
+     *  shared levels. */
     MainMemory &memory() { return memory_; }
     const MainMemory &memory() const { return memory_; }
     const MemSysParams &params() const { return params_; }
 
     /** Number of enabled shared levels (0, 1 or 2). */
     std::size_t levelCount() const { return below_.size(); }
-
-    /** Latency of the first shared level (for reporting); the DRAM
-     *  latency when no level is enabled. */
-    Cycles firstLevelLatency() const;
 
     /** Lines the directory tracks (at least one private holder); 0
      *  without coherence. */

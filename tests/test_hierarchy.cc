@@ -16,7 +16,6 @@
 #include "core/cform.hh"
 #include "core/sentinel.hh"
 #include "sim/machine.hh"
-#include "sim/memsys.hh"
 #include "util/rng.hh"
 #include "workload/runner.hh"
 
@@ -39,13 +38,14 @@ tinyParams()
     return p;
 }
 
+/** A one-core machine: timed ops go straight to its memory side. */
 struct Harness
 {
-    ExceptionUnit exceptions;
-    MemorySystem mem;
+    Machine m;
+    MemorySystem &mem;
 
     explicit Harness(MemSysParams p = tinyParams())
-        : exceptions(ExceptionUnit::Policy::Record), mem(p, exceptions)
+        : m(MachineParams{.mem = p, .core = {}}), mem(m.memorySystem())
     {}
 };
 
@@ -75,11 +75,11 @@ sameCounters(const RunResult &a, const RunResult &b)
 
 TEST(Hierarchy, RejectsBadLevelCounts)
 {
-    ExceptionUnit exceptions(ExceptionUnit::Policy::Record);
     for (const unsigned levels : {0u, 4u, 99u}) {
         MemSysParams p = tinyParams();
         p.levels = levels;
-        EXPECT_THROW(MemorySystem(p, exceptions), std::invalid_argument)
+        EXPECT_THROW(Machine(MachineParams{.mem = p, .core = {}}),
+                     std::invalid_argument)
             << levels;
     }
 }
@@ -91,7 +91,7 @@ TEST(Hierarchy, LevelCountSelectsEnabledLevels)
         MemSysParams p = tinyParams();
         p.levels = levels;
         Harness h(p);
-        EXPECT_EQ(h.mem.levelsBelowL1(), expected);
+        EXPECT_EQ(h.m.sharedMemory().levelCount(), expected);
     }
 }
 
@@ -100,8 +100,8 @@ TEST(Hierarchy, ZeroSizeDisablesALevel)
     MemSysParams p = tinyParams();
     p.l2Size = 0; // levels stays 3: L1 + LLC machine
     Harness h(p);
-    EXPECT_EQ(h.mem.levelsBelowL1(), 1u);
-    const auto stats = h.mem.stats();
+    EXPECT_EQ(h.m.sharedMemory().levelCount(), 1u);
+    const auto stats = h.m.memStats();
     EXPECT_EQ(stats.l2.hits + stats.l2.misses, 0u);
 }
 
@@ -211,12 +211,12 @@ TEST(Hierarchy, DirectFillLatencyConversionCharge)
         h->mem.store(0x9000, 8, 1);
         CformOp op = makeSetOp(0x9000, 0xf0ull);
         ASSERT_FALSE(h->mem.cform(op).faulted);
-        h->mem.flushAll(); // force the next access to re-fill
+        h->m.flushAll(); // force the next access to re-fill
     }
     const Cycles base = plain.mem.load(0x9000, 8).latency;
     const Cycles extra = charged.mem.load(0x9000, 8).latency;
     EXPECT_EQ(extra, base + 7);
-    EXPECT_EQ(charged.mem.stats().fillConvCycles, 7u);
+    EXPECT_EQ(charged.m.memStats().fillConvCycles, 7u);
 }
 
 TEST(WbQueue, DisabledByDefault)
@@ -225,7 +225,7 @@ TEST(WbQueue, DisabledByDefault)
     Rng rng(7);
     for (int i = 0; i < 2000; ++i)
         h.mem.store(0x10000 + 64 * rng.nextBelow(512), 8, rng.next());
-    const auto stats = h.mem.stats();
+    const auto stats = h.m.memStats();
     EXPECT_EQ(stats.wbEnqueued, 0u);
     EXPECT_EQ(stats.wbHits, 0u);
     EXPECT_EQ(stats.wbPeakOccupancy, 0u);
@@ -244,7 +244,7 @@ TEST(WbQueue, FunctionalCorrectnessUnderEvictionPressure)
         h.mem.store(addr, 8, v);
         reference[addr] = v;
     }
-    const auto stats = h.mem.stats();
+    const auto stats = h.m.memStats();
     EXPECT_GT(stats.wbEnqueued, 0u);
     EXPECT_LE(stats.wbPeakOccupancy, 5u); // entries + transient push
     for (const auto &[addr, v] : reference)
@@ -253,7 +253,7 @@ TEST(WbQueue, FunctionalCorrectnessUnderEvictionPressure)
         std::uint64_t peeked = 0;
         for (unsigned b = 0; b < 8; ++b)
             peeked |=
-                static_cast<std::uint64_t>(h.mem.peekByte(addr + b))
+                static_cast<std::uint64_t>(h.m.peekByte(addr + b))
                 << (8 * b);
         ASSERT_EQ(peeked, v) << std::hex << addr;
     }
@@ -276,17 +276,17 @@ TEST(WbQueue, VictimHitPullsTheDirtyLineBack)
     h.mem.store(b, 8, 0x2222);
     h.mem.store(c, 8, 0x3333);        // a is now in the WB queue
 
-    EXPECT_EQ(h.mem.stats().wbEnqueued, 1u);
+    EXPECT_EQ(h.m.memStats().wbEnqueued, 1u);
     EXPECT_EQ(h.mem.load(a, 8).value, 0x1111u);
-    EXPECT_EQ(h.mem.stats().wbHits, 1u);
+    EXPECT_EQ(h.m.memStats().wbHits, 1u);
 
     // The pulled-back line must still be dirty: push it out again and
     // flush everything; the store must survive to DRAM.
     h.mem.store(b, 8, 0x2222);
     h.mem.store(c, 8, 0x3333);
-    h.mem.flushAll();
+    h.m.flushAll();
     std::uint64_t v = 0;
-    const SentinelLine line = h.mem.memory().readLine(a);
+    const SentinelLine line = h.m.sharedMemory().memory().readLine(a);
     for (unsigned i = 0; i < 8; ++i)
         v |= static_cast<std::uint64_t>(line.raw[i]) << (8 * i);
     EXPECT_EQ(v, 0x1111u);
@@ -303,7 +303,7 @@ TEST(WbQueue, VictimHitLatencyBeatsTheFullPath)
     h.mem.store(a + 16 * 64, 8, 0x3333); // evicts a into the queue
     const Cycles hit = h.mem.load(a, 8).latency;
     EXPECT_EQ(hit, p.l1Latency + p.wbHitLatency);
-    EXPECT_LT(hit, h.mem.l2HitLatency());
+    EXPECT_LT(hit, p.l1Latency + p.l2Latency);
 }
 
 TEST(WbQueue, ForcedDrainsOnOverflow)
@@ -314,7 +314,7 @@ TEST(WbQueue, ForcedDrainsOnOverflow)
     Rng rng(3);
     for (int i = 0; i < 2000; ++i)
         h.mem.store(0x10000 + 64 * rng.nextBelow(512), 8, rng.next());
-    const auto stats = h.mem.stats();
+    const auto stats = h.m.memStats();
     EXPECT_GT(stats.wbForcedDrains, 0u);
     EXPECT_LE(stats.wbPeakOccupancy, 2u);
 }
@@ -332,11 +332,11 @@ TEST(WbQueue, CaliformedLinesSurviveTheQueue)
     ASSERT_FALSE(h.mem.cform(op).faulted);
     h.mem.store(a + 8 * 64, 8, 0x2222);
     h.mem.store(a + 16 * 64, 8, 0x3333); // evict the califormed line
-    ASSERT_GE(h.mem.stats().spills, 1u);
-    EXPECT_EQ(h.mem.securityMask(a), 0xff00ull);
+    ASSERT_GE(h.m.memStats().spills, 1u);
+    EXPECT_EQ(h.m.securityMask(a), 0xff00ull);
     EXPECT_EQ(h.mem.load(a, 8).value, 0x0102030405060708ull);
-    EXPECT_GE(h.mem.stats().fills, 1u);
-    EXPECT_EQ(h.mem.stats().wbHits, 1u);
+    EXPECT_GE(h.m.memStats().fills, 1u);
+    EXPECT_EQ(h.m.memStats().wbHits, 1u);
 }
 
 TEST(WbQueue, FaultingNonTemporalCformDoesNotDropTheQueuedLine)
@@ -351,14 +351,14 @@ TEST(WbQueue, FaultingNonTemporalCformDoesNotDropTheQueuedLine)
     h.mem.store(a, 8, 0x1111111122222222ull);
     h.mem.store(a + 8 * 64, 8, 0x2222);
     h.mem.store(a + 16 * 64, 8, 0x3333); // a evicted into the queue
-    ASSERT_EQ(h.mem.stats().wbEnqueued, 1u);
+    ASSERT_EQ(h.m.memStats().wbEnqueued, 1u);
 
     CformOp op = makeUnsetOp(a, 0x1ull); // unset on a normal byte: faults
     op.nonTemporal = true;
     EXPECT_TRUE(h.mem.cform(op).faulted);
 
     EXPECT_EQ(h.mem.load(a, 8).value, 0x1111111122222222ull);
-    EXPECT_EQ(h.mem.peekByte(a), 0x22);
+    EXPECT_EQ(h.m.peekByte(a), 0x22);
 }
 
 TEST(Hierarchy, RunnerEquivalenceAcrossJobsStyleRepeat)

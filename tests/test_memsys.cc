@@ -3,14 +3,16 @@
  * Memory hierarchy tests: functional correctness against a flat
  * reference model, spill/fill conversion at the L1/L2 boundary,
  * security byte fault semantics, whitelisting, CFORM variants, timing
- * monotonicity and the Figure 10 extra-latency knob.
+ * monotonicity, the Figure 10 extra-latency knob, and the machine's one
+ * functional-write rule at any core count.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 
-#include "sim/memsys.hh"
+#include "core/sentinel.hh"
+#include "sim/machine.hh"
 #include "util/rng.hh"
 
 namespace califorms
@@ -32,13 +34,16 @@ tinyParams()
     return p;
 }
 
+/** A one-core machine: timed ops go straight to its memory side. */
 struct Harness
 {
-    ExceptionUnit exceptions;
-    MemorySystem mem;
+    Machine m;
+    MemorySystem &mem;
+    ExceptionUnit &exceptions;
 
     explicit Harness(MemSysParams p = tinyParams())
-        : exceptions(ExceptionUnit::Policy::Record), mem(p, exceptions)
+        : m(MachineParams{.mem = p, .core = {}}),
+          mem(m.memorySystem()), exceptions(m.exceptions())
     {}
 };
 
@@ -86,7 +91,7 @@ TEST(MemSys, FunctionalMatchesTimedUnderEvictionPressure)
     for (const auto &[addr, v] : reference) {
         std::uint64_t peeked = 0;
         for (unsigned b = 0; b < 8; ++b)
-            peeked |= static_cast<std::uint64_t>(h.mem.peekByte(addr + b))
+            peeked |= static_cast<std::uint64_t>(h.m.peekByte(addr + b))
                       << (8 * b);
         EXPECT_EQ(peeked, v);
     }
@@ -96,8 +101,9 @@ TEST(MemSys, FlushAllPushesEverythingToDram)
 {
     Harness h;
     h.mem.store(0x2000, 8, 0xdeadbeefull);
-    h.mem.flushAll();
-    const SentinelLine line = h.mem.memory().readLine(0x2000);
+    h.m.flushAll();
+    const SentinelLine line =
+        h.m.sharedMemory().memory().readLine(0x2000);
     std::uint64_t v = 0;
     for (unsigned b = 0; b < 8; ++b)
         v |= static_cast<std::uint64_t>(line.raw[b]) << (8 * b);
@@ -112,16 +118,16 @@ TEST(MemSys, CformSetsSecurityBytesAndTheySurviveEviction)
     h.mem.store(0x3000, 8, 0x0807060504030201ull);
     CformOp op = makeSetOp(0x3000, 0xff00ull); // bytes 8..15
     EXPECT_FALSE(h.mem.cform(op).faulted);
-    EXPECT_EQ(h.mem.securityMask(0x3000), 0xff00ull);
+    EXPECT_EQ(h.m.securityMask(0x3000), 0xff00ull);
 
     // Evict through capacity pressure: write many conflicting lines.
     for (int i = 0; i < 4000; ++i)
         h.mem.store(0x100000 + 64 * i, 8, i);
 
     // Mask and data must survive the spill/fill round trips.
-    EXPECT_EQ(h.mem.securityMask(0x3000), 0xff00ull);
+    EXPECT_EQ(h.m.securityMask(0x3000), 0xff00ull);
     EXPECT_EQ(h.mem.load(0x3000, 8).value, 0x0807060504030201ull);
-    EXPECT_GT(h.mem.stats().spills, 0u);
+    EXPECT_GT(h.m.memStats().spills, 0u);
 }
 
 TEST(MemSys, CaliformedBitReachesDramEcc)
@@ -129,12 +135,14 @@ TEST(MemSys, CaliformedBitReachesDramEcc)
     Harness h;
     CformOp op = makeSetOp(0x4000, 0x1ull);
     h.mem.cform(op);
-    h.mem.flushAll();
-    EXPECT_TRUE(h.mem.memory().readLine(0x4000).califormed);
+    h.m.flushAll();
+    EXPECT_TRUE(
+        h.m.sharedMemory().memory().readLine(0x4000).califormed);
     // A clean line's ECC bit stays clear.
     h.mem.store(0x5000, 8, 1);
-    h.mem.flushAll();
-    EXPECT_FALSE(h.mem.memory().readLine(0x5000).califormed);
+    h.m.flushAll();
+    EXPECT_FALSE(
+        h.m.sharedMemory().memory().readLine(0x5000).califormed);
 }
 
 TEST(MemSys, LoadOfSecurityByteFaultsAndReturnsZero)
@@ -172,8 +180,8 @@ TEST(MemSys, StoreToSecurityByteFaultsAndDoesNotCommit)
     EXPECT_EQ(h.exceptions.delivered()[0].reason,
               FaultReason::StoreSecurityByte);
     // The store did not commit: bytes still zero, mask intact.
-    EXPECT_EQ(h.mem.peekByte(0x3000), 0u);
-    EXPECT_EQ(h.mem.securityMask(0x3000), 0xffull);
+    EXPECT_EQ(h.m.peekByte(0x3000), 0u);
+    EXPECT_EQ(h.m.securityMask(0x3000), 0xffull);
 }
 
 TEST(MemSys, WhitelistedStoreProceedsWithoutMetadataChange)
@@ -188,8 +196,8 @@ TEST(MemSys, WhitelistedStoreProceedsWithoutMetadataChange)
     EXPECT_EQ(h.exceptions.deliveredCount(), 0u);
     EXPECT_EQ(h.exceptions.suppressedCount(), 1u);
     // Data bytes written; blacklist survives.
-    EXPECT_EQ(h.mem.peekByte(0x3000), 0x01);
-    EXPECT_EQ(h.mem.securityMask(0x3000), 0x02ull);
+    EXPECT_EQ(h.m.peekByte(0x3000), 0x01);
+    EXPECT_EQ(h.m.securityMask(0x3000), 0x02ull);
 }
 
 TEST(MemSys, CformSetOnSecurityByteFaults)
@@ -207,7 +215,7 @@ TEST(MemSys, CformUnsetRestoresAccess)
     Harness h;
     h.mem.cform(makeSetOp(0x3000, 0xf0ull));
     h.mem.cform(makeUnsetOp(0x3000, 0xf0ull));
-    EXPECT_EQ(h.mem.securityMask(0x3000), 0u);
+    EXPECT_EQ(h.m.securityMask(0x3000), 0u);
     const auto res = h.mem.load(0x3004, 4);
     EXPECT_FALSE(res.faulted);
     EXPECT_EQ(res.value, 0u); // zeroed by the blacklist/unblacklist cycle
@@ -219,11 +227,11 @@ TEST(MemSys, NonTemporalCformSkipsL1)
     CformOp op = makeSetOp(0x6000, 0xffull);
     op.nonTemporal = true;
     EXPECT_FALSE(h.mem.cform(op).faulted);
-    EXPECT_EQ(h.mem.securityMask(0x6000), 0xffull);
+    EXPECT_EQ(h.m.securityMask(0x6000), 0xffull);
     // The line went to L2, not L1: a subsequent load misses in L1.
-    const auto before = h.mem.stats().l1.misses;
+    const auto before = h.m.memStats().l1.misses;
     h.mem.load(0x6020, 4);
-    EXPECT_EQ(h.mem.stats().l1.misses, before + 1);
+    EXPECT_EQ(h.m.memStats().l1.misses, before + 1);
 }
 
 TEST(MemSys, NonTemporalCformFaultChecksStillApply)
@@ -240,7 +248,7 @@ void
 makeCleanCaliformedLine(Harness &h)
 {
     h.mem.cform(makeSetOp(0x3000, 0xffull));
-    h.mem.flushAll();
+    h.m.flushAll();
     h.mem.load(0x3008, 8);
     h.mem.clearStats();
 }
@@ -252,8 +260,8 @@ dirtyEvictionsAfterStream(Harness &h)
 {
     for (int i = 0; i < 64; ++i)
         h.mem.load(0x100000 + 64 * i, 8);
-    EXPECT_GT(h.mem.stats().l1.evictions, 0u);
-    return h.mem.stats().l1.dirtyEvictions;
+    EXPECT_GT(h.m.memStats().l1.evictions, 0u);
+    return h.m.memStats().l1.dirtyEvictions;
 }
 
 TEST(MemSys, CommittedCformDirtiesL1Line)
@@ -272,7 +280,7 @@ TEST(MemSys, DeliveredStoreFaultLeavesL1LineClean)
     makeCleanCaliformedLine(h);
     EXPECT_TRUE(h.mem.store(0x3000, 8, ~0ull).faulted);
     ASSERT_EQ(h.exceptions.deliveredCount(), 1u);
-    EXPECT_EQ(h.mem.stats().l1.hits, 1u);
+    EXPECT_EQ(h.m.memStats().l1.hits, 1u);
     EXPECT_EQ(dirtyEvictionsAfterStream(h), 0u);
 }
 
@@ -281,7 +289,7 @@ TEST(MemSys, CformFaultLeavesL1LineClean)
     Harness h;
     makeCleanCaliformedLine(h);
     EXPECT_TRUE(h.mem.cform(makeSetOp(0x3000, 0x1ull)).faulted);
-    EXPECT_EQ(h.mem.stats().l1.hits, 1u);
+    EXPECT_EQ(h.m.memStats().l1.hits, 1u);
     EXPECT_EQ(dirtyEvictionsAfterStream(h), 0u);
 }
 
@@ -294,16 +302,16 @@ TEST(MemSys, NonTemporalCformFaultLeavesL1LineCleanAndUnchanged)
     CformOp op = makeSetOp(0x3000, 0x101ull);
     op.nonTemporal = true;
     EXPECT_TRUE(h.mem.cform(op).faulted);
-    EXPECT_EQ(h.mem.stats().l1.hits, 1u);
-    EXPECT_EQ(h.mem.securityMask(0x3000), 0xffull);
+    EXPECT_EQ(h.m.memStats().l1.hits, 1u);
+    EXPECT_EQ(h.m.securityMask(0x3000), 0xffull);
     EXPECT_EQ(dirtyEvictionsAfterStream(h), 0u);
 }
 
 TEST(MemSysTiming, HitLatenciesFollowTable3)
 {
     MemSysParams p; // full-size defaults
-    ExceptionUnit ex;
-    MemorySystem mem(p, ex);
+    Harness h(p);
+    MemorySystem &mem = h.mem;
     // First access: L1 miss, L2 miss, L3 miss -> DRAM.
     const auto miss = mem.load(0x1000, 8);
     EXPECT_EQ(miss.latency,
@@ -317,8 +325,8 @@ TEST(MemSysTiming, ExtraL2L3LatencyKnob)
 {
     MemSysParams p;
     p.extraL2L3Latency = 1; // the Figure 10 configuration
-    ExceptionUnit ex;
-    MemorySystem mem(p, ex);
+    Harness h(p);
+    MemorySystem &mem = h.mem;
     const auto miss = mem.load(0x1000, 8);
     EXPECT_EQ(miss.latency, p.l1Latency + (p.l2Latency + 1) +
                                 (p.l3Latency + 1) + p.dramLatency);
@@ -327,8 +335,8 @@ TEST(MemSysTiming, ExtraL2L3LatencyKnob)
 TEST(MemSysTiming, L2HitLatency)
 {
     MemSysParams p = tinyParams();
-    ExceptionUnit ex;
-    MemorySystem mem(p, ex);
+    Harness h(p);
+    MemorySystem &mem = h.mem;
     mem.load(0x1000, 8); // now in L1+L2+L3
     // Evict from tiny L1 with a conflicting line (same set).
     mem.load(0x1000 + 1024, 8);
@@ -342,7 +350,7 @@ TEST(MemSys, StatsCountersAreConsistent)
     Harness h;
     for (int i = 0; i < 100; ++i)
         h.mem.load(0x8000 + 64 * i, 8);
-    const auto stats = h.mem.stats();
+    const auto stats = h.m.memStats();
     EXPECT_EQ(stats.l1.misses, 100u);
     EXPECT_EQ(stats.l2.misses, 100u);
     EXPECT_EQ(stats.dramAccesses, 100u);
@@ -350,7 +358,7 @@ TEST(MemSys, StatsCountersAreConsistent)
         h.mem.load(0x8000 + 64 * i, 8);
     // Tiny L1 (16 lines) cannot hold 100 lines; L2 (64 lines) cannot
     // either, but L3 (256 lines) holds them all.
-    const auto stats2 = h.mem.stats();
+    const auto stats2 = h.m.memStats();
     EXPECT_EQ(stats2.dramAccesses, 100u);
 }
 
@@ -358,10 +366,63 @@ TEST(MemSys, PokePeekBypassChecks)
 {
     Harness h;
     h.mem.cform(makeSetOp(0x9000, 0x1ull));
-    h.mem.pokeByte(0x9000, 0x55); // backdoor write to a security byte
-    EXPECT_EQ(h.mem.peekByte(0x9000), 0x55);
+    h.m.pokeByte(0x9000, 0x55); // backdoor write to a security byte
+    EXPECT_EQ(h.m.peekByte(0x9000), 0x55);
     EXPECT_EQ(h.exceptions.deliveredCount(), 0u);
-    EXPECT_EQ(h.mem.securityMask(0x9000), 0x1ull);
+    EXPECT_EQ(h.m.securityMask(0x9000), 0x1ull);
+}
+
+TEST(MachineFunctional, PokeWritesThroughAndLeavesTheL1LineClean)
+{
+    // One functional-write rule at any core count: a poke writes every
+    // private copy and the shared side, and leaves dirty bits alone.
+    Harness h;
+    h.mem.load(0x3000, 8); // clean and L1-resident
+    h.m.pokeByte(0x3005, 0xab);
+    EXPECT_EQ(fillLine(h.m.sharedMemory().functionalRead(0x3000)).data[5],
+              0xab);
+    h.mem.clearStats();
+    for (int i = 0; i < 64; ++i)
+        h.mem.load(0x100000 + 64 * i, 8);
+    BitVectorLine copy;
+    ASSERT_FALSE(h.mem.peekPrivateLine(0x3000, copy));
+    EXPECT_EQ(h.m.memStats().l1.dirtyEvictions, 0u);
+    EXPECT_EQ(h.m.peekByte(0x3005), 0xab);
+}
+
+TEST(MachineFunctional, PokesReadBackTheSameOnOneAndTwoCores)
+{
+    const auto pokeAndRead = [](unsigned cores) {
+        MachineParams p;
+        p.mem = tinyParams();
+        p.core.count = cores;
+        p.mem.coherence = CoherenceKind::Msi;
+        Machine m(p);
+        const unsigned last = cores - 1;
+        m.storeOn(0, 0x3000, 8, 0x1122334455667788ull); // dirty, core 0
+        m.loadOn(last, 0x4000, 8);                      // clean, last core
+        m.cformOn(last, makeSetOp(0x5000, 0xf0ull));     // califormed
+        m.pokeByte(0x3001, 0xa1);
+        m.pokeByte(0x4002, 0xb2);
+        m.pokeByte(0x5004, 0xc3); // a security byte
+        m.pokeByte(0x6003, 0xd4); // held by no core
+        std::vector<std::uint8_t> seen;
+        for (int pass = 0; pass < 2; ++pass) {
+            for (const Addr la : {0x3000, 0x4000, 0x5000, 0x6000}) {
+                const auto bytes = m.peekBytes(la, lineBytes);
+                seen.insert(seen.end(), bytes.begin(), bytes.end());
+                seen.push_back(
+                    static_cast<std::uint8_t>(m.securityMask(la)));
+                seen.push_back(
+                    static_cast<std::uint8_t>(m.loadOn(last, la, 8)));
+            }
+            m.flushAll();
+        }
+        return seen;
+    };
+    const std::vector<std::uint8_t> one = pokeAndRead(1);
+    EXPECT_EQ(one, pokeAndRead(2));
+    EXPECT_EQ(one[1], 0xa1);
 }
 
 TEST(MemSys, RejectsBadSizes)

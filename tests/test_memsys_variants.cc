@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/memsys.hh"
+#include "sim/machine.hh"
 #include "util/rng.hh"
 
 namespace califorms
@@ -36,9 +36,12 @@ class L1FormatEquivalence : public ::testing::TestWithParam<L1Format>
 
 TEST_P(L1FormatEquivalence, SameArchitecturalBehaviourAsDefault)
 {
-    ExceptionUnit ex_a, ex_b;
-    MemorySystem reference(tinyParams(L1Format::BitVector8B), ex_a);
-    MemorySystem variant(tinyParams(GetParam()), ex_b);
+    Machine ref_machine(MachineParams{
+        .mem = tinyParams(L1Format::BitVector8B), .core = {}});
+    Machine var_machine(
+        MachineParams{.mem = tinyParams(GetParam()), .core = {}});
+    MemorySystem &reference = ref_machine.memorySystem();
+    MemorySystem &variant = var_machine.memorySystem();
     Rng rng(7);
 
     for (int step = 0; step < 3000; ++step) {
@@ -47,7 +50,7 @@ TEST_P(L1FormatEquivalence, SameArchitecturalBehaviourAsDefault)
         case 0: {
             const SecurityMask m = rng.next() & 0x0f0f0f0f0f0f0f0full;
             // Toggle-safe: unset whatever is set, set what is not.
-            const SecurityMask cur = reference.securityMask(la);
+            const SecurityMask cur = ref_machine.securityMask(la);
             CformOp op;
             op.lineAddr = la;
             op.setBits = m & ~cur;
@@ -74,7 +77,8 @@ TEST_P(L1FormatEquivalence, SameArchitecturalBehaviourAsDefault)
           }
         }
     }
-    EXPECT_EQ(ex_a.deliveredCount(), ex_b.deliveredCount());
+    EXPECT_EQ(ref_machine.exceptions().deliveredCount(),
+              var_machine.exceptions().deliveredCount());
 }
 
 INSTANTIATE_TEST_SUITE_P(Formats, L1FormatEquivalence,
@@ -94,10 +98,10 @@ TEST(L1FormatLatency, Table7ExtraCycles)
 
     for (L1Format f :
          {L1Format::BitVector8B, L1Format::Cal1B, L1Format::Cal4B}) {
-        ExceptionUnit ex;
         MemSysParams p; // full size
         p.l1Format = f;
-        MemorySystem mem(p, ex);
+        Machine m(MachineParams{.mem = p, .core = {}});
+        MemorySystem &mem = m.memorySystem();
         mem.load(0x1000, 8); // install
         const auto hit = mem.load(0x1000, 8);
         EXPECT_EQ(hit.latency, p.l1Latency + l1FormatExtraLatency(f));
@@ -106,14 +110,14 @@ TEST(L1FormatLatency, Table7ExtraCycles)
 
 TEST(Prefetcher, NextLineLandsInL2)
 {
-    ExceptionUnit ex;
     MemSysParams p = tinyParams(L1Format::BitVector8B);
     p.nextLinePrefetch = true;
-    MemorySystem mem(p, ex);
+    Machine m(MachineParams{.mem = p, .core = {}});
+    MemorySystem &mem = m.memorySystem();
 
     // Put data in the "next" line, flush it to DRAM.
     mem.store(0x9040, 8, 0x77);
-    mem.flushAll();
+    m.flushAll();
 
     // Miss on 0x9000 prefetches 0x9040 into the L2: the subsequent
     // demand access costs only an L2 hit.
@@ -125,15 +129,15 @@ TEST(Prefetcher, NextLineLandsInL2)
 
 TEST(Prefetcher, PreservesCaliformedMetadata)
 {
-    ExceptionUnit ex;
     MemSysParams p = tinyParams(L1Format::BitVector8B);
     p.nextLinePrefetch = true;
-    MemorySystem mem(p, ex);
+    Machine m(MachineParams{.mem = p, .core = {}});
+    MemorySystem &mem = m.memorySystem();
 
     mem.cform(makeSetOp(0xa040, 0xffull));
-    mem.flushAll();
+    m.flushAll();
     mem.load(0xa000, 8); // prefetches the califormed 0xa040
-    EXPECT_EQ(mem.securityMask(0xa040), 0xffull);
+    EXPECT_EQ(m.securityMask(0xa040), 0xffull);
     const auto res = mem.load(0xa040, 8);
     EXPECT_TRUE(res.faulted);
 }
@@ -141,13 +145,13 @@ TEST(Prefetcher, PreservesCaliformedMetadata)
 TEST(Prefetcher, StreamingMissesDrop)
 {
     auto misses = [](bool prefetch) {
-        ExceptionUnit ex;
         MemSysParams p; // full-size hierarchy
         p.nextLinePrefetch = prefetch;
-        MemorySystem mem(p, ex);
+        Machine m(MachineParams{.mem = p, .core = {}});
+        MemorySystem &mem = m.memorySystem();
         for (Addr a = 0x100000; a < 0x100000 + 512 * 1024; a += 8)
             mem.load(a, 8);
-        return mem.stats().l2.misses;
+        return m.memStats().l2.misses;
     };
     // With next-line prefetch, half the demand L2 misses disappear.
     EXPECT_LT(misses(true), misses(false) / 2 + 64);

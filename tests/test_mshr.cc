@@ -18,7 +18,6 @@
 #include "exp/report.hh"
 #include "sim/dram_timing.hh"
 #include "sim/machine.hh"
-#include "sim/memsys.hh"
 #include "sim/stats_dump.hh"
 #include "workload/runner.hh"
 #include "workload/synth.hh"
@@ -41,13 +40,15 @@ flatParams()
     return p;
 }
 
+/** A one-core machine: timed ops go straight to its memory side, so
+ *  the issue clock advances one cycle per op. */
 struct Harness
 {
-    ExceptionUnit exceptions;
-    MemorySystem mem;
+    Machine m;
+    MemorySystem &mem;
 
     explicit Harness(MemSysParams p)
-        : exceptions(ExceptionUnit::Policy::Record), mem(p, exceptions)
+        : m(MachineParams{.mem = p, .core = {}}), mem(m.memorySystem())
     {}
 };
 
@@ -95,7 +96,7 @@ TEST(Mshr, SecondaryAccessPaysTheFillRemainder)
     EXPECT_EQ(h.mem.load(0x1000, 8).latency, first - 1);
     EXPECT_EQ(h.mem.load(0x1000, 8).latency, first - 2);
 
-    const MemSysStats s = h.mem.stats();
+    const MemSysStats s = h.m.memStats();
     EXPECT_EQ(s.mshrAllocations, 1u);
     EXPECT_EQ(s.mshrCoalesced, 2u);
     EXPECT_EQ(s.mshrStallCycles, 0u);
@@ -125,7 +126,7 @@ TEST(Mshr, HitUnderMissRunsAtL1Latency)
     const Cycles miss = h.mem.load(0x2000, 8).latency;
     EXPECT_EQ(miss, p.l1Latency + p.dramLatency);
     EXPECT_EQ(h.mem.load(0x1000, 8).latency, p.l1Latency);
-    EXPECT_EQ(h.mem.stats().mshrStallCycles, 0u);
+    EXPECT_EQ(h.m.memStats().mshrStallCycles, 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -148,7 +149,7 @@ TEST(Mshr, FullTableStallsUntilTheEarliestFillRetires)
     const Cycles second = h.mem.load(0x2000, 8).latency;
     EXPECT_EQ(second, first + below - 1);
 
-    const MemSysStats s = h.mem.stats();
+    const MemSysStats s = h.m.memStats();
     EXPECT_EQ(s.mshrStallCycles, below - 1);
     EXPECT_EQ(s.mshrAllocations, 2u);
     EXPECT_EQ(s.mshrPeakOccupancy, 1u);
@@ -161,7 +162,7 @@ TEST(Mshr, DeeperTableAbsorbsTheSameBurstWithoutStalling)
     Harness h(p);
     for (int i = 0; i < 8; ++i)
         h.mem.load(0x1000 + 0x1000 * i, 8);
-    const MemSysStats s = h.mem.stats();
+    const MemSysStats s = h.m.memStats();
     EXPECT_EQ(s.mshrStallCycles, 0u);
     EXPECT_EQ(s.mshrAllocations, 8u);
     EXPECT_GE(s.mshrPeakOccupancy, 7u);
@@ -181,22 +182,22 @@ TEST(Mshr, FillConversionExtendsTheOutstandingEntry)
     // Control: the same reload without security bytes on the line.
     Harness plain(p);
     plain.mem.store(0x1000, 8, 0x1122334455667788ull);
-    plain.mem.flushAll();
+    plain.m.flushAll();
     const Cycles plain_first = plain.mem.load(0x1000, 8).latency;
 
     Harness conv(p);
     conv.mem.store(0x1000, 8, 0x1122334455667788ull);
     ASSERT_FALSE(conv.mem.cform(makeSetOp(0x1000, 0xff00ull)).faulted);
-    conv.mem.flushAll(); // spills to DRAM as a califormed sentinel line
-    const std::uint64_t pre = conv.mem.stats().mshrCoalesced;
+    conv.m.flushAll(); // spills to DRAM as a califormed sentinel line
+    const std::uint64_t pre = conv.m.memStats().mshrCoalesced;
     const Cycles conv_first = conv.mem.load(0x1000, 8).latency;
 
     // The fill conversion sits on the refill path...
     EXPECT_EQ(conv_first, plain_first + p.fillConvLatency);
     // ...and the coalesced secondary miss sees the extended remainder.
     EXPECT_EQ(conv.mem.load(0x1000, 8).latency, conv_first - 1);
-    EXPECT_EQ(conv.mem.stats().fills, 1u);
-    EXPECT_EQ(conv.mem.stats().mshrCoalesced, pre + 1);
+    EXPECT_EQ(conv.m.memStats().fills, 1u);
+    EXPECT_EQ(conv.m.memStats().mshrCoalesced, pre + 1);
 }
 
 // ---------------------------------------------------------------------
@@ -375,10 +376,10 @@ TEST(MshrVsBlocking, IndependentMissesOverlapOnlyWithMshrs)
     }
     EXPECT_LT(mshr_total, blocking_total);
     // Same functional traffic either way.
-    EXPECT_EQ(hb.mem.stats().l1.misses, hm.mem.stats().l1.misses);
-    EXPECT_EQ(hb.mem.stats().dramAccesses,
-              hm.mem.stats().dramAccesses);
-    EXPECT_EQ(hm.mem.stats().mshrStallCycles, 0u);
+    EXPECT_EQ(hb.m.memStats().l1.misses, hm.m.memStats().l1.misses);
+    EXPECT_EQ(hb.m.memStats().dramAccesses,
+              hm.m.memStats().dramAccesses);
+    EXPECT_EQ(hm.m.memStats().mshrStallCycles, 0u);
 }
 
 TEST(MshrVsBlocking, TimedMachineRunsFasterWithMshrs)

@@ -7,19 +7,21 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/memsys.hh"
+#include "sim/machine.hh"
 
 namespace califorms
 {
 namespace
 {
 
+/** A one-core machine: wide loads go straight to its memory side. */
 struct Harness
 {
-    ExceptionUnit exceptions;
-    MemorySystem mem;
+    Machine m;
+    MemorySystem &mem;
+    ExceptionUnit &exceptions;
 
-    Harness() : exceptions(), mem(MemSysParams{}, exceptions) {}
+    Harness() : mem(m.memorySystem()), exceptions(m.exceptions()) {}
 };
 
 using Policy = MemorySystem::SimdPolicy;
@@ -110,7 +112,7 @@ TEST(WideLoad, BlacklistedLanesReadZero)
     h.mem.cform(makeSetOp(0x1000, 0x0full));
     // The data under security bytes is zero regardless of policy.
     for (unsigned i = 0; i < 4; ++i)
-        EXPECT_EQ(h.mem.peekByte(0x1000 + i), 0u);
+        EXPECT_EQ(h.m.peekByte(0x1000 + i), 0u);
 }
 
 } // namespace

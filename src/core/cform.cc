@@ -40,24 +40,4 @@ applyCform(BitVectorLine &line, const CformOp &op)
     return std::nullopt;
 }
 
-CformOp
-makeSetOp(Addr line_addr, SecurityMask security_mask)
-{
-    CformOp op;
-    op.lineAddr = line_addr;
-    op.setBits = security_mask;
-    op.mask = security_mask;
-    return op;
-}
-
-CformOp
-makeUnsetOp(Addr line_addr, SecurityMask security_mask)
-{
-    CformOp op;
-    op.lineAddr = line_addr;
-    op.setBits = 0;
-    op.mask = security_mask;
-    return op;
-}
-
 } // namespace califorms

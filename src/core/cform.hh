@@ -52,12 +52,23 @@ std::optional<CaliformsException> checkCform(const BitVectorLine &line,
 std::optional<CaliformsException> applyCform(BitVectorLine &line,
                                              const CformOp &op);
 
+// The builders are inline: the generators build one per CFORM op, and
+// an out-of-line call returns the 32 B op through memory.
+
 /** Build the CFORM op that sets security bytes @p security_mask on the
  *  line at @p line_addr, touching only those bytes. */
-CformOp makeSetOp(Addr line_addr, SecurityMask security_mask);
+inline CformOp
+makeSetOp(Addr line_addr, SecurityMask security_mask)
+{
+    return CformOp{line_addr, security_mask, security_mask, false};
+}
 
 /** Build the CFORM op that unsets security bytes @p security_mask. */
-CformOp makeUnsetOp(Addr line_addr, SecurityMask security_mask);
+inline CformOp
+makeUnsetOp(Addr line_addr, SecurityMask security_mask)
+{
+    return CformOp{line_addr, 0, security_mask, false};
+}
 
 } // namespace califorms
 

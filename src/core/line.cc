@@ -33,11 +33,16 @@ BitVectorLine::zeroBytes(std::uint64_t bytes)
     // Byte k of a lane is data[8w + k] only on little-endian hosts.
     static_assert(std::endian::native == std::endian::little,
                   "lane-wise zeroing assumes little-endian lanes");
-    for (unsigned w = 0; w < lineBytes / 8; ++w) {
+    // Visit only the lanes with a selected byte: a CFORM mask usually
+    // covers one lane.
+    while (bytes) {
+        const unsigned shift = findFirstOne(bytes) & ~7u;
+        std::uint8_t *const lane = data.bytes.data() + shift;
         std::uint64_t v;
-        std::memcpy(&v, data.bytes.data() + 8 * w, sizeof v);
-        v &= ~byteMask(bytes >> (8 * w));
-        std::memcpy(data.bytes.data() + 8 * w, &v, sizeof v);
+        std::memcpy(&v, lane, sizeof v);
+        v &= ~byteMask(bytes >> shift);
+        std::memcpy(lane, &v, sizeof v);
+        bytes &= ~(std::uint64_t{0xff} << shift);
     }
 }
 

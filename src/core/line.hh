@@ -65,8 +65,8 @@ struct BitVectorLine
     /** Zero the data under every security byte (restore canonical form). */
     void canonicalize();
 
-    /** Zero data byte i for every bit i set in @p bytes (eight 64-bit
-     *  lane stores, whatever the mask). */
+    /** Zero data byte i for every bit i set in @p bytes (one 64-bit
+     *  lane store per lane that holds a selected byte). */
     void zeroBytes(std::uint64_t bytes);
 
     bool operator==(const BitVectorLine &other) const = default;

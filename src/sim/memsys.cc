@@ -1,6 +1,8 @@
 #include "sim/memsys.hh"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 #include "core/l1_variants.hh"
@@ -326,18 +328,26 @@ MemorySystem::accessSegment(Addr addr, unsigned size, bool is_store,
         }
     }
 
+    // Byte i of the value is data[off + i], so the value is the low
+    // `size` bytes of a little-endian word. The constant-size branch
+    // makes the common 8-byte segment one move.
+    static_assert(std::endian::native == std::endian::little,
+                  "word-wide segment data assumes a little-endian host");
+    std::uint8_t *const bytes = line->data.bytes.data() + off;
     if (is_store) {
         // Whitelisted (or fault-free) store: write the data bytes. The
         // blacklist metadata is never modified by ordinary stores.
-        for (unsigned i = 0; i < size; ++i)
-            line->data[off + i] = static_cast<std::uint8_t>(
-                (value >> (8 * i)) & 0xff);
+        if (size == 8)
+            std::memcpy(bytes, &value, 8);
+        else
+            std::memcpy(bytes, &value, size);
         line.markDirty();
     } else {
         std::uint64_t v = 0;
-        for (unsigned i = 0; i < size; ++i)
-            v |= static_cast<std::uint64_t>(line->data[off + i])
-                 << (8 * i);
+        if (size == 8)
+            std::memcpy(&v, bytes, 8);
+        else
+            std::memcpy(&v, bytes, size);
         // Security bytes are canonically zero, so the pre-determined
         // zero value of Section 5.1 falls out of the data itself.
         res.value = v;

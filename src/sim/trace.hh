@@ -166,8 +166,9 @@ class TraceReader
 
     /** Bulk variant: produce up to @p max ops into @p out, returning
      *  the count actually written (< max only at end of trace). The
-     *  default loops next(); the synthetic generators override it to
-     *  skip the per-op virtual call. Recording a whole stream to a
+     *  default makes one virtual next() call per op; the synthetic
+     *  generators override it with one virtual call per block, their
+     *  produce() inlined into the loop. Recording a whole stream to a
      *  trace file pulls blocks through it (`califorms trace gen
      *  --workload` and perfbench's recorded workloads). Replay never
      *  uses it: replayStreams() pulls one op at a time with next(). */

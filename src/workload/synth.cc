@@ -61,7 +61,13 @@ pow2det(double x)
     return neg ? 1.0 / result : result;
 }
 
-/** Common budget bookkeeping: emit() counts down the op budget. */
+/**
+ * Common budget bookkeeping: next() and fill() count down the op
+ * budget. A CRTP base, so both call Derived::produce() directly: the
+ * call inlines and the op is built straight into the caller's slot,
+ * one virtual call per op (next()) or per block (fill()).
+ */
+template <class Derived>
 class BudgetedGenerator : public TraceReader
 {
   public:
@@ -73,27 +79,25 @@ class BudgetedGenerator : public TraceReader
         if (remaining_ == 0)
             return false;
         --remaining_;
-        op = produce();
+        op = self().produce();
         return true;
     }
 
-    /** Bulk path for recording a stream to a trace file: one virtual
-     *  call per block, produce() dispatched directly. */
+    /** Bulk path for recording a stream to a trace file. */
     std::size_t
     fill(TraceOp *out, std::size_t max) final
     {
         const std::size_t n = static_cast<std::size_t>(
             std::min<std::uint64_t>(remaining_, max));
         for (std::size_t i = 0; i < n; ++i)
-            out[i] = produce();
+            out[i] = self().produce();
         remaining_ -= n;
         return n;
     }
 
-  protected:
-    virtual TraceOp produce() = 0;
-
   private:
+    Derived &self() { return static_cast<Derived &>(*this); }
+
     std::uint64_t remaining_;
 };
 
@@ -105,8 +109,10 @@ class BudgetedGenerator : public TraceReader
  * so the hot set scatters across the footprint instead of sitting in
  * one contiguous prefix.
  */
-class ZipfGenerator final : public BudgetedGenerator
+class ZipfGenerator final : public BudgetedGenerator<ZipfGenerator>
 {
+    friend class BudgetedGenerator<ZipfGenerator>;
+
   public:
     ZipfGenerator(const SynthParams &p, std::uint64_t ops)
         : BudgetedGenerator(ops), rng_(p.seed),
@@ -127,7 +133,7 @@ class ZipfGenerator final : public BudgetedGenerator
 
   private:
     TraceOp
-    produce() override
+    produce()
     {
         const std::uint64_t roll = rng_.nextBelow(16);
         if (roll >= 14)
@@ -167,8 +173,10 @@ class ZipfGenerator final : public BudgetedGenerator
 
 /** Sequential streaming scan: loads marching through the footprint,
  *  a store every 8th element, a compute block every 16th. */
-class StreamGenerator final : public BudgetedGenerator
+class StreamGenerator final : public BudgetedGenerator<StreamGenerator>
 {
+    friend class BudgetedGenerator<StreamGenerator>;
+
   public:
     StreamGenerator(const SynthParams &p, std::uint64_t ops)
         : BudgetedGenerator(ops), stride_(roundedStride(p)),
@@ -178,7 +186,7 @@ class StreamGenerator final : public BudgetedGenerator
 
   private:
     TraceOp
-    produce() override
+    produce()
     {
         const std::uint64_t i = pos_++;
         const Addr addr = kStreamBase + (i % slots_) * stride_;
@@ -202,8 +210,10 @@ class StreamGenerator final : public BudgetedGenerator
  * the fanout, so deep frames churn more than the root, like a real
  * call tree's leaves.
  */
-class StackChurnGenerator final : public BudgetedGenerator
+class StackChurnGenerator final : public BudgetedGenerator<StackChurnGenerator>
 {
+    friend class BudgetedGenerator<StackChurnGenerator>;
+
   public:
     StackChurnGenerator(const SynthParams &p, std::uint64_t ops)
         : BudgetedGenerator(ops), rng_(p.seed),
@@ -223,7 +233,7 @@ class StackChurnGenerator final : public BudgetedGenerator
     }
 
     TraceOp
-    produce() override
+    produce()
     {
         if (descending_) {
             if (phase_ == 0) {
@@ -270,8 +280,10 @@ class StackChurnGenerator final : public BudgetedGenerator
  * slots half a ring behind. The shared control line ping-pongs between
  * the two roles, the data slots are reused at a fixed lag.
  */
-class RingGenerator final : public BudgetedGenerator
+class RingGenerator final : public BudgetedGenerator<RingGenerator>
 {
+    friend class BudgetedGenerator<RingGenerator>;
+
   public:
     RingGenerator(const SynthParams &p, std::uint64_t ops)
         : BudgetedGenerator(ops), stride_(roundedStride(p)),
@@ -287,7 +299,7 @@ class RingGenerator final : public BudgetedGenerator
     }
 
     TraceOp
-    produce() override
+    produce()
     {
         // Round script: publish head, write burst, poll head, read
         // burst (lagged by half the ring).
@@ -323,8 +335,10 @@ class RingGenerator final : public BudgetedGenerator
  * "respawned" attacker moves to the next object. The first ops
  * establish the protected spans (CFORM set, one per object).
  */
-class AttackMixGenerator final : public BudgetedGenerator
+class AttackMixGenerator final : public BudgetedGenerator<AttackMixGenerator>
 {
+    friend class BudgetedGenerator<AttackMixGenerator>;
+
   public:
     AttackMixGenerator(const SynthParams &p, std::uint64_t ops)
         : BudgetedGenerator(ops), rng_(p.seed),
@@ -347,7 +361,7 @@ class AttackMixGenerator final : public BudgetedGenerator
     }
 
     TraceOp
-    produce() override
+    produce()
     {
         if (established_ < kObjects) {
             return TraceOp::cformOp(
@@ -392,8 +406,10 @@ class AttackMixGenerator final : public BudgetedGenerator
  * policy that retains a resistant reserve (LIP's LRU-position inserts,
  * BRRIP's distant inserts) converts part of the loop into hits.
  */
-class ThrashGenerator final : public BudgetedGenerator
+class ThrashGenerator final : public BudgetedGenerator<ThrashGenerator>
 {
+    friend class BudgetedGenerator<ThrashGenerator>;
+
   public:
     ThrashGenerator(const SynthParams &p, std::uint64_t ops)
         : BudgetedGenerator(ops), stride_(roundedStride(p)),
@@ -402,7 +418,7 @@ class ThrashGenerator final : public BudgetedGenerator
 
   private:
     TraceOp
-    produce() override
+    produce()
     {
         const std::uint64_t i = pos_++;
         const Addr addr = kThrashBase + (i % slots_) * stride_;
@@ -426,8 +442,10 @@ class ThrashGenerator final : public BudgetedGenerator
  * the dead streaming lines near eviction and preserve the hot set —
  * the workload the DRRIP-beats-LRU acceptance test pins.
  */
-class ScanGenerator final : public BudgetedGenerator
+class ScanGenerator final : public BudgetedGenerator<ScanGenerator>
 {
+    friend class BudgetedGenerator<ScanGenerator>;
+
   public:
     ScanGenerator(const SynthParams &p, std::uint64_t ops)
         : BudgetedGenerator(ops), stride_(roundedStride(p)),
@@ -439,7 +457,7 @@ class ScanGenerator final : public BudgetedGenerator
 
   private:
     TraceOp
-    produce() override
+    produce()
     {
         if (!scanning_) {
             const Addr addr =
@@ -483,8 +501,10 @@ class ScanGenerator final : public BudgetedGenerator
  * whether a policy preferentially evicts califormed lines shows up
  * directly in repl.cformEvictions / repl.cformVictimRate.
  */
-class MixedGenerator final : public BudgetedGenerator
+class MixedGenerator final : public BudgetedGenerator<MixedGenerator>
 {
+    friend class BudgetedGenerator<MixedGenerator>;
+
   public:
     MixedGenerator(const SynthParams &p, std::uint64_t ops)
         : BudgetedGenerator(ops), rng_(p.seed),
@@ -504,7 +524,7 @@ class MixedGenerator final : public BudgetedGenerator
     }
 
     TraceOp
-    produce() override
+    produce()
     {
         if (established_ < protect_) {
             return TraceOp::cformOp(makeSetOp(

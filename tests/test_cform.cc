@@ -295,6 +295,37 @@ TEST(Cform, MatchesByteWiseReferenceOnRandomOps)
     EXPECT_LT(faulted, 80000u);
 }
 
+TEST(Line, ZeroBytesMatchesByteLoop)
+{
+    // The empty and full masks, each single lane, then random masks,
+    // over random data: exactly the selected bytes become zero.
+    std::vector<std::uint64_t> masks = {0, ~0ull};
+    for (unsigned w = 0; w < lineBytes / 8; ++w)
+        masks.push_back(0xffull << (8 * w));
+    Rng rng(0x2E80);
+    for (unsigned n = 0; n < 1000; ++n) {
+        // Dense, sparse, and confined to one random lane.
+        std::uint64_t bytes = rng.next();
+        if (n % 3 == 1)
+            bytes &= rng.next();
+        else if (n % 3 == 2)
+            bytes &= 0xffull << (8 * rng.nextBelow(lineBytes / 8));
+        masks.push_back(bytes);
+    }
+    for (const std::uint64_t bytes : masks) {
+        BitVectorLine line;
+        for (unsigned i = 0; i < lineBytes; ++i)
+            line.data[i] = static_cast<std::uint8_t>(rng.next() | 1);
+        line.mask = rng.next();
+        BitVectorLine expect = line;
+        for (unsigned i = 0; i < lineBytes; ++i)
+            if (testBit(bytes, i))
+                expect.data[i] = 0;
+        line.zeroBytes(bytes);
+        EXPECT_EQ(line, expect) << std::hex << bytes;
+    }
+}
+
 TEST(CformHelpers, MakeOpsTargetExactMask)
 {
     const SecurityMask m = 0x00f0000000000001ull;

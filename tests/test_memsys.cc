@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/sentinel.hh"
 #include "sim/machine.hh"
@@ -198,6 +202,123 @@ TEST(MemSys, WhitelistedStoreProceedsWithoutMetadataChange)
     // Data bytes written; blacklist survives.
     EXPECT_EQ(h.m.peekByte(0x3000), 0x01);
     EXPECT_EQ(h.m.securityMask(0x3000), 0x02ull);
+}
+
+TEST(MemSys, L1DataPathMatchesByteReferenceAtEverySizeAndOffset)
+{
+    // Every size 1-8 at every offset of a califormed line, the tail
+    // offsets split into a second califormed line, against a byte
+    // array: each segment of an access faults on its own lowest
+    // security byte, a delivered store commits only its fault-free
+    // segments, a whitelisted store writes every byte, and no store
+    // moves a mask.
+    Harness h;
+    constexpr Addr kBase = 0x3000;
+    constexpr SecurityMask kMasks[2] = {0x8000'0100'0002'0021ull,
+                                        0x0000'0002'0000'0006ull};
+    std::uint8_t ref[2 * lineBytes];
+    Rng rng(0x11DA);
+    for (unsigned i = 0; i < 2 * lineBytes; ++i) {
+        ref[i] = static_cast<std::uint8_t>(rng.next());
+        h.m.pokeByte(kBase + i, ref[i]);
+    }
+    for (unsigned l = 0; l < 2; ++l) {
+        h.mem.cform(makeSetOp(kBase + l * lineBytes, kMasks[l]));
+        for (unsigned i = 0; i < lineBytes; ++i)
+            if (testBit(kMasks[l], i))
+                ref[l * lineBytes + i] = 0;
+    }
+
+    const auto checkState = [&](const std::string &what) {
+        for (unsigned i = 0; i < 2 * lineBytes; ++i)
+            ASSERT_EQ(h.m.peekByte(kBase + i), ref[i]) << what << i;
+        for (unsigned l = 0; l < 2; ++l)
+            ASSERT_EQ(h.m.securityMask(kBase + l * lineBytes), kMasks[l])
+                << what;
+    };
+    const auto faultAddrs =
+        [](const std::vector<CaliformsException> &log) {
+            std::vector<Addr> addrs;
+            for (const CaliformsException &e : log)
+                addrs.push_back(e.faultAddr);
+            return addrs;
+        };
+
+    for (unsigned size = 1; size <= 8; ++size) {
+        for (unsigned off = 0; off < lineBytes; ++off) {
+            const std::string at = "size " + std::to_string(size) +
+                                   " off " + std::to_string(off) + ": ";
+            // The segments [lo, hi) of ref the access splits into, and
+            // the first security byte of each that has one.
+            const unsigned first = std::min<unsigned>(size, lineBytes - off);
+            std::vector<std::pair<unsigned, unsigned>> segments = {
+                {off, off + first}};
+            if (first < size)
+                segments.push_back({lineBytes, off + size});
+            std::vector<Addr> faults;
+            std::vector<bool> segmentFaults;
+            for (const auto &[lo, hi] : segments) {
+                unsigned i = lo;
+                while (i < hi && !testBit(kMasks[i / lineBytes],
+                                          i % lineBytes))
+                    ++i;
+                segmentFaults.push_back(i < hi);
+                if (i < hi)
+                    faults.push_back(kBase + i);
+            }
+
+            std::uint64_t want = 0;
+            for (unsigned i = 0; i < size; ++i)
+                want |= std::uint64_t{ref[off + i]} << (8 * i);
+            h.exceptions.clearLogs();
+            const auto load = h.mem.load(kBase + off, size);
+            EXPECT_EQ(load.value, want) << at << "load";
+            EXPECT_EQ(load.faulted, !faults.empty()) << at << "load";
+            EXPECT_EQ(faultAddrs(h.exceptions.delivered()), faults)
+                << at << "load";
+
+            std::uint64_t value = rng.next();
+            h.exceptions.clearLogs();
+            const auto store = h.mem.store(kBase + off, size, value);
+            EXPECT_EQ(store.faulted, !faults.empty()) << at << "store";
+            EXPECT_EQ(faultAddrs(h.exceptions.delivered()), faults)
+                << at << "store";
+            for (std::size_t s = 0; s < segments.size(); ++s)
+                for (unsigned i = segments[s].first;
+                     i < segments[s].second; ++i)
+                    if (!segmentFaults[s])
+                        ref[i] = static_cast<std::uint8_t>(
+                            value >> (8 * (i - off)));
+            checkState(at + "store ");
+
+            value = rng.next();
+            h.exceptions.clearLogs();
+            {
+                WhitelistGuard guard(h.exceptions);
+                const auto wl = h.mem.store(kBase + off, size, value);
+                EXPECT_EQ(wl.faulted, !faults.empty()) << at << "wl";
+            }
+            EXPECT_EQ(h.exceptions.deliveredCount(), 0u) << at;
+            EXPECT_EQ(faultAddrs(h.exceptions.suppressed()), faults)
+                << at << "whitelisted store";
+            for (unsigned i = 0; i < size; ++i)
+                ref[off + i] = static_cast<std::uint8_t>(value >> (8 * i));
+            checkState(at + "whitelisted store ");
+
+            // Re-zero the security bytes the whitelisted store wrote
+            // (unset + set restores canonical form), so every load
+            // above reads a canonical line.
+            for (unsigned l = 0; l < 2; ++l) {
+                const Addr la = kBase + l * lineBytes;
+                h.mem.cform(makeUnsetOp(la, kMasks[l]));
+                h.mem.cform(makeSetOp(la, kMasks[l]));
+                for (unsigned i = 0; i < lineBytes; ++i)
+                    if (testBit(kMasks[l], i))
+                        ref[l * lineBytes + i] = 0;
+            }
+        }
+    }
+    EXPECT_EQ(h.exceptions.deliveredCount(), 0u);
 }
 
 TEST(MemSys, CformSetOnSecurityByteFaults)

@@ -111,11 +111,15 @@ TEST(Spill, HeaderEncodesCountCode)
     }
 }
 
+/** gtest prints a parameter's raw bytes into each test's listed name,
+ *  so it has no padding bytes (whose garbage would change the names
+ *  from build to build). */
 struct RoundTripParam
 {
-    unsigned securityBytes;
+    std::uint64_t securityBytes;
     std::uint64_t seed;
 };
+static_assert(sizeof(RoundTripParam) == 16);
 
 class SentinelRoundTrip
     : public ::testing::TestWithParam<RoundTripParam>
@@ -126,7 +130,8 @@ TEST_P(SentinelRoundTrip, FillInvertsSpill)
 {
     Rng rng(GetParam().seed);
     for (int trial = 0; trial < 50; ++trial) {
-        BitVectorLine line = randomLine(rng, GetParam().securityBytes);
+        BitVectorLine line = randomLine(
+            rng, static_cast<unsigned>(GetParam().securityBytes));
         const BitVectorLine back = fillLine(spillLine(line));
         EXPECT_EQ(back.mask, line.mask);
         EXPECT_EQ(back.data, line.data);

@@ -84,6 +84,47 @@ TEST(SynthGenerator, DeterministicAndExactBudget)
     }
 }
 
+TEST(SynthGenerator, NextAndFillYieldTheSameStream)
+{
+    // Replay pulls ops with next(), recording with fill(): both must
+    // produce the same ops, field by field. An odd batch size leaves a
+    // short last batch; 10007 ops reach mixed's scan episode.
+    constexpr std::uint64_t kOps = 10007;
+    constexpr std::size_t kBatch = 37;
+    for (const std::string &name : synthWorkloadNames()) {
+        SynthParams params;
+        const Trace viaNext = materialize(name, params, kOps);
+        ASSERT_EQ(viaNext.size(), kOps) << name;
+
+        const auto gen = makeSynthGenerator(name, params, kOps);
+        Trace viaFill;
+        TraceOp batch[kBatch];
+        for (std::size_t n; (n = gen->fill(batch, kBatch)) > 0;) {
+            viaFill.insert(viaFill.end(), batch, batch + n);
+            if (n < kBatch)
+                break;
+        }
+        EXPECT_EQ(gen->fill(batch, kBatch), 0u) << name;
+        ASSERT_EQ(viaFill.size(), kOps) << name;
+
+        for (std::size_t i = 0; i < kOps; ++i) {
+            const TraceOp &a = viaNext[i];
+            const TraceOp &b = viaFill[i];
+            const std::string at = name + " op " + std::to_string(i);
+            ASSERT_EQ(a.kind, b.kind) << at;
+            ASSERT_EQ(a.dependsOnPrev, b.dependsOnPrev) << at;
+            ASSERT_EQ(a.size, b.size) << at;
+            ASSERT_EQ(a.computeOps, b.computeOps) << at;
+            ASSERT_EQ(a.addr, b.addr) << at;
+            ASSERT_EQ(a.value, b.value) << at;
+            ASSERT_EQ(a.cform.lineAddr, b.cform.lineAddr) << at;
+            ASSERT_EQ(a.cform.setBits, b.cform.setBits) << at;
+            ASSERT_EQ(a.cform.mask, b.cform.mask) << at;
+            ASSERT_EQ(a.cform.nonTemporal, b.cform.nonTemporal) << at;
+        }
+    }
+}
+
 TEST(SynthGenerator, SeedChangesTheRandomizedStreams)
 {
     for (const std::string name :

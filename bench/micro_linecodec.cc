@@ -61,7 +61,7 @@ BM_Spill(benchmark::State &state)
 }
 BENCHMARK(BM_Spill)->Arg(0)->Arg(1)->Arg(4)->Arg(16)->Arg(63);
 
-/** A spilled line without its memo, as swap-in rebuilds one: decoding
+/** A spilled line without its memo, as a test rebuilds one: decoding
  *  it runs the header decode and, for 4+ security bytes, the sentinel
  *  scan. */
 SentinelLine

@@ -100,7 +100,6 @@ class HeapAllocator
     /** Footprint of the freed blocks held in quarantine. */
     std::size_t quarantinedBytes() const { return quarantinedBytes_; }
     const HeapParams &params() const { return params_; }
-    Machine &machine() { return machine_; }
 
   private:
     struct Block

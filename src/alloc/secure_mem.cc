@@ -23,34 +23,4 @@ secureMemcpy(Machine &machine, Addr dst, Addr src, std::size_t n)
     }
 }
 
-void
-secureMemset(Machine &machine, Addr dst, std::uint8_t value, std::size_t n)
-{
-    WhitelistGuard guard(machine.exceptions());
-    std::uint64_t pattern = 0;
-    for (unsigned b = 0; b < 8; ++b)
-        pattern |= static_cast<std::uint64_t>(value) << (8 * b);
-    std::size_t i = 0;
-    while (i < n) {
-        std::size_t chunk = std::min<std::size_t>(8, n - i);
-        while (chunk > 1 && lineOffset(dst + i) + chunk > lineBytes)
-            --chunk;
-        machine.store(dst + i, static_cast<unsigned>(chunk), pattern);
-        i += chunk;
-    }
-}
-
-int
-secureMemcmp(Machine &machine, Addr a, Addr b, std::size_t n)
-{
-    WhitelistGuard guard(machine.exceptions());
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto va = static_cast<std::uint8_t>(machine.load(a + i, 1));
-        const auto vb = static_cast<std::uint8_t>(machine.load(b + i, 1));
-        if (va != vb)
-            return va < vb ? -1 : 1;
-    }
-    return 0;
-}
-
 } // namespace califorms

@@ -1,15 +1,19 @@
 /**
  * @file secure_mem.hh
- * Whitelisted bulk memory routines (Sections 4.2 and 6.3).
+ * Whitelisted memcpy (Sections 4.2 and 6.3).
  *
  * memcpy-style functions legitimately sweep entire objects — including
  * their security bytes — so the paper whitelists them by raising the
- * exception mask around their bodies. These helpers model that: they
- * run the byte loop under a WhitelistGuard, so any security byte touch
- * is recorded as suppressed instead of delivered. Blacklisted source
- * bytes read zero, and stores to blacklisted destination bytes write
- * data without disturbing the metadata, exactly like a struct-to-struct
- * assignment on real califormed memory.
+ * exception mask around their bodies. secureMemcpy models that: it runs
+ * its copy loop under a WhitelistGuard, so any security byte touch is
+ * recorded as suppressed instead of delivered. The whitelisted access
+ * rule is MemorySystem's (memsys.hh): a load reads zero for a security
+ * byte, and a store commits only the bytes that are not security bytes,
+ * so every security byte keeps reading zero. Copying between two
+ * layouts therefore carries each data byte that lands on a data byte,
+ * writes zero where the source has a security byte, drops what lands on
+ * a destination security byte, and leaves the destination's blacklist
+ * as it was.
  */
 
 #ifndef CALIFORMS_ALLOC_SECURE_MEM_HH
@@ -22,13 +26,6 @@ namespace califorms
 
 /** Whitelisted memcpy: byte-wise copy of [src, src+n) to dst. */
 void secureMemcpy(Machine &machine, Addr dst, Addr src, std::size_t n);
-
-/** Whitelisted memset: fill [dst, dst+n) with @p value. */
-void secureMemset(Machine &machine, Addr dst, std::uint8_t value,
-                  std::size_t n);
-
-/** Whitelisted memcmp: -1/0/1 comparison of two ranges. */
-int secureMemcmp(Machine &machine, Addr a, Addr b, std::size_t n);
 
 } // namespace califorms
 

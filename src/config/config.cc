@@ -98,17 +98,6 @@ Config::get(const std::string &key) const
     return it == values_.end() ? nullptr : &it->second;
 }
 
-ParamValue
-Config::resolved(const std::string &key) const
-{
-    if (const ParamValue *value = get(key))
-        return *value;
-    const ParamSpec *spec = ParamRegistry::instance().find(key);
-    if (!spec)
-        throw std::out_of_range("unknown config key " + key);
-    return spec->def;
-}
-
 void
 Config::applyTo(RunConfig &rc) const
 {
@@ -156,18 +145,6 @@ Config::entries() const
         if (const ParamValue *value = get(spec.key))
             out.emplace_back(spec.key, renderValue(*value));
     return out;
-}
-
-Config
-Config::fromRunConfig(const RunConfig &rc)
-{
-    Config cfg;
-    for (const ParamSpec &spec : ParamRegistry::instance().specs()) {
-        ParamValue value = spec.read(rc);
-        if (!(value == spec.def))
-            cfg.values_[spec.key] = std::move(value);
-    }
-    return cfg;
 }
 
 std::optional<std::string>

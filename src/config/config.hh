@@ -13,9 +13,8 @@
  *    (the default Config materializes the pre-registry machine
  *    bit for bit);
  *  - serialize() emits the full resolved configuration (or only the
- *    non-default part) as a reloadable config file;
- *  - fromRunConfig() recovers the explicit-set view of an existing
- *    RunConfig by diffing it against the registry defaults.
+ *    non-default part) as a reloadable config file, so two Configs
+ *    that resolve alike serialize alike.
  *
  * Config file format: one `key = value` per line; '#' starts a
  * comment (full-line or trailing); blank lines are ignored; on
@@ -60,10 +59,6 @@ class Config
     /** The explicitly set value of @p key, or nullptr. */
     const ParamValue *get(const std::string &key) const;
 
-    /** The resolved value of @p key: the explicit set if present,
-     *  the registry default otherwise (throws on unknown key). */
-    ParamValue resolved(const std::string &key) const;
-
     /** Write every explicitly set key into @p rc (registry order). */
     void applyTo(RunConfig &rc) const;
 
@@ -81,17 +76,6 @@ class Config
     /** The explicit sets as (key, rendered value) pairs, registry
      *  order. */
     std::vector<std::pair<std::string, std::string>> entries() const;
-
-    /** Number of explicitly set keys. */
-    std::size_t setCount() const { return values_.size(); }
-
-    /**
-     * The explicit-set view of an existing RunConfig: every key whose
-     * value differs from the registry default. (Keys equal to their
-     * default are not marked set — applying the result to a default
-     * RunConfig reproduces @p rc exactly.)
-     */
-    static Config fromRunConfig(const RunConfig &rc);
 
   private:
     std::map<std::string, ParamValue> values_;

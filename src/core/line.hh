@@ -78,7 +78,8 @@ struct SentinelView;
  * L2+/memory resident line: encoded payload plus the single califormed
  * metadata bit (stored in spare ECC bits once in DRAM, Section 3). This
  * is the owned form of a line away from the store: write-back queue
- * entries, coherence surrenders and recall handoffs, and the swap path.
+ * entries, coherence surrenders and recall handoffs, and functional
+ * reads and writes (SharedMemory::functionalRead/functionalWrite).
  * MainMemory keeps no SentinelLine; it splits each line into planes and
  * hands out SentinelViews.
  *
@@ -87,7 +88,7 @@ struct SentinelView;
  * it lets the fill conversion and the timing model skip the header
  * decode + sentinel scan (a pure simulator-speed cache, not part of
  * the architectural line — it never affects results and is ignored by
- * equality). Code that rebuilds @c raw by hand (swap-in, tests) simply
+ * equality). Code that rebuilds @c raw by hand (tests) simply
  * leaves @c maskCached false and pays the full decode, once: view()
  * decodes, and MainMemory::writeLine keeps the decoded mask.
  */

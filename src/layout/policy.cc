@@ -51,16 +51,6 @@ SecureLayout::securityByteCount() const
     return total;
 }
 
-std::vector<bool>
-SecureLayout::byteMask() const
-{
-    std::vector<bool> mask(size, false);
-    for (const auto &s : securityBytes)
-        for (std::size_t i = 0; i < s.size; ++i)
-            mask.at(s.offset + i) = true;
-    return mask;
-}
-
 bool
 SecureLayout::isSecurityByte(std::size_t offset) const
 {

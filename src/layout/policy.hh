@@ -71,9 +71,6 @@ struct SecureLayout
     /** Total number of security bytes. */
     std::size_t securityByteCount() const;
 
-    /** Per-byte mask: mask[i] is true iff byte i is a security byte. */
-    std::vector<bool> byteMask() const;
-
     /** True if byte @p offset lies inside a security span. */
     bool isSecurityByte(std::size_t offset) const;
 };

@@ -115,8 +115,6 @@ Type::array(TypePtr elem, std::size_t count)
     t->size_ = elem->size() * count;
     t->align_ = elem->align();
     t->name_ = elem->name() + "[" + std::to_string(count) + "]";
-    t->element_ = std::move(elem);
-    t->count_ = count;
     return t;
 }
 
@@ -130,7 +128,6 @@ Type::structure(StructDefPtr def)
     t->size_ = def->size();
     t->align_ = def->align();
     t->name_ = "struct " + def->name();
-    t->struct_ = std::move(def);
     return t;
 }
 

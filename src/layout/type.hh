@@ -107,17 +107,9 @@ class Type
         Struct,          //!< struct/class instance
     };
 
-    Kind kind() const { return kind_; }
     std::size_t size() const { return size_; }
     std::size_t align() const { return align_; }
     const std::string &name() const { return name_; }
-
-    /** Element type for arrays; null otherwise. */
-    TypePtr element() const { return element_; }
-    /** Element count for arrays; 0 otherwise. */
-    std::size_t count() const { return count_; }
-    /** Definition for struct types; null otherwise. */
-    StructDefPtr structDef() const { return struct_; }
 
     /**
      * True if the type is "overflowable" in the sense of the intelligent
@@ -149,9 +141,6 @@ class Type
     std::size_t size_ = 0;
     std::size_t align_ = 1;
     std::string name_;
-    TypePtr element_;
-    std::size_t count_ = 0;
-    StructDefPtr struct_;
 };
 
 /** Compute the standard C layout of @p fields (used by StructDef). */

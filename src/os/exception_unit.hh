@@ -54,7 +54,6 @@ class ExceptionUnit
     /** True once a Terminate-policy exception has been delivered. */
     bool terminated() const { return terminated_; }
 
-    Policy policy() const { return policy_; }
     void setPolicy(Policy p) { policy_ = p; }
 
     const std::vector<CaliformsException> &delivered() const

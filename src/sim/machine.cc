@@ -86,6 +86,8 @@ Machine::pokeByte(Addr addr, std::uint8_t v)
     // stale (dirty bits are left as they are).
     const Addr la = lineBase(addr);
     BitVectorLine line = functionalLine(la);
+    if ((line.mask >> lineOffset(addr)) & 1)
+        return;
     line.data[lineOffset(addr)] = v;
     for (const auto &mem : mems_)
         mem->pokePrivateLine(la, line);

@@ -77,7 +77,8 @@ class Machine
     // line is read from the first private side holding it (in core
     // order), else from the shared side. A poke writes every private
     // copy and the shared side, leaving dirty bits as they are, so no
-    // copy goes stale. Never raises exceptions or touches statistics.
+    // copy goes stale; like a whitelisted store, it leaves a security
+    // byte zero. Never raises exceptions or touches statistics.
     std::uint8_t peekByte(Addr addr) const;
     void pokeByte(Addr addr, std::uint8_t v);
     std::vector<std::uint8_t> peekBytes(Addr addr, std::size_t n) const;
@@ -110,7 +111,7 @@ class Machine
     {
         return *mems_.at(core);
     }
-    SharedMemory &sharedMemory() { return shared_; }
+    /** The shared side, for tests that read its levels and store. */
     const SharedMemory &sharedMemory() const { return shared_; }
     const MachineParams &params() const { return params_; }
 

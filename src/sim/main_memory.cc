@@ -1,6 +1,5 @@
 #include "sim/main_memory.hh"
 
-#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -39,14 +38,6 @@ MainMemory::find(Addr line_addr, const char *what) const
     return pages_.find(line_addr >> kPageShift);
 }
 
-SentinelLine
-MainMemory::readLine(Addr line_addr)
-{
-    checkAligned(line_addr, "read");
-    ++reads_;
-    return peek(line_addr).copy();
-}
-
 SentinelView
 MainMemory::peek(Addr line_addr) const
 {
@@ -71,15 +62,10 @@ MainMemory::Page &
 MainMemory::backLine(Addr line_addr, bool califormed)
 {
     checkAligned(line_addr, "write");
-    ++writes_;
     PageEntry &entry = pages_[line_addr >> kPageShift];
     if (!entry.page)
         entry.page = std::make_unique<Page>();
     const std::uint64_t bit = std::uint64_t{1} << slotOf(line_addr);
-    if (!(entry.present & bit)) {
-        entry.present |= bit;
-        ++backed_;
-    }
     entry.califormed = califormed ? entry.califormed | bit
                                   : entry.califormed & ~bit;
     return *entry.page;
@@ -103,16 +89,6 @@ MainMemory::writeEncoded(Addr line_addr, const BitVectorLine &line)
     spillLine(line, page.data[slot]);
     if (line.califormed())
         page.masks[slot] = line.mask;
-}
-
-std::size_t
-MainMemory::califormedLines() const
-{
-    std::size_t n = 0;
-    pages_.forEach([&n](Addr, const PageEntry &entry) {
-        n += static_cast<std::size_t>(std::popcount(entry.califormed));
-    });
-    return n;
 }
 
 } // namespace califorms

@@ -321,9 +321,18 @@ MemorySystem::accessSegment(Addr addr, unsigned size, bool is_store,
         e.reason = is_store ? FaultReason::StoreSecurityByte
                             : FaultReason::LoadSecurityByte;
         const bool delivered = exceptions_.raise(e);
-        if (is_store && delivered) {
-            // The store never becomes non-speculative; it does not
-            // commit (Section 5.1).
+        if (is_store) {
+            // A delivered fault: the store never becomes
+            // non-speculative and does not commit (Section 5.1). A
+            // whitelisted one commits only its data bytes, so the
+            // security bytes keep reading zero.
+            if (!delivered) {
+                for (unsigned i = 0; i < size; ++i, value >>= 8)
+                    if (!((overlap >> (off + i)) & 1))
+                        line->data.bytes[off + i] =
+                            static_cast<std::uint8_t>(value);
+                line.markDirty();
+            }
             return res;
         }
     }
@@ -335,8 +344,8 @@ MemorySystem::accessSegment(Addr addr, unsigned size, bool is_store,
                   "word-wide segment data assumes a little-endian host");
     std::uint8_t *const bytes = line->data.bytes.data() + off;
     if (is_store) {
-        // Whitelisted (or fault-free) store: write the data bytes. The
-        // blacklist metadata is never modified by ordinary stores.
+        // A fault-free store: every byte is a data byte. The blacklist
+        // metadata is never modified by ordinary stores.
         if (size == 8)
             std::memcpy(bytes, &value, 8);
         else

@@ -40,9 +40,12 @@
  * through the ExceptionUnit; loads return zero for blacklisted bytes
  * (anti speculation side channel, Section 7.2) and faulting stores do
  * not commit. While whitelisted (exception mask raised), accesses
- * proceed: loads still see zeros, stores write data bytes but leave the
- * blacklist metadata untouched — memcpy of a struct copies its payload
- * while the security byte pattern of the destination survives.
+ * proceed under one rule: loads read zero for security bytes, and
+ * stores commit only the bytes that are not security bytes and leave
+ * the blacklist metadata untouched. A security byte therefore reads
+ * zero in the L1 and below alike, so no loaded value depends on whether
+ * its line was evicted, and memcpy of a struct copies its payload while
+ * the security byte pattern of the destination survives.
  *
  * A MemorySystem is always one core's private side of a Machine, which
  * builds it over the machine's one SharedMemory and drives its

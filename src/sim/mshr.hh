@@ -54,8 +54,6 @@ class MshrTable
         pending_.reserve(capacity + 1);
     }
 
-    unsigned capacity() const { return capacity_; }
-
     /** Live entries at time @p now (dead ones pruned as a side
      *  effect). */
     std::size_t

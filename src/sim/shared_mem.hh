@@ -190,9 +190,7 @@ class SharedMemory
      *  the private sides returns. It equals DRAM contents after
      *  Machine::flushAll(), which empties the private sides and the
      *  shared levels. */
-    MainMemory &memory() { return memory_; }
     const MainMemory &memory() const { return memory_; }
-    const MemSysParams &params() const { return params_; }
 
     /** Number of enabled shared levels (0, 1 or 2). */
     std::size_t levelCount() const { return below_.size(); }

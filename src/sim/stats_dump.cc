@@ -45,7 +45,7 @@ constexpr Placement kExceptions{StatBlock::Exceptions, StatGate::Always};
 /** A row reading @p value: a counter of one of the structs the table
  *  addresses, the scenario label, or a derive function. */
 template <typename Value>
-constexpr StatRow
+consteval StatRow
 stat(const char *name, const char *doc, Value value, Placement at = kMem,
      StatMerge merge = StatMerge::Sum)
 {
@@ -66,7 +66,7 @@ stat(const char *name, const char *doc, Value value, Placement at = kMem,
 }
 
 /** A row reading one CacheStats field of one level. */
-constexpr StatRow
+consteval StatRow
 level(const char *name, const char *doc, C M::*cache,
       std::uint64_t C::*field, Placement at = kMem)
 {
@@ -77,7 +77,7 @@ level(const char *name, const char *doc, C M::*cache,
 }
 
 /** @p at, also reported in each "cores" entry under @p key. */
-constexpr Placement
+consteval Placement
 perCore(Placement at, const char *key)
 {
     return {at.block, at.gate, key};
@@ -235,7 +235,7 @@ constexpr StatRow kTable[] = {
 
 /** The number of rows whose @p accessor is set. */
 template <typename Accessor>
-constexpr std::size_t
+consteval std::size_t
 rowsSetting(Accessor StatRow::*accessor)
 {
     return std::count_if(
@@ -466,13 +466,6 @@ dumpStats(const RunRecord &record, const MachineParams &params)
     }
     os << "-------------------------------------\n";
     return os.str();
-}
-
-std::string
-dumpStats(const Machine &machine)
-{
-    const RunStats stats = snapshot(machine);
-    return dumpStats({stats}, machine.params());
 }
 
 RunStats

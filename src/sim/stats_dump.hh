@@ -179,7 +179,8 @@ struct StatRow
     std::string_view key() const;
 };
 
-/** The counter table, grouped by block in emission order. */
+/** The counter table, grouped by block in emission order; the tests
+ *  walk it row by row. */
 std::span<const StatRow> statTable();
 
 /** The row named @p name; throws std::invalid_argument if none. */
@@ -206,8 +207,6 @@ std::string statLines(const RunRecord &record, const MachineParams &params);
 
 /** The emitted rows in a flat, diffable gem5-style dump. */
 std::string dumpStats(const RunRecord &record, const MachineParams &params);
-
-std::string dumpStats(const Machine &machine); //!< of its snapshot
 
 } // namespace califorms
 

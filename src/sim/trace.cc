@@ -11,40 +11,6 @@
 namespace califorms
 {
 
-namespace
-{
-
-/** Yields the ops of an in-memory trace. */
-class VectorTraceReader final : public TraceReader
-{
-  public:
-    explicit VectorTraceReader(const Trace &trace)
-        : next_(trace.begin()), end_(trace.end())
-    {}
-
-    bool
-    next(TraceOp &op) override
-    {
-        if (next_ == end_)
-            return false;
-        op = *next_++;
-        return true;
-    }
-
-  private:
-    Trace::const_iterator next_;
-    Trace::const_iterator end_;
-};
-
-} // namespace
-
-std::uint64_t
-runTrace(Machine &machine, const Trace &trace)
-{
-    VectorTraceReader reader(trace);
-    return runTrace(machine, reader);
-}
-
 ReplayStats
 replayStreams(Machine &machine, std::span<TraceReader *const> streams,
               std::uint64_t max_ops)
@@ -334,17 +300,6 @@ class TextTraceWriter final : public TraceWriter
 };
 
 } // namespace
-
-Trace
-readTrace(std::istream &is)
-{
-    TextTraceReader reader(is, {});
-    Trace trace;
-    TraceOp op;
-    while (reader.next(op))
-        trace.push_back(op);
-    return trace;
-}
 
 namespace detail
 {

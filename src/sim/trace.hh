@@ -132,28 +132,17 @@ inline constexpr std::uint8_t kBinTraceVersion = 1;
  *  where the reader's refills and the writer's drains fall. */
 inline constexpr std::size_t kBinTraceBlockBytes = 16 * 1024;
 
-/** Replay @p trace on @p machine; returns loads' value XOR (a cheap
- *  checksum so replays can be compared). */
-std::uint64_t runTrace(Machine &machine, const Trace &trace);
-
 /** Serialize to the text format. */
 void writeTrace(std::ostream &os, const Trace &trace);
-
-/** Parse the text format; throws std::runtime_error on bad input with
- *  the offending line number. */
-Trace readTrace(std::istream &is);
 
 /** Serialize to the binary format (header + every op). */
 void writeTraceBinary(std::ostream &os, const Trace &trace);
 
-/** Parse the binary format; throws std::runtime_error on a bad magic,
- *  unsupported version, truncation, or trailing junk. */
-Trace readTraceBinary(std::istream &is);
-
 // Streaming interface ---------------------------------------------------
 //
-// The vector-of-ops API above materializes whole traces; the streaming
-// classes below replay arbitrarily long traces in constant memory.
+// The two writers above serialize a whole in-memory Trace. Traces are
+// read and replayed only through the streaming classes below, which
+// handle arbitrarily long traces in constant memory.
 
 /** Incremental trace source: yields one op at a time. */
 class TraceReader
@@ -190,11 +179,6 @@ class TraceReader
  * text silently — text lines never start with the magic).
  */
 std::unique_ptr<TraceReader> openTraceReader(std::istream &is);
-
-/** Force a specific format (no sniffing; binary validates the header
- *  immediately). */
-std::unique_ptr<TraceReader> openTraceReader(std::istream &is,
-                                             TraceFormat format);
 
 /** Incremental trace sink; the binary writer needs the final op count
  *  up front (the format is length-prefixed). */

@@ -198,15 +198,9 @@ class BinTraceWriter final : public TraceWriter
 class BinTraceReader final : public TraceReader
 {
   public:
-    BinTraceReader(std::istream &is, bool magic_consumed) : is_(is)
+    /** Starts after the magic, which openTraceReader consumed. */
+    explicit BinTraceReader(std::istream &is) : is_(is)
     {
-        if (!magic_consumed) {
-            char magic[sizeof(kBinTraceMagic)];
-            if (!is_.read(magic, sizeof(magic)))
-                fail("truncated header");
-            if (std::memcmp(magic, kBinTraceMagic, sizeof(magic)) != 0)
-                fail("bad magic (not a binary trace)");
-        }
         const int version = is_.get();
         const int reserved = is_.get();
         if (version == std::char_traits<char>::eof() ||
@@ -366,25 +360,6 @@ writeTraceBinary(std::ostream &os, const Trace &trace)
     writer.finish();
 }
 
-Trace
-readTraceBinary(std::istream &is)
-{
-    BinTraceReader reader(is, false);
-    Trace trace;
-    TraceOp op;
-    while (reader.next(op))
-        trace.push_back(op);
-    return trace;
-}
-
-std::unique_ptr<TraceReader>
-openTraceReader(std::istream &is, TraceFormat format)
-{
-    if (format == TraceFormat::Binary)
-        return std::make_unique<BinTraceReader>(is, false);
-    return detail::makeTextReader(is, {});
-}
-
 std::unique_ptr<TraceReader>
 openTraceReader(std::istream &is)
 {
@@ -400,7 +375,7 @@ openTraceReader(std::istream &is)
     }
     if (head.size() == sizeof(kBinTraceMagic) &&
         std::memcmp(head.data(), kBinTraceMagic, head.size()) == 0)
-        return std::make_unique<BinTraceReader>(is, true);
+        return std::make_unique<BinTraceReader>(is);
     return detail::makeTextReader(is, std::move(head));
 }
 

@@ -8,33 +8,6 @@
 namespace califorms
 {
 
-void
-RunningStats::add(double x)
-{
-    if (n_ == 0) {
-        min_ = max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++n_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
-}
-
-double
-RunningStats::variance() const
-{
-    return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double
-RunningStats::stddev() const
-{
-    return std::sqrt(variance());
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0)
 {
@@ -106,28 +79,6 @@ averageSlowdown(const std::vector<double> &base_times,
     const double avg_speedup =
         sum_speedup / static_cast<double>(times.size());
     return 1.0 / avg_speedup - 1.0;
-}
-
-double
-mean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : xs)
-        s += x;
-    return s / static_cast<double>(xs.size());
-}
-
-double
-geomean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : xs)
-        s += std::log(x);
-    return std::exp(s / static_cast<double>(xs.size()));
 }
 
 } // namespace califorms

@@ -1,8 +1,8 @@
 /**
  * @file stats.hh
- * Statistics helpers used throughout the evaluation harness: running
- * moments, fixed-bin histograms, and the averaging conventions the paper
- * uses (arithmetic mean of per-benchmark speedups, Section 8.2 footnote 5).
+ * Statistics helpers of the evaluation harness: fixed-bin histograms
+ * and the averaging convention the paper uses (arithmetic mean of
+ * per-benchmark speedups, Section 8.2 footnote 5).
  */
 
 #ifndef CALIFORMS_UTIL_STATS_HH
@@ -14,27 +14,6 @@
 
 namespace califorms
 {
-
-/** Welford-style running mean / variance / extrema accumulator. */
-class RunningStats
-{
-  public:
-    void add(double x);
-
-    std::size_t count() const { return n_; }
-    double mean() const { return n_ ? mean_ : 0.0; }
-    double variance() const;
-    double stddev() const;
-    double min() const { return n_ ? min_ : 0.0; }
-    double max() const { return n_ ? max_ : 0.0; }
-
-  private:
-    std::size_t n_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 /**
  * Histogram over [lo, hi) with @p bins equal-width bins. Samples outside
@@ -75,12 +54,6 @@ class Histogram
  */
 double averageSlowdown(const std::vector<double> &base_times,
                        const std::vector<double> &times);
-
-/** Arithmetic mean of a vector (0 for empty input). */
-double mean(const std::vector<double> &xs);
-
-/** Geometric mean of a vector of positive values (0 for empty input). */
-double geomean(const std::vector<double> &xs);
 
 } // namespace califorms
 

@@ -27,7 +27,8 @@ constexpr std::size_t lineBytes = 64;
 /** log2(lineBytes), used for address arithmetic. */
 constexpr unsigned lineShift = 6;
 
-/** Simulated page size in bytes (for the OS swap metadata model). */
+/** Simulated page size in bytes (MainMemory's pages, each with its
+ *  califormed bitmap, PageEntry::califormed). */
 constexpr std::size_t pageBytes = 4096;
 
 /** Number of cache lines per page. */
@@ -45,13 +46,6 @@ constexpr unsigned
 lineOffset(Addr addr)
 {
     return static_cast<unsigned>(addr & (lineBytes - 1));
-}
-
-/** Round an address down to its page base. */
-constexpr Addr
-pageBase(Addr addr)
-{
-    return addr & ~static_cast<Addr>(pageBytes - 1);
 }
 
 /** Round @p value up to the next multiple of @p align (align power of 2

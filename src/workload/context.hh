@@ -42,7 +42,6 @@ class KernelContext
     HeapAllocator &heap() { return heap_; }
     StackAllocator &stack() { return stack_; }
     Rng &rng() { return rng_; }
-    double scale() const { return scale_; }
 
     /** Knobs of the synthetic workload generators (workload.* keys);
      *  the SPEC-like kernels ignore them. */

@@ -18,6 +18,7 @@
 #include "fleet/engine.hh"
 #include "fleet/report.hh"
 #include "sim/trace.hh"
+#include "trace_helpers.hh"
 #include "workload/synth.hh"
 
 namespace califorms::fleet

@@ -286,9 +286,9 @@ TEST(WbQueue, VictimHitPullsTheDirtyLineBack)
     h.mem.store(c, 8, 0x3333);
     h.m.flushAll();
     std::uint64_t v = 0;
-    const SentinelLine line = h.m.sharedMemory().memory().readLine(a);
+    const SentinelView line = h.m.sharedMemory().memory().peek(a);
     for (unsigned i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(line.raw[i]) << (8 * i);
+        v |= static_cast<std::uint64_t>(line.data->bytes[i]) << (8 * i);
     EXPECT_EQ(v, 0x1111u);
 }
 

@@ -155,12 +155,11 @@ TEST(EndToEnd, BlacklistsSurviveHeavyCachePressure)
         sys.machine.store(0x900000000ull + 64 * (i % 60000), 8, i);
 
     for (const auto &obj : live) {
-        const auto mask = obj.layout->byteMask();
         for (std::size_t b = 0; b < obj.layout->size; ++b) {
             const Addr a = obj.addr + b;
             const bool blacklisted =
                 sys.machine.securityMask(a) & (1ull << lineOffset(a));
-            EXPECT_EQ(blacklisted, mask[b])
+            EXPECT_EQ(blacklisted, obj.layout->isSecurityByte(b))
                 << "object at " << std::hex << obj.addr << " byte " << b;
         }
     }

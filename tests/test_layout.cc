@@ -31,8 +31,7 @@ TEST(TypeModel, ArrayComposition)
     auto arr = Type::array(Type::intType(), 10);
     EXPECT_EQ(arr->size(), 40u);
     EXPECT_EQ(arr->align(), 4u);
-    EXPECT_EQ(arr->count(), 10u);
-    EXPECT_EQ(arr->element(), Type::intType());
+    EXPECT_EQ(arr->name(), "int[10]");
     EXPECT_THROW(Type::array(nullptr, 3), std::invalid_argument);
     EXPECT_THROW(Type::array(Type::intType(), 0), std::invalid_argument);
 }

@@ -106,11 +106,10 @@ TEST(MemSys, FlushAllPushesEverythingToDram)
     Harness h;
     h.mem.store(0x2000, 8, 0xdeadbeefull);
     h.m.flushAll();
-    const SentinelLine line =
-        h.m.sharedMemory().memory().readLine(0x2000);
+    const SentinelView line = h.m.sharedMemory().memory().peek(0x2000);
     std::uint64_t v = 0;
     for (unsigned b = 0; b < 8; ++b)
-        v |= static_cast<std::uint64_t>(line.raw[b]) << (8 * b);
+        v |= static_cast<std::uint64_t>(line.data->bytes[b]) << (8 * b);
     EXPECT_EQ(v, 0xdeadbeefull);
     // And the data is still loadable afterwards.
     EXPECT_EQ(h.mem.load(0x2000, 8).value, 0xdeadbeefull);
@@ -140,13 +139,11 @@ TEST(MemSys, CaliformedBitReachesDramEcc)
     CformOp op = makeSetOp(0x4000, 0x1ull);
     h.mem.cform(op);
     h.m.flushAll();
-    EXPECT_TRUE(
-        h.m.sharedMemory().memory().readLine(0x4000).califormed);
+    EXPECT_TRUE(h.m.sharedMemory().memory().califormed(0x4000));
     // A clean line's ECC bit stays clear.
     h.mem.store(0x5000, 8, 1);
     h.m.flushAll();
-    EXPECT_FALSE(
-        h.m.sharedMemory().memory().readLine(0x5000).califormed);
+    EXPECT_FALSE(h.m.sharedMemory().memory().califormed(0x5000));
 }
 
 TEST(MemSys, LoadOfSecurityByteFaultsAndReturnsZero)
@@ -199,9 +196,35 @@ TEST(MemSys, WhitelistedStoreProceedsWithoutMetadataChange)
     }
     EXPECT_EQ(h.exceptions.deliveredCount(), 0u);
     EXPECT_EQ(h.exceptions.suppressedCount(), 1u);
-    // Data bytes written; blacklist survives.
+    // Data bytes written, the security byte left zero; blacklist
+    // survives.
     EXPECT_EQ(h.m.peekByte(0x3000), 0x01);
+    EXPECT_EQ(h.m.peekByte(0x3001), 0x00);
+    EXPECT_EQ(h.m.peekByte(0x3002), 0x03);
     EXPECT_EQ(h.m.securityMask(0x3000), 0x02ull);
+}
+
+TEST(MemSys, WhitelistedStoreLeavesSecurityBytesZeroAtEveryLevel)
+{
+    // A whitelisted load of a security byte the store covered reads
+    // the same zero while the line sits in the L1 and after it has
+    // been written back, so no result depends on the cache geometry.
+    for (const bool flush : {false, true}) {
+        SCOPED_TRACE(flush ? "after flushAll" : "L1-resident");
+        Harness h;
+        h.mem.cform(makeSetOp(0x3000, 0x02ull)); // byte 1
+        WhitelistGuard guard(h.exceptions);
+        h.mem.store(0x3000, 4, 0x04030201);
+        if (flush)
+            h.m.flushAll();
+        BitVectorLine l1;
+        EXPECT_EQ(h.mem.peekPrivateLine(0x3000, l1), !flush);
+        const auto res = h.mem.load(0x3001, 1);
+        EXPECT_TRUE(res.faulted);
+        EXPECT_EQ(res.value, 0x00u);
+        EXPECT_EQ(h.mem.load(0x3000, 4).value, 0x04030001u);
+        EXPECT_EQ(h.exceptions.deliveredCount(), 0u);
+    }
 }
 
 TEST(MemSys, L1DataPathMatchesByteReferenceAtEverySizeAndOffset)
@@ -210,8 +233,8 @@ TEST(MemSys, L1DataPathMatchesByteReferenceAtEverySizeAndOffset)
     // offsets split into a second califormed line, against a byte
     // array: each segment of an access faults on its own lowest
     // security byte, a delivered store commits only its fault-free
-    // segments, a whitelisted store writes every byte, and no store
-    // moves a mask.
+    // segments, a whitelisted store commits every byte that is not a
+    // security byte, and no store moves a mask.
     Harness h;
     constexpr Addr kBase = 0x3000;
     constexpr SecurityMask kMasks[2] = {0x8000'0100'0002'0021ull,
@@ -301,21 +324,11 @@ TEST(MemSys, L1DataPathMatchesByteReferenceAtEverySizeAndOffset)
             EXPECT_EQ(h.exceptions.deliveredCount(), 0u) << at;
             EXPECT_EQ(faultAddrs(h.exceptions.suppressed()), faults)
                 << at << "whitelisted store";
-            for (unsigned i = 0; i < size; ++i)
-                ref[off + i] = static_cast<std::uint8_t>(value >> (8 * i));
+            for (unsigned i = off; i < off + size; ++i)
+                if (!testBit(kMasks[i / lineBytes], i % lineBytes))
+                    ref[i] = static_cast<std::uint8_t>(
+                        value >> (8 * (i - off)));
             checkState(at + "whitelisted store ");
-
-            // Re-zero the security bytes the whitelisted store wrote
-            // (unset + set restores canonical form), so every load
-            // above reads a canonical line.
-            for (unsigned l = 0; l < 2; ++l) {
-                const Addr la = kBase + l * lineBytes;
-                h.mem.cform(makeUnsetOp(la, kMasks[l]));
-                h.mem.cform(makeSetOp(la, kMasks[l]));
-                for (unsigned i = 0; i < lineBytes; ++i)
-                    if (testBit(kMasks[l], i))
-                        ref[l * lineBytes + i] = 0;
-            }
         }
     }
     EXPECT_EQ(h.exceptions.deliveredCount(), 0u);
@@ -487,8 +500,12 @@ TEST(MemSys, PokePeekBypassChecks)
 {
     Harness h;
     h.mem.cform(makeSetOp(0x9000, 0x1ull));
-    h.m.pokeByte(0x9000, 0x55); // backdoor write to a security byte
-    EXPECT_EQ(h.m.peekByte(0x9000), 0x55);
+    // A backdoor write to a security byte leaves it zero, like a
+    // whitelisted store; the neighbouring data byte takes the write.
+    h.m.pokeByte(0x9000, 0x55);
+    h.m.pokeByte(0x9001, 0x66);
+    EXPECT_EQ(h.m.peekByte(0x9000), 0x00);
+    EXPECT_EQ(h.m.peekByte(0x9001), 0x66);
     EXPECT_EQ(h.exceptions.deliveredCount(), 0u);
     EXPECT_EQ(h.m.securityMask(0x9000), 0x1ull);
 }

@@ -25,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "os/swap.hh"
 #include "sim/machine.hh"
 #include "util/rng.hh"
 
@@ -350,45 +349,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::size_t> &info) {
         return configSpace()[info.param].name;
     });
-
-TEST(MemSysSwapFuzz, SwapRoundTripUnderRandomState)
-{
-    // Randomly califormed pages must survive swap out / swap in with
-    // data and metadata intact.
-    Machine m(tinyMachine());
-    Rng rng(99);
-
-    const Addr page = 0x100000;
-    std::map<Addr, std::uint8_t> data;
-    std::map<Addr, bool> security;
-    for (int i = 0; i < 800; ++i) {
-        const Addr a = page + rng.nextBelow(pageBytes);
-        if (rng.chance(0.3)) {
-            if (!security[lineBase(a) + lineOffset(a)]) {
-                m.cform(makeSetOp(lineBase(a), 1ull << lineOffset(a)));
-                security[a] = true;
-                data[a] = 0;
-            }
-        } else if (!security[a]) {
-            const auto v = static_cast<std::uint8_t>(rng.next());
-            m.store(a, 1, v);
-            data[a] = v;
-        }
-    }
-
-    m.flushAll();
-    SwapManager swap(m.sharedMemory().memory());
-    swap.swapOut(page);
-    swap.swapIn(page);
-
-    for (const auto &[a, v] : data)
-        EXPECT_EQ(m.peekByte(a), v) << std::hex << a;
-    for (const auto &[a, s] : security)
-        EXPECT_EQ(static_cast<bool>(m.securityMask(a) &
-                                    (1ull << lineOffset(a))),
-                  s)
-            << std::hex << a;
-}
 
 } // namespace
 } // namespace califorms

@@ -433,7 +433,8 @@ TEST(MshrGating, StatDumpOnlyShowsTimingLinesWhenConfigured)
     MachineParams p;
     Machine untimed(p);
     untimed.load(0x1000, 8);
-    const std::string plain = dumpStats(untimed);
+    const std::string plain =
+        dumpStats({snapshot(untimed)}, untimed.params());
     EXPECT_EQ(plain.find("mshr."), std::string::npos);
     EXPECT_EQ(plain.find("dram.rowHits"), std::string::npos);
 
@@ -441,7 +442,7 @@ TEST(MshrGating, StatDumpOnlyShowsTimingLinesWhenConfigured)
     p.mem.dramBanks = 4;
     Machine timed(p);
     timed.load(0x1000, 8);
-    const std::string dump = dumpStats(timed);
+    const std::string dump = dumpStats({snapshot(timed)}, timed.params());
     EXPECT_NE(dump.find("mshr.allocations"), std::string::npos);
     EXPECT_NE(dump.find("dram.rowHits"), std::string::npos);
 }

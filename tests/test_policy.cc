@@ -44,10 +44,10 @@ checkStructuralInvariants(const StructDef &def, const SecureLayout &sl)
         }
     }
     // Security spans never overlap fields.
-    const auto mask = sl.byteMask();
     for (const auto &f : sl.fields)
         for (std::size_t b = f.offset; b < f.offset + f.size; ++b)
-            EXPECT_FALSE(mask[b]) << "security byte inside field at " << b;
+            EXPECT_FALSE(sl.isSecurityByte(b))
+                << "security byte inside field at " << b;
     // Spans are in range.
     for (const auto &s : sl.securityBytes)
         EXPECT_LE(s.offset + s.size, sl.size);
@@ -105,14 +105,14 @@ TEST(FullPolicy, EveryGapProtected)
     // A span before the first field, after the last field, and between
     // every adjacent pair: first field cannot sit at offset 0.
     EXPECT_GT(sl.fields[0].offset, 0u);
-    const auto mask = sl.byteMask();
-    EXPECT_TRUE(mask[sl.size - 1] || mask[sl.size - 2]);
+    EXPECT_TRUE(sl.isSecurityByte(sl.size - 1) ||
+                sl.isSecurityByte(sl.size - 2));
     for (std::size_t i = 1; i < sl.fields.size(); ++i) {
         bool gap_protected = false;
         for (std::size_t b = sl.fields[i - 1].offset +
                              sl.fields[i - 1].size;
              b < sl.fields[i].offset; ++b)
-            gap_protected |= mask[b];
+            gap_protected |= sl.isSecurityByte(b);
         EXPECT_TRUE(gap_protected) << "gap before field " << i;
     }
 }
@@ -173,17 +173,16 @@ TEST(IntelligentPolicy, ProtectsArraysAndPointers)
     LayoutTransformer t(InsertionPolicy::Intelligent, params, 17);
     const SecureLayout sl = t.transform(*def);
     checkStructuralInvariants(*def, sl);
-    const auto mask = sl.byteMask();
 
     // buf (index 2) and fp (index 3) are overflowable: bytes just
     // before buf, between buf and fp, and just after fp are protected
     // (Listing 1(d)).
     const auto &buf = sl.fields[2];
     const auto &fp = sl.fields[3];
-    EXPECT_TRUE(mask[buf.offset - 1]);
-    EXPECT_TRUE(mask[buf.offset + buf.size]);
-    EXPECT_TRUE(mask[fp.offset - 1]);
-    EXPECT_TRUE(mask[fp.offset + fp.size]);
+    EXPECT_TRUE(sl.isSecurityByte(buf.offset - 1));
+    EXPECT_TRUE(sl.isSecurityByte(buf.offset + buf.size));
+    EXPECT_TRUE(sl.isSecurityByte(fp.offset - 1));
+    EXPECT_TRUE(sl.isSecurityByte(fp.offset + fp.size));
 }
 
 TEST(IntelligentPolicy, ScalarOnlyStructGetsNothing)
@@ -256,18 +255,6 @@ TEST(PolicyParamsValidation, RejectsBadSpanRange)
     bad.maxSpan = 3;
     EXPECT_THROW(LayoutTransformer(InsertionPolicy::Full, bad, 1),
                  std::invalid_argument);
-}
-
-TEST(SecureLayoutHelpers, ByteMaskMatchesIsSecurityByte)
-{
-    auto def = listingOneStruct();
-    PolicyParams params;
-    params.maxSpan = 5;
-    LayoutTransformer t(InsertionPolicy::Full, params, 77);
-    const SecureLayout sl = t.transform(*def);
-    const auto mask = sl.byteMask();
-    for (std::size_t b = 0; b < sl.size; ++b)
-        EXPECT_EQ(mask[b], sl.isSecurityByte(b)) << b;
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 /**
  * @file test_secure_mem.cc
- * Whitelisted bulk memory routines: struct copies across califormed
- * layouts must succeed without delivered exceptions, while the
- * destination blacklist survives (Sections 4.2 and 6.3).
+ * Whitelisted memcpy: struct copies across califormed layouts must
+ * succeed without delivered exceptions, while the destination
+ * blacklist survives and its security bytes stay zero (Sections 4.2
+ * and 6.3).
  */
 
 #include <gtest/gtest.h>
@@ -24,13 +25,13 @@ struct Harness
 };
 
 std::shared_ptr<const SecureLayout>
-fullLayout()
+fullLayout(std::uint64_t seed = 5)
 {
     auto def = std::make_shared<StructDef>(
         "s", std::vector<Field>{{"a", Type::intType()},
                                 {"buf", Type::array(Type::charType(), 12)},
                                 {"b", Type::longType()}});
-    LayoutTransformer t(InsertionPolicy::Full, PolicyParams{}, 5);
+    LayoutTransformer t(InsertionPolicy::Full, PolicyParams{}, seed);
     return std::make_shared<SecureLayout>(t.transform(*def));
 }
 
@@ -85,32 +86,53 @@ TEST(SecureMemcpy, SourceSecurityBytesReadAsZero)
             EXPECT_EQ(h.machine.peekByte(dst + span.offset + i), 0u);
 }
 
-TEST(SecureMemset, FillsDataWithoutDisturbingMetadata)
+TEST(SecureMemcpy, BetweenTwoLayoutsKeepsTheDestinationMask)
 {
+    // Two random layouts of one struct: the copy carries data onto
+    // data, writes zero where the source has a security byte, and
+    // drops what lands on a destination security byte, so every byte
+    // that is a security byte on either side reads zero, before and
+    // after the lines leave the L1.
     Harness h;
-    const auto layout = fullLayout();
-    const Addr addr = h.heap.allocate(layout);
-    secureMemset(h.machine, addr, 0x5a, layout->size);
-    EXPECT_EQ(h.machine.exceptions().deliveredCount(), 0u);
-    // Fields hold the fill value; spans remain blacklisted.
-    const auto &f = layout->fields[0];
-    EXPECT_EQ(h.machine.load(addr + f.offset, 1), 0x5au);
-    const Addr span_byte = addr + layout->securityBytes.front().offset;
-    EXPECT_TRUE(h.machine.securityMask(span_byte) &
-                (1ull << lineOffset(span_byte)));
-}
+    const auto from = fullLayout(5);
+    const auto to = fullLayout(11);
+    const Addr src = h.heap.allocate(from);
+    const Addr dst = h.heap.allocate(to);
+    const std::size_t n = std::min(from->size, to->size);
+    for (std::size_t i = 0; i < from->size; ++i)
+        if (!from->isSecurityByte(i))
+            h.machine.pokeByte(src + i, static_cast<std::uint8_t>(i + 1));
 
-TEST(SecureMemcmp, ComparesLogicalContent)
-{
-    Harness h;
-    const Addr a = h.heap.allocateRaw(32);
-    const Addr b = h.heap.allocateRaw(32);
-    secureMemset(h.machine, a, 7, 32);
-    secureMemset(h.machine, b, 7, 32);
-    EXPECT_EQ(secureMemcmp(h.machine, a, b, 32), 0);
-    h.machine.store(b + 10, 1, 9);
-    EXPECT_LT(secureMemcmp(h.machine, a, b, 32), 0);
-    EXPECT_GT(secureMemcmp(h.machine, b, a, 32), 0);
+    std::size_t dataOntoSecurity = 0, securityOntoData = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const bool was = from->isSecurityByte(i);
+        const bool is = to->isSecurityByte(i);
+        dataOntoSecurity += !was && is;
+        securityOntoData += was && !is;
+    }
+    ASSERT_GT(dataOntoSecurity, 0u);
+    ASSERT_GT(securityOntoData, 0u);
+
+    secureMemcpy(h.machine, dst, src, n);
+    EXPECT_EQ(h.machine.exceptions().deliveredCount(), 0u);
+    EXPECT_GT(h.machine.exceptions().suppressedCount(), 0u);
+
+    for (const bool flushed : {false, true}) {
+        SCOPED_TRACE(flushed ? "after flushAll" : "L1-resident");
+        for (std::size_t i = 0; i < n; ++i) {
+            const Addr a = dst + i;
+            const bool security =
+                from->isSecurityByte(i) || to->isSecurityByte(i);
+            EXPECT_EQ(h.machine.peekByte(a),
+                      security ? 0u : static_cast<std::uint8_t>(i + 1))
+                << "byte " << i;
+            EXPECT_EQ((h.machine.securityMask(a) >> lineOffset(a)) & 1,
+                      to->isSecurityByte(i) ? 1u : 0u)
+                << "byte " << i;
+        }
+        h.machine.flushAll();
+    }
+    EXPECT_EQ(h.machine.exceptions().deliveredCount(), 0u);
 }
 
 TEST(SecureMemcpy, LineCrossingCopy)

@@ -101,6 +101,13 @@ replayAttackMix(Machine &machine)
     replayStreams(machine, streams);
 }
 
+/** The dump of @p machine's own snapshot under its own params. */
+std::string
+dumpOf(const Machine &machine)
+{
+    return dumpStats({snapshot(machine)}, machine.params());
+}
+
 /** A run of the every-gate machine that also had an allocator and
  *  attack trials, so every gate is open. */
 OwnedRecord
@@ -397,7 +404,7 @@ TEST(StatTable, DefaultConfigEmitsOnlyUngatedRows)
         EXPECT_EQ(dumpLines(dump, row), ungated ? 1u : 0u) << row.name;
     }
     EXPECT_EQ(json.count("cores[0]"), 0u);
-    EXPECT_EQ(dump, dumpStats(machine));
+    EXPECT_EQ(dump, dumpOf(machine));
 }
 
 TEST(StatTable, StatLinesGroupRowsByNamespace)
@@ -431,12 +438,12 @@ TEST(StatTable, DumpShowsCoherenceOnlyOnMulticoreMachines)
     p.mem.coherence = CoherenceKind::Msi;
     Machine single(p);
     single.store(0x3000, 8, 1);
-    EXPECT_EQ(dumpStats(single).find("coherence."), std::string::npos);
+    EXPECT_EQ(dumpOf(single).find("coherence."), std::string::npos);
 
     p.core.count = 2;
     Machine dual(p);
     dual.store(0x3000, 8, 1);
-    const std::string dump = dumpStats(dual);
+    const std::string dump = dumpOf(dual);
     for (const char *key :
          {"coherence.invalidations", "coherence.dirtyRecalls",
           "coherence.convUnderInval", "coherence.convCycles"})
@@ -447,7 +454,7 @@ TEST(StatTableGolden, EveryGateDumpMatchesCheckedInExpectation)
 {
     Machine machine(everyGateParams(), ExceptionUnit::Policy::Record);
     replayAttackMix(machine);
-    const std::string dump = dumpStats(machine);
+    const std::string dump = dumpOf(machine);
     const std::string path =
         std::string(CALIFORMS_GOLDEN_DIR) + "/dump_stats_every_gate.txt";
     if (std::getenv("CALIFORMS_REGEN_GOLDEN")) {

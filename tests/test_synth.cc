@@ -13,6 +13,7 @@
 
 #include "config/config.hh"
 #include "exp/campaign.hh"
+#include "trace_helpers.hh"
 #include "workload/synth.hh"
 
 namespace califorms

@@ -175,23 +175,10 @@ TEST(Types, LineArithmetic)
     EXPECT_EQ(lineBase(63), 0u);
     EXPECT_EQ(lineBase(64), 64u);
     EXPECT_EQ(lineOffset(130), 2u);
-    EXPECT_EQ(pageBase(4097), 4096u);
     EXPECT_EQ(roundUp(0, 8), 0u);
     EXPECT_EQ(roundUp(1, 8), 8u);
     EXPECT_EQ(roundUp(8, 8), 8u);
     EXPECT_EQ(roundUp(9, 4), 12u);
-}
-
-TEST(RunningStats, MomentsAndExtrema)
-{
-    RunningStats s;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        s.add(x);
-    EXPECT_EQ(s.count(), 8u);
-    EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-    EXPECT_NEAR(s.stddev(), 2.138, 0.001);
-    EXPECT_DOUBLE_EQ(s.min(), 2.0);
-    EXPECT_DOUBLE_EQ(s.max(), 9.0);
 }
 
 TEST(HistogramTest, BinningAndClamping)
@@ -228,13 +215,6 @@ TEST(Stats, AverageSlowdownValidatesInput)
     EXPECT_THROW(averageSlowdown({}, {}), std::invalid_argument);
     EXPECT_THROW(averageSlowdown({1.0}, {1.0, 2.0}),
                  std::invalid_argument);
-}
-
-TEST(Stats, MeanAndGeomean)
-{
-    EXPECT_DOUBLE_EQ(mean({1.0, 2.0, 3.0}), 2.0);
-    EXPECT_DOUBLE_EQ(mean({}), 0.0);
-    EXPECT_NEAR(geomean({1.0, 4.0}), 2.0, 1e-12);
 }
 
 TEST(Table, RendersAlignedColumns)

@@ -224,7 +224,8 @@ TEST(ContextLayoutCache, FreedDefNeverServesItsLayoutToANewDef)
     ASSERT_EQ(got->fields.size(), want.fields.size());
     for (std::size_t i = 0; i < want.fields.size(); ++i)
         EXPECT_EQ(got->fields[i].offset, want.fields[i].offset) << i;
-    EXPECT_EQ(got->byteMask(), want.byteMask());
+    for (std::size_t b = 0; b < want.size; ++b)
+        EXPECT_EQ(got->isSecurityByte(b), want.isSecurityByte(b)) << b;
 }
 
 } // namespace
